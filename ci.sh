@@ -10,7 +10,7 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release) =="
 cargo build --release --locked
 
-echo "== tests =="
+echo "== tests (every workspace crate: see default-members) =="
 cargo test -q --locked
 
 echo "== clippy (deny warnings) =="
@@ -18,9 +18,6 @@ cargo clippy --all-targets --locked -- -D warnings
 
 echo "== thoth-lint (repo invariants) =="
 cargo run -q --release --locked -p thoth-lint
-
-echo "== mode parity (trait refactor must not move the golden quick matrix) =="
-cargo test -q --locked -p thoth-sim --test mode_parity
 
 echo "== ablation smoke (incl. six-mechanism comparison table) =="
 cargo run -q --release --locked -p thoth-experiments -- ablation --quick
@@ -33,9 +30,6 @@ cargo run -q --release --locked -p thoth-experiments -- psan --quick
 
 echo "== fuzz (persist-trace fuzzer, three-observer cross-check) =="
 cargo run -q --release --locked -p thoth-experiments -- fuzz --quick
-
-echo "== telemetry (observability layer unit tests) =="
-cargo test -q --locked -p thoth-telemetry
 
 echo "== telemetry smoke (neutrality + artifact schema, one workload) =="
 cargo run -q --release --locked -p thoth-experiments -- telemetry --quick

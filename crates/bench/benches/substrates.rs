@@ -11,7 +11,7 @@ use thoth_core::{PartialUpdate, PubBlockCodec};
 use thoth_crypto::counter::CounterGroup;
 use thoth_crypto::{Aes128, CtrMode, MacEngine, MacKey, SipHash24};
 use thoth_merkle::{BonsaiTree, MerkleConfig};
-use thoth_sim_engine::{CoalescedEventQueue, Cycle, EventQueue, HeapEventQueue};
+use thoth_sim_engine::{CoalescedEventQueue, Cycle, HeapEventQueue};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
@@ -117,61 +117,6 @@ fn bench(c: &mut Criterion) {
                 cache.insert(addr, i);
             }
             black_box(cache.len())
-        });
-    });
-
-    // Event-queue implementations under a simulator-like schedule/pop mix:
-    // mostly near-future events inside the calendar window, a tail of
-    // far-future ones taking the overflow path.
-    trait AnyQueue {
-        fn sched(&mut self, at: Cycle, e: u64);
-        fn popq(&mut self) -> Option<(Cycle, u64)>;
-    }
-    impl AnyQueue for EventQueue<u64> {
-        fn sched(&mut self, at: Cycle, e: u64) {
-            self.schedule(at, e);
-        }
-        fn popq(&mut self) -> Option<(Cycle, u64)> {
-            self.pop()
-        }
-    }
-    impl AnyQueue for HeapEventQueue<u64> {
-        fn sched(&mut self, at: Cycle, e: u64) {
-            self.schedule(at, e);
-        }
-        fn popq(&mut self) -> Option<(Cycle, u64)> {
-            self.pop()
-        }
-    }
-    fn queue_mix(q: &mut impl AnyQueue) {
-        let mut clock = 0u64;
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for i in 0..4096u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let horizon = if x.is_multiple_of(16) { 4096 + x % 100_000 } else { x % 512 };
-            q.sched(Cycle(clock + horizon), i);
-            if i % 2 == 0 {
-                if let Some((c, _)) = q.popq() {
-                    clock = clock.max(c.0);
-                }
-            }
-        }
-        while q.popq().is_some() {}
-    }
-    group.bench_function("event_queue_bucket_vs_heap/bucket", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            queue_mix(&mut q);
-            black_box(q.len())
-        });
-    });
-    group.bench_function("event_queue_bucket_vs_heap/heap", |b| {
-        b.iter(|| {
-            let mut q: HeapEventQueue<u64> = HeapEventQueue::new();
-            queue_mix(&mut q);
-            black_box(q.len())
         });
     });
 

@@ -254,8 +254,8 @@ mod tests {
             block_index: i.wrapping_mul(0x9e37_79b9),
             minor: (i % 128) as u8,
             mac2: u64::from(i).wrapping_mul(0xdead_beef_cafe_f00d),
-            ctr_status: i % 2 == 0,
-            mac_status: i % 3 == 0,
+            ctr_status: i.is_multiple_of(2),
+            mac_status: i.is_multiple_of(3),
         }
     }
 

@@ -85,7 +85,7 @@ fn main() {
                 csv_dir = Some(PathBuf::from(args.next().expect("--csv needs a dir")));
             }
             "--help" | "-h" => {
-                println!("{}", HELP);
+                println!("{HELP}");
                 return;
             }
             other => wanted.push(other.to_owned()),

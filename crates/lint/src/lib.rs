@@ -228,7 +228,7 @@ pub fn blank_code(src: &str) -> String {
                     }
                     let open = k; // at the quote
                     let closer: Vec<u8> = std::iter::once(b'"')
-                        .chain(std::iter::repeat(b'#').take(hashes))
+                        .chain(std::iter::repeat_n(b'#', hashes))
                         .collect();
                     let rest = &b[open + 1..];
                     let end = rest

@@ -71,8 +71,7 @@ fn forward_or_device_always_has_newest() {
             t = wpq.insert(t, addr, Some(vec![v; 128]), WriteCategory::Data, &mut nvm);
             let seen = wpq
                 .forward(addr)
-                .map(|p| p[0])
-                .unwrap_or_else(|| nvm.read_block(addr)[0]);
+                .map_or_else(|| nvm.read_block(addr)[0], |p| p[0]);
             assert_eq!(seen, v, "stale read after insert");
         }
     });

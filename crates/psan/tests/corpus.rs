@@ -94,7 +94,7 @@ fn seeded_variants_do_not_drown_the_signal() {
             .count();
         match bug {
             SeededBug::DoubleFlush => {
-                assert_eq!(errors, 0, "a double flush is a smell, not an error")
+                assert_eq!(errors, 0, "a double flush is a smell, not an error");
             }
             _ if bug.is_cross_core() => assert!(
                 (1..=128).contains(&errors),

@@ -1,27 +1,22 @@
-//! Stable-order discrete-event queues.
+//! Discrete-event queues.
 //!
-//! Events scheduled for the same cycle are delivered in the order they were
-//! scheduled (FIFO). This stability is essential for determinism: the full
-//! system simulator schedules core, controller, and device events at the
-//! same cycle and their relative order must not depend on heap internals.
+//! * [`CoalescedEventQueue`] — the NVM device's bank-completion
+//!   scoreboard: every lane due on one cycle merges into one bitmask
+//!   entry.
+//! * [`HeapEventQueue`] — a stable-order `BinaryHeap` queue: events
+//!   scheduled for the same cycle pop in scheduling order (FIFO). It is
+//!   the coalesced queue's differential-testing reference and benchmark
+//!   baseline.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`EventQueue`] — the default: a bucketed (calendar) queue. Near-future
-//!   events go into per-cycle FIFO buckets over a rotating power-of-two
-//!   window, so `schedule` and `pop` are O(1) pointer pushes instead of
-//!   O(log n) heap sifts; far-future and past events fall back to a small
-//!   binary heap. Simulator latencies are tens-to-hundreds of cycles, so in
-//!   practice everything lands in the window (see DESIGN.md §3.5).
-//! * [`HeapEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   differential-testing reference and as the benchmark baseline.
+//! The trace replay loop needs neither: each core has at most one
+//! outstanding wake-up, so it schedules cores with a per-core argmin
+//! scan (see DESIGN.md §3.5).
 
 use crate::clock::Cycle;
-use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 
-/// An entry in the fallback heap: ordered by cycle, then insertion sequence.
+/// A heap entry: ordered by cycle, then insertion sequence.
 struct Entry<E> {
     at: Cycle,
     seq: u64,
@@ -48,165 +43,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Cycles covered by the bucket window. Power of two so the slot index is a
-/// mask. 1024 comfortably covers the simulator's longest single-hop latency
-/// (an NVM block write is ~1000 controller cycles in Table I); anything
-/// further out takes the heap fallback, which is correct just slower.
-const WINDOW: u64 = 1024;
-
-/// A discrete-event queue with deterministic FIFO tie-breaking (bucketed
-/// calendar-queue implementation).
-///
-/// # Example
-///
-/// ```
-/// use thoth_sim_engine::{Cycle, EventQueue};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(Cycle(5), 'b');
-/// q.schedule(Cycle(3), 'a');
-/// assert_eq!(q.peek_cycle(), Some(Cycle(3)));
-/// assert_eq!(q.pop(), Some((Cycle(3), 'a')));
-/// ```
-pub struct EventQueue<E> {
-    /// Per-cycle FIFO buckets for cycles in `[cursor, cursor + WINDOW)`;
-    /// slot = cycle & (WINDOW - 1). Within that window each slot maps to
-    /// exactly one cycle, and `cursor` only moves forward, so a bucket
-    /// never holds two distinct cycles at once.
-    buckets: Box<[VecDeque<(Cycle, u64, E)>]>,
-    /// Events outside the window when scheduled: far-future, or behind the
-    /// cursor (the replay loop occasionally schedules "now" after popping
-    /// ahead). Popping compares `(at, seq)` across both stores, so order
-    /// stays exact wherever an event lives.
-    overflow: BinaryHeap<Entry<E>>,
-    /// Lower bound on every bucketed entry's cycle; advances monotonically.
-    /// `Cell` so `peek_cycle(&self)` can memoize its skip over drained
-    /// slots (interior mutability, no observable effect).
-    cursor: Cell<u64>,
-    /// Entries currently in buckets (lets pop/peek skip the scan entirely
-    /// when everything is in the overflow heap).
-    bucketed: usize,
-    next_seq: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            buckets: (0..WINDOW).map(|_| VecDeque::new()).collect(),
-            overflow: BinaryHeap::new(),
-            cursor: Cell::new(0),
-            bucketed: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at cycle `at`.
-    ///
-    /// Events at the same cycle fire in scheduling order, regardless of
-    /// which internal store they land in: a same-cycle event can only reach
-    /// the bucket *after* the window moved over it, i.e. after every
-    /// overflow entry for that cycle was already scheduled with a smaller
-    /// sequence number, and the pop path compares `(at, seq)` across both.
-    pub fn schedule(&mut self, at: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let cur = self.cursor.get();
-        if at.0 >= cur && at.0 - cur < WINDOW {
-            self.buckets[(at.0 & (WINDOW - 1)) as usize].push_back((at, seq, event));
-            self.bucketed += 1;
-        } else {
-            self.overflow.push(Entry { at, seq, event });
-        }
-    }
-
-    /// Cycle and slot of the earliest bucketed entry, advancing the cursor
-    /// over drained slots as a side effect (safe: no bucketed entry exists
-    /// below the first non-empty slot).
-    fn earliest_bucket(&self) -> Option<(Cycle, u64, usize)> {
-        if self.bucketed == 0 {
-            return None;
-        }
-        let mut c = self.cursor.get();
-        loop {
-            let slot = (c & (WINDOW - 1)) as usize;
-            if let Some(&(at, seq, _)) = self.buckets[slot].front() {
-                debug_assert_eq!(at.0, c, "bucket holds a foreign cycle");
-                self.cursor.set(c);
-                return Some((at, seq, slot));
-            }
-            c += 1;
-        }
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let bucket = self.earliest_bucket();
-        let overflow_first = match (&bucket, self.overflow.peek()) {
-            (_, None) => false,
-            (None, Some(_)) => true,
-            (Some((b_at, b_seq, _)), Some(o)) => (o.at, o.seq) < (*b_at, *b_seq),
-        };
-        if overflow_first {
-            let e = self.overflow.pop().expect("peeked above");
-            // Keep the cursor monotonic: a past-scheduled event must not
-            // drag the window backwards over live buckets.
-            self.cursor.set(self.cursor.get().max(e.at.0));
-            return Some((e.at, e.event));
-        }
-        let (at, _, slot) = bucket?;
-        let (_, _, event) = self.buckets[slot].pop_front().expect("front seen above");
-        self.bucketed -= 1;
-        self.cursor.set(at.0);
-        Some((at, event))
-    }
-
-    /// Returns the cycle of the earliest pending event without removing it.
-    pub fn peek_cycle(&self) -> Option<Cycle> {
-        let bucket = self.earliest_bucket().map(|(at, seq, _)| (at, seq));
-        let overflow = self.overflow.peek().map(|e| (e.at, e.seq));
-        match (bucket, overflow) {
-            (None, None) => None,
-            (Some((at, _)), None) | (None, Some((at, _))) => Some(at),
-            (Some(b), Some(o)) => Some(b.min(o).0),
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bucketed + self.overflow.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        if self.bucketed > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
-            self.bucketed = 0;
-        }
-        self.overflow.clear();
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The original `BinaryHeap` event queue: same contract as [`EventQueue`],
-/// O(log n) everywhere. Kept as the reference implementation for the
-/// differential property test (`bucketed_queue_matches_heap_reference`) and
-/// as the baseline in the `substrates` benchmark.
+/// A discrete-event queue with deterministic FIFO tie-breaking, O(log n)
+/// everywhere. Kept as the reference implementation for the coalesced
+/// queue's differential test (`coalesced_queue_matches_heap_reference`)
+/// and as the baseline in the `substrates` benchmark.
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
@@ -265,7 +105,7 @@ impl<E> Default for HeapEventQueue<E> {
 
 /// A same-cycle-coalescing event queue for small lane sets (≤ 64).
 ///
-/// Where [`EventQueue`] stores one entry per event, this queue merges
+/// Where [`HeapEventQueue`] stores one entry per event, this queue merges
 /// every lane scheduled for one cycle into a single entry carrying a lane
 /// **bitmask** — built for per-bank NVM completions, where many banks
 /// finish on the same cycle and the consumer only needs "which banks",
@@ -369,121 +209,6 @@ impl CoalescedEventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(30), 3);
-        q.schedule(Cycle(10), 1);
-        q.schedule(Cycle(20), 2);
-        assert_eq!(q.pop(), Some((Cycle(10), 1)));
-        assert_eq!(q.pop(), Some((Cycle(20), 2)));
-        assert_eq!(q.pop(), Some((Cycle(30), 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn same_cycle_is_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(Cycle(7), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((Cycle(7), i)));
-        }
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_keeps_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(5), "a");
-        q.schedule(Cycle(5), "b");
-        assert_eq!(q.pop(), Some((Cycle(5), "a")));
-        q.schedule(Cycle(5), "c");
-        // "b" was scheduled before "c" so it still pops first.
-        assert_eq!(q.pop(), Some((Cycle(5), "b")));
-        assert_eq!(q.pop(), Some((Cycle(5), "c")));
-    }
-
-    #[test]
-    fn peek_len_clear() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_cycle(), None);
-        q.schedule(Cycle(9), ());
-        q.schedule(Cycle(4), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_cycle(), Some(Cycle(4)));
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn far_future_events_take_the_overflow_path() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(WINDOW * 5), "far");
-        q.schedule(Cycle(2), "near");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((Cycle(2), "near")));
-        // The far event is beyond the window; it must still pop, and new
-        // near events around it must order correctly.
-        q.schedule(Cycle(WINDOW * 5), "far2");
-        assert_eq!(q.pop(), Some((Cycle(WINDOW * 5), "far")));
-        assert_eq!(q.pop(), Some((Cycle(WINDOW * 5), "far2")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn scheduling_into_the_past_still_pops_first() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(100), "later");
-        assert_eq!(q.pop(), Some((Cycle(100), "later")));
-        // Cursor is now at 100; 3 is in the past.
-        q.schedule(Cycle(3), "past");
-        q.schedule(Cycle(100), "now");
-        assert_eq!(q.peek_cycle(), Some(Cycle(3)));
-        assert_eq!(q.pop(), Some((Cycle(3), "past")));
-        assert_eq!(q.pop(), Some((Cycle(100), "now")));
-    }
-
-    #[test]
-    fn same_cycle_fifo_across_overflow_and_bucket() {
-        let mut q = EventQueue::new();
-        let far = WINDOW + 7;
-        // Scheduled while far is outside the window -> overflow.
-        q.schedule(Cycle(far), 1);
-        // Drain something to advance the cursor so `far` enters the window.
-        q.schedule(Cycle(WINDOW / 2), 0);
-        assert_eq!(q.pop(), Some((Cycle(WINDOW / 2), 0)));
-        // Now scheduled into the bucket at the same cycle.
-        q.schedule(Cycle(far), 2);
-        assert_eq!(q.pop(), Some((Cycle(far), 1)), "overflow entry first (older seq)");
-        assert_eq!(q.pop(), Some((Cycle(far), 2)));
-    }
-
-    #[test]
-    fn stress_random_order_is_sorted() {
-        // Deterministic pseudo-random insertion; output must be sorted by
-        // (cycle, insertion sequence).
-        let mut q = EventQueue::new();
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        let mut inputs = Vec::new();
-        for i in 0..10_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let at = Cycle(x % 1000);
-            inputs.push((at, i));
-            q.schedule(at, i);
-        }
-        let mut last: Option<(Cycle, u64)> = None;
-        while let Some((at, i)) = q.pop() {
-            if let Some((lat, lseq)) = last {
-                assert!((lat, lseq) < (at, i), "order violated");
-            }
-            last = Some((at, i));
-        }
-    }
 
     #[test]
     fn coalesced_queue_orders_cycles_and_merges_lanes() {

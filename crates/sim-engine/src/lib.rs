@@ -5,21 +5,20 @@
 //!
 //! * [`Cycle`] — a strongly-typed simulation timestamp with nanosecond
 //!   conversions at a configurable clock frequency,
-//! * [`EventQueue`] — a stable-order discrete-event queue (bucketed
-//!   calendar queue; [`HeapEventQueue`] is the reference implementation),
+//! * [`CoalescedEventQueue`] — the NVM bank-completion queue, merging
+//!   same-cycle lanes into one bitmask entry ([`HeapEventQueue`], a
+//!   stable-order heap queue, is its reference implementation),
 //! * [`fastmap`] — deterministic multiplicative hashing ([`FastMap`],
 //!   [`FastSet`]) for the simulator's address-keyed hot maps,
-//! * [`stats`] — lightweight counters and histograms used for all
-//!   paper-facing metrics,
 //! * [`rng`] — a deterministic, seedable random-number generator so every
 //!   experiment in the paper reproduction is bit-for-bit repeatable.
 //!
 //! # Example
 //!
 //! ```
-//! use thoth_sim_engine::{Cycle, EventQueue};
+//! use thoth_sim_engine::{Cycle, HeapEventQueue};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
+//! let mut q: HeapEventQueue<&'static str> = HeapEventQueue::new();
 //! q.schedule(Cycle(20), "late");
 //! q.schedule(Cycle(10), "early");
 //! q.schedule(Cycle(10), "early-second"); // same cycle: FIFO order
@@ -36,10 +35,8 @@ pub mod clock;
 pub mod events;
 pub mod fastmap;
 pub mod rng;
-pub mod stats;
 
 pub use clock::{Cycle, Frequency};
-pub use events::{CoalescedEventQueue, EventQueue, HeapEventQueue};
+pub use events::{CoalescedEventQueue, HeapEventQueue};
 pub use fastmap::{FastMap, FastSet};
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, StatsRegistry};

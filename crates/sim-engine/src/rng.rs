@@ -155,8 +155,8 @@ mod tests {
             buckets[r.gen_range(10) as usize] += 1;
         }
         for &b in &buckets {
-            let expected = n as f64 / 10.0;
-            assert!((b as f64 - expected).abs() < expected * 0.05, "bucket {b}");
+            let expected = f64::from(n) / 10.0;
+            assert!((f64::from(b) - expected).abs() < expected * 0.05, "bucket {b}");
         }
     }
 

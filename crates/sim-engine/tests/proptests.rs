@@ -2,15 +2,14 @@
 //! deterministic RNG honours its contracts (deterministic thoth-testkit
 //! cases).
 
-use thoth_sim_engine::events::HeapEventQueue;
-use thoth_sim_engine::{Cycle, DetRng, EventQueue};
+use thoth_sim_engine::{Cycle, DetRng, HeapEventQueue};
 use thoth_testkit::check;
 
 #[test]
 fn event_queue_is_a_stable_sort() {
     check(256, |g| {
         let times = g.vec_of(0, 200, |g| g.below(100));
-        let mut q = EventQueue::new();
+        let mut q = HeapEventQueue::new();
         for (seq, &t) in times.iter().enumerate() {
             q.schedule(Cycle(t), seq);
         }
@@ -23,46 +22,6 @@ fn event_queue_is_a_stable_sort() {
             got.push((at.0, seq));
         }
         assert_eq!(got, expect);
-    });
-}
-
-/// The bucketed queue and the plain binary-heap reference must agree on
-/// every interleaving of schedules and pops — including far-future events
-/// (overflow path) and schedules into the past after pops advanced time.
-#[test]
-fn bucketed_queue_matches_heap_reference() {
-    check(256, |g| {
-        let mut q = EventQueue::new();
-        let mut r: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut clock = 0u64;
-        for i in 0..g.range(50, 400) {
-            if g.below(3) == 0 {
-                let (a, b) = (q.pop(), r.pop());
-                assert_eq!(a, b);
-                assert_eq!(q.peek_cycle(), r.peek_cycle());
-                if let Some((c, _)) = a {
-                    clock = clock.max(c.0);
-                }
-            } else {
-                // Mostly near-future cycles, some far-future (past the
-                // 1024-cycle bucket window), some into the past.
-                let at = match g.below(10) {
-                    0 => clock.saturating_sub(g.below(50)),
-                    1..=7 => clock + g.below(512),
-                    _ => clock + 4096 + g.below(100_000),
-                };
-                q.schedule(Cycle(at), i);
-                r.schedule(Cycle(at), i);
-            }
-            assert_eq!(q.len(), r.len());
-        }
-        loop {
-            let (a, b) = (q.pop(), r.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     });
 }
 

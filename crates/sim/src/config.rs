@@ -270,7 +270,8 @@ impl SimConfig {
             let threshold = capacity * u64::from(self.pub_threshold_pct) / 100;
             assert!(
                 capacity - threshold >= self.pcb_entries as u64,
-                "PUB too small: {capacity} blocks at {}% leaves less headroom                  than the {} PCB slots a crash flush can add",
+                "PUB too small: {capacity} blocks at {}% leaves less headroom \
+                 than the {} PCB slots a crash flush can add",
                 self.pub_threshold_pct,
                 self.pcb_entries
             );
@@ -340,6 +341,15 @@ mod tests {
     fn oversized_pcb_panics() {
         let mut c = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         c.pcb_entries = 64;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves less headroom than the")]
+    fn pub_without_crash_flush_headroom_panics() {
+        // 16 blocks at 80% leave 4 free, fewer than the 8 PCB slots.
+        let mut c = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
+        c.pub_size_bytes = 16 * 128;
         c.validate();
     }
 }

@@ -1,17 +1,17 @@
 //! Deterministic crash-point enumeration and injection.
 //!
 //! A [`CrashPlan`] names one point in a run — "power fails right after the
-//! Nth event of this kind" — and [`CrashControl`] is the counter the
-//! machine taps as those events happen. Taps only *observe*: the
-//! transition in flight (a block store, a PUB append, a metadata persist)
-//! always completes atomically, and the replay loop stops starting new
-//! work once the control reports it fired. That mirrors real hardware,
-//! where the ADR domain is a set of atomic acceptance points, not an
-//! arbitrary instruction boundary.
+//! Nth event of this kind" — and the machine's instrumentation tap counts
+//! those events as they happen. Counting only *observes*: the transition
+//! in flight (a block store, a PUB append, a metadata persist) always
+//! completes atomically, and the replay loop stops starting new work once
+//! the planned event happened. That mirrors real hardware, where the ADR
+//! domain is a set of atomic acceptance points, not an arbitrary
+//! instruction boundary.
 //!
-//! The same type runs in *observer* mode (no plan) to enumerate how many
-//! crash points of each kind a workload exposes, which is what the
-//! crash-sweep engine samples from.
+//! The tap also counts without a plan, to enumerate how many crash points
+//! of each kind a workload exposes ([`CrashSiteCounts`]), which is what
+//! the crash-sweep engine samples from.
 
 /// The kinds of events a crash can be anchored to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -109,65 +109,6 @@ impl CrashSiteCounts {
     }
 }
 
-/// The crash trigger the machine taps during a run.
-#[derive(Debug, Clone)]
-pub struct CrashControl {
-    plan: Option<CrashPlan>,
-    counts: CrashSiteCounts,
-    fired: bool,
-}
-
-impl CrashControl {
-    /// Armed: fires at the plan's event.
-    #[must_use]
-    pub fn armed(plan: CrashPlan) -> Self {
-        CrashControl {
-            plan: Some(plan),
-            counts: CrashSiteCounts::default(),
-            fired: false,
-        }
-    }
-
-    /// Observer: never fires, only counts (crash-point enumeration).
-    #[must_use]
-    pub fn observer() -> Self {
-        CrashControl {
-            plan: None,
-            counts: CrashSiteCounts::default(),
-            fired: false,
-        }
-    }
-
-    /// Records one event of `site`; arms the crash if it is the planned one.
-    pub fn tap(&mut self, site: CrashSiteKind) {
-        let seen = self.counts.0[site.index()];
-        self.counts.0[site.index()] = seen + 1;
-        if let Some(plan) = self.plan {
-            if !self.fired && plan.site == site && plan.nth == seen {
-                self.fired = true;
-            }
-        }
-    }
-
-    /// `true` once the planned event happened: no new work may start.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.fired
-    }
-
-    /// The plan this control was armed with, if any.
-    #[must_use]
-    pub fn plan(&self) -> Option<CrashPlan> {
-        self.plan
-    }
-
-    /// Events observed so far, per kind.
-    #[must_use]
-    pub fn counts(&self) -> CrashSiteCounts {
-        self.counts
-    }
-}
-
 /// One durably-ACKed operation, logged in execution order so an external
 /// oracle can replay what the machine promised to keep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,30 +132,6 @@ pub enum LoggedOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fires_exactly_at_the_nth_event() {
-        let plan = CrashPlan { site: CrashSiteKind::Persist, nth: 2 };
-        let mut c = CrashControl::armed(plan);
-        c.tap(CrashSiteKind::Persist);
-        c.tap(CrashSiteKind::Store); // other kinds don't advance it
-        c.tap(CrashSiteKind::Persist);
-        assert!(!c.fired());
-        c.tap(CrashSiteKind::Persist);
-        assert!(c.fired());
-        assert_eq!(c.counts().of(CrashSiteKind::Persist), 3);
-        assert_eq!(c.counts().of(CrashSiteKind::Store), 1);
-    }
-
-    #[test]
-    fn observer_counts_without_firing() {
-        let mut c = CrashControl::observer();
-        for _ in 0..10 {
-            c.tap(CrashSiteKind::PubAppend);
-        }
-        assert!(!c.fired());
-        assert_eq!(c.counts().of(CrashSiteKind::PubAppend), 10);
-    }
 
     #[test]
     fn labels_round_trip() {

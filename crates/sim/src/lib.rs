@@ -32,17 +32,17 @@ pub(crate) mod mechanism;
 pub mod psan_events;
 pub mod report;
 pub mod service;
+mod tap;
 pub mod telemetry;
 
 pub use config::{FunctionalMode, Mode, PcbArrangement, SimConfig};
-pub use crash::{CrashControl, CrashPlan, CrashSiteCounts, CrashSiteKind, LoggedOp};
+pub use crash::{CrashPlan, CrashSiteCounts, CrashSiteKind, LoggedOp};
 pub use diagnostics::{byte_digest, CrashDiagnostics, LeafMismatch, MacMismatch};
 pub use layout::MemoryLayout;
 pub use machine::{SecureNvm, WarmBoot};
-pub use psan_events::{MetaMech, PersistEvent, PersistEventKind, PsanRecorder, NO_CTX};
+pub use psan_events::{MetaMech, PersistEvent, PersistEventKind, NO_CTX};
 pub use report::{RecoveryReport, SimReport};
-pub use service::{ServiceReport, ServiceSession};
-pub use telemetry::MachineTelemetry;
+pub use service::ServiceReport;
 pub use thoth_telemetry::{TelemetryConfig, TelemetryReport};
 // Acceptance events embed the NVM write category; re-export it so event
 // consumers need no direct thoth-nvm dependency.

@@ -2,13 +2,14 @@
 //! PUB and the NVM device, replaying workload traces.
 
 use crate::config::{FunctionalMode, Mode, SimConfig};
-use crate::crash::{CrashControl, CrashPlan, CrashSiteCounts, CrashSiteKind, LoggedOp};
+use crate::crash::{CrashPlan, CrashSiteCounts, LoggedOp};
 use crate::diagnostics::{byte_digest, LeafMismatch, MacMismatch};
 use crate::layout::MemoryLayout;
 use crate::mechanism::{mechanism_of, ReencryptMeta, StoreMeta};
-use crate::psan_events::{PersistEvent, PersistEventKind, PsanRecorder, NO_CTX};
+use crate::psan_events::PersistEvent;
 use crate::report::{RecoveryReport, SimReport};
 use crate::service::{ServiceReport, ServiceSession};
+use crate::tap::{Event, Tap, Verdict};
 use crate::telemetry::MachineTelemetry;
 
 use thoth_cache::{CacheConfig, CacheStats, SetAssocCache};
@@ -17,11 +18,11 @@ use thoth_core::policy::{BlockView, MetadataKind};
 use thoth_core::{EvictOutcome, PartialUpdate, PcbStats, PubConfig};
 use thoth_crypto::counter::CounterGroup;
 use thoth_crypto::{CtrMode, MacEngine, MacKey};
-use thoth_memctrl::{Wpq, WpqConfig, WpqEvent, WpqStats};
+use thoth_memctrl::{Wpq, WpqConfig, WpqStats};
 use thoth_merkle::{BonsaiTree, MerkleConfig, ShadowTracker};
 use thoth_nvm::{FaultConfig, NvmDevice, WriteCategory};
 use thoth_sim_engine::{Cycle, DetRng};
-use thoth_telemetry::{QueueProbe, TelemetryConfig, TelemetryReport};
+use thoth_telemetry::{TelemetryConfig, TelemetryReport};
 use thoth_workloads::service::ServiceTrace;
 use thoth_workloads::{MultiCoreTrace, TraceOp};
 
@@ -44,7 +45,7 @@ pub struct SecureNvm {
     pub(crate) layout: MemoryLayout,
     pub(crate) nvm: NvmDevice,
     pub(crate) wpq: Wpq,
-    ctr_mode: CtrMode,
+    pub(crate) ctr_mode: CtrMode,
     pub(crate) mac: MacEngine,
     /// Counter cache: payload = unpacked split-counter groups.
     pub(crate) ctr_cache: SetAssocCache<Vec<CounterGroup>>,
@@ -56,7 +57,7 @@ pub struct SecureNvm {
     llc: SetAssocCache<()>,
     /// The logical (always fresh) integrity tree; its root models the
     /// on-chip persistent root register.
-    tree: BonsaiTree,
+    pub(crate) tree: BonsaiTree,
     shadow: ShadowTracker,
     shadow_writes_emitted: u64,
     /// The paper's mechanism (Thoth modes only).
@@ -68,26 +69,17 @@ pub struct SecureNvm {
     /// Thoth/after-WPQ: partial updates absorbed by pending WPQ entries.
     pub(crate) pcb_wpq_bypass: u64,
     transactions: u64,
-    /// Armed (or observing) crash trigger; `None` in normal runs.
-    crash_ctl: Option<CrashControl>,
-    /// Execution-order log of durably-ACKed operations, kept only while a
-    /// crash run wants an external oracle to replay them.
-    op_log: Option<Vec<LoggedOp>>,
-    /// Persist-event recorder for the sanitizer; `None` in normal runs.
-    psan: Option<PsanRecorder>,
-    /// Telemetry session; `None` in normal runs (every hook is gated on
-    /// this being present, so plain runs are byte-identical).
-    telem: Option<Box<MachineTelemetry>>,
-    /// Open-loop service session (arrival gating + request latency);
-    /// `None` in normal runs.
-    service: Option<Box<ServiceSession>>,
+    /// The observers of an instrumented run (crash anchors, op log,
+    /// persist events, telemetry, service gate); `None` in plain runs,
+    /// so they stay byte-identical.
+    tap: Option<Box<Tap>>,
     /// Blocks holding relaxed-store data not yet written back (volatile
     /// dirty lines awaiting a `Flush`).
     relaxed_pending: FastSet<u64>,
     /// How many warm-start clones separate this machine from a cold
     /// [`Self::new`] (0 for cold machines, 1 for [`WarmBoot`] clones) —
     /// harvested as the `warm_starts` telemetry counter.
-    warm_starts: u64,
+    pub(crate) warm_starts: u64,
 }
 
 /// A post-warm-up machine image: the state of [`SecureNvm::run`] right
@@ -195,11 +187,7 @@ impl SecureNvm {
             prefill_pool: Vec::new(),
             pcb_wpq_bypass: 0,
             transactions: 0,
-            crash_ctl: None,
-            op_log: None,
-            psan: None,
-            telem: None,
-            service: None,
+            tap: None,
             relaxed_pending: FastSet::default(),
             warm_starts: 0,
             config,
@@ -509,9 +497,7 @@ impl SecureNvm {
             packed_ctr: packed,
         };
         let mech = mechanism.persist_store(self, &mut t, &mut ack, meta);
-        if let Some(p) = self.psan.as_mut() {
-            p.emit(PersistEventKind::MetaCover { block: addr, mech });
-        }
+        self.emit(Event::MetaCover { block: addr, mech });
 
         // Minor-counter overflow: persist the counter block immediately
         // and re-encrypt the page.
@@ -542,9 +528,7 @@ impl SecureNvm {
             shadow,
             shadow_writes_emitted,
             config,
-            crash_ctl,
-            psan,
-            telem,
+            tap,
             ..
         } = self;
         let mut host = MachineHost {
@@ -559,9 +543,7 @@ impl SecureNvm {
             mac,
             shadow,
             shadow_writes_emitted,
-            crash_ctl: crash_ctl.as_mut(),
-            psan: psan.as_mut(),
-            telem: telem.as_deref_mut(),
+            tap: tap.as_deref_mut(),
         };
         thoth.as_mut().expect("Thoth mode").insert(pu, &mut host);
         now
@@ -637,9 +619,7 @@ impl SecureNvm {
             first_mac,
         };
         let mech = mechanism_of(self.config.mode).persist_reencrypt(self, t, meta);
-        if let Some(p) = self.psan.as_mut() {
-            p.emit(PersistEventKind::MetaCover { block: addr, mech });
-        }
+        self.emit(Event::MetaCover { block: addr, mech });
         ack
     }
 
@@ -721,19 +701,11 @@ impl SecureNvm {
     ///
     /// # Panics
     ///
-    /// Panics if the machine carries instrumentation (crash control,
-    /// sanitizer, telemetry, or service sessions) — warm boots snapshot
-    /// plain runs only.
+    /// Panics if the machine carries an instrumentation tap (left by a
+    /// crash run) — warm boots snapshot plain runs only.
     #[must_use]
     pub fn warm_boot(mut self, trace: &MultiCoreTrace) -> WarmBoot {
-        assert!(
-            self.crash_ctl.is_none()
-                && self.op_log.is_none()
-                && self.psan.is_none()
-                && self.telem.is_none()
-                && self.service.is_none(),
-            "warm boots snapshot plain runs only"
-        );
+        assert!(self.tap.is_none(), "warm boots snapshot plain runs only");
         let (cores, boundary, snap) = self.warm_up(trace);
         WarmBoot {
             machine: self,
@@ -745,8 +717,8 @@ impl SecureNvm {
     }
 
     /// A deep copy of the boundary state for one warm-started measured
-    /// run. Instrumentation fields are `None` by the [`Self::warm_boot`]
-    /// precondition, so every field clones structurally.
+    /// run. The tap is `None` by the [`Self::warm_boot`] precondition, so
+    /// every field clones structurally.
     fn clone_warm(&self) -> SecureNvm {
         SecureNvm {
             config: self.config.clone(),
@@ -767,11 +739,7 @@ impl SecureNvm {
             prefill_pool: self.prefill_pool.clone(),
             pcb_wpq_bypass: self.pcb_wpq_bypass,
             transactions: self.transactions,
-            crash_ctl: None,
-            op_log: None,
-            psan: None,
-            telem: None,
-            service: None,
+            tap: None,
             relaxed_pending: self.relaxed_pending.clone(),
             warm_starts: self.warm_starts + 1,
         }
@@ -782,24 +750,11 @@ impl SecureNvm {
     /// sanitizer checks the whole execution, not just the measured phase).
     ///
     /// Events produced by the final background WPQ drain carry the
-    /// [`NO_CTX`] context.
+    /// [`crate::NO_CTX`] context.
     pub fn run_psan(&mut self, trace: &MultiCoreTrace) -> (SimReport, Vec<PersistEvent>) {
-        self.wpq.record_events(true);
-        self.psan = Some(PsanRecorder::new());
-        let report = self.run(trace);
-        // The tail drain in `run` buffered events after the last op.
-        if let Some(p) = self.psan.as_mut() {
-            p.set_ctx(NO_CTX, NO_CTX);
-        }
-        self.pump_wpq_events();
-        self.wpq.record_events(false);
-        self.wpq.set_origin(0);
-        let events = self
-            .psan
-            .take()
-            .expect("recorder installed above")
-            .into_events();
-        (report, events)
+        let tap = Tap { persist: Some(Vec::new()), ..Tap::default() };
+        let report = self.drive(tap, |m| m.run(trace));
+        (report, self.take_tap().persist.unwrap_or_default())
     }
 
     /// [`Self::run_to_crash`] with persist-event instrumentation: replays
@@ -821,26 +776,17 @@ impl SecureNvm {
             self.config.functional == FunctionalMode::Full,
             "crash testing requires FunctionalMode::Full"
         );
-        self.wpq.record_events(true);
-        self.psan = Some(PsanRecorder::new());
-        self.crash_ctl = Some(CrashControl::armed(plan));
-        self.op_log = Some(Vec::new());
-        let mut cores = Self::fresh_cores(trace);
-        self.replay(trace, &mut cores, None);
-        let fired = self.crash_ctl.as_ref().is_some_and(CrashControl::fired);
-        // Events buffered by the op that crashed (or the trace tail).
-        if let Some(p) = self.psan.as_mut() {
-            p.set_ctx(NO_CTX, NO_CTX);
-        }
-        self.pump_wpq_events();
-        self.wpq.record_events(false);
-        self.wpq.set_origin(0);
-        let events = self
-            .psan
-            .take()
-            .expect("recorder installed above")
-            .into_events();
-        (fired, events)
+        let tap = Tap {
+            anchors: Some(CrashSiteCounts::default()),
+            plan: Some(plan),
+            op_log: Some(Vec::new()),
+            persist: Some(Vec::new()),
+            ..Tap::default()
+        };
+        self.drive(tap, |m| m.replay(trace, &mut Self::fresh_cores(trace), None));
+        // The tap stays installed: the op log is taken separately.
+        let tap = self.tap.as_mut().expect("installed by drive");
+        (tap.fired, tap.persist.take().unwrap_or_default())
     }
 
     /// Runs `trace` with the observability layer enabled per `tcfg`,
@@ -856,59 +802,17 @@ impl SecureNvm {
         trace: &MultiCoreTrace,
         tcfg: &TelemetryConfig,
     ) -> (SimReport, TelemetryReport) {
+        let tm = MachineTelemetry::new(*tcfg, trace.cores.len());
         if !tcfg.enabled {
-            let report = self.run(trace);
-            return (
-                report,
-                crate::telemetry::MachineTelemetry::new(*tcfg, trace.cores.len())
-                    .sink
-                    .finish(),
-            );
+            return (self.run(trace), tm.sink.finish());
         }
-        self.wpq
-            .attach_probe(QueueProbe::new("wpq", self.wpq.config().capacity as u64));
-        self.nvm.attach_probe(QueueProbe::new(
-            "nvm_banks",
-            self.nvm.config().num_banks as u64,
-        ));
-        if let Some(engine) = self.thoth.as_mut() {
-            engine.attach_probes(
-                QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),
-                QueueProbe::new("pub", engine.pub_buffer().capacity_blocks()),
-            );
-        }
+        MachineTelemetry::attach_probes(self);
         // WPQ acceptance/drain counters (and, when tracing, the residency
         // arrows) come from the event log.
-        self.wpq.record_events(true);
-        self.telem = Some(Box::new(MachineTelemetry::new(*tcfg, trace.cores.len())));
-
-        let report = self.run(trace);
-
-        // The tail drain in `run` buffered WPQ events after the last op.
-        self.pump_wpq_events();
-        self.wpq.record_events(false);
-        let mut tm = self.telem.take().expect("session installed above");
-        if let Some(p) = self.wpq.take_probe() {
-            tm.sink.absorb_probe(&p);
-        }
-        if let Some(p) = self.nvm.take_probe() {
-            tm.sink.absorb_probe(&p);
-        }
-        if let Some(engine) = self.thoth.as_mut() {
-            if let Some((pcb, pub_)) = engine.take_probes() {
-                tm.sink.absorb_probe(&pcb);
-                tm.sink.absorb_probe(&pub_);
-            }
-        }
-        tm.record_substrate_counters(
-            self.ctr_mode.hw_blocks(),
-            self.tree.batch_runs() + self.mac.batch_runs(),
-            self.nvm.bank_events_coalesced(),
-            self.tree.simd_rows() + self.mac.simd_rows(),
-            self.warm_starts,
-            thoth_telemetry::progress::jobs_lpt_reordered(),
-        );
-        (report, tm.sink.finish())
+        let tap = Tap { telem: Some(tm), ..Tap::default() };
+        let report = self.drive(tap, |m| m.run(trace));
+        let tm = self.take_tap().telem.expect("installed above");
+        (report, tm.harvest(self))
     }
 
     /// Runs an open-loop service trace: every request is gated at its
@@ -924,61 +828,41 @@ impl SecureNvm {
     /// Panics if the trace's request extents do not partition its op
     /// streams (a malformed [`ServiceTrace`]).
     pub fn run_service(&mut self, st: &ServiceTrace) -> (SimReport, ServiceReport) {
-        self.service = Some(Box::new(ServiceSession::new(st)));
-        let report = self.run(&st.trace);
-        let session = self.service.take().expect("session installed above");
+        let tap = Tap { service: Some(ServiceSession::new(st)), ..Tap::default() };
+        let report = self.drive(tap, |m| m.run(&st.trace));
+        let session = self.take_tap().service.expect("installed above");
         (report, session.into_report())
     }
 
-    /// Pushes one timeline row if the sampling epoch elapsed at `now`.
-    fn telemetry_sample(&mut self, now: Cycle) {
-        let Self {
-            telem,
-            wpq,
-            nvm,
-            thoth,
-            config,
-            ..
-        } = self;
-        let Some(tm) = telem.as_mut() else {
-            return;
-        };
-        if !tm.sink.sample_due(now.0) {
-            return;
+    /// The one instrumented replay: installs `tap` outside any op
+    /// context, records WPQ events when an observer consumes them, runs
+    /// `replay` (the phased [`Self::run`] or the whole trace from cycle
+    /// 0), and flushes the events the tail drain (or the op that crashed)
+    /// buffered after the last op, again outside any op context. The tap
+    /// stays installed for the caller to unpack.
+    fn drive<R>(&mut self, tap: Tap, replay: impl FnOnce(&mut Self) -> R) -> R {
+        self.wpq.record_events(tap.persist.is_some() || tap.telem.is_some());
+        self.tap = Some(Box::new(tap));
+        self.emit(Event::Quiesce);
+        let out = replay(self);
+        self.emit(Event::Quiesce);
+        self.pump_wpq_events();
+        self.wpq.record_events(false);
+        out
+    }
+
+    /// Removes the tap a driven run installed.
+    fn take_tap(&mut self) -> Tap {
+        *self.tap.take().expect("installed by drive")
+    }
+
+    /// Reports `event` to the tap, if one is installed.
+    #[inline]
+    fn emit(&mut self, event: Event<'_>) -> Verdict {
+        match self.tap.as_deref_mut() {
+            Some(tap) => tap.emit(event),
+            None => Verdict::Go,
         }
-        let (pcb_updates, pub_fill, skip_rate) = match thoth.as_ref() {
-            Some(engine) => {
-                let outcomes: u64 = engine.outcomes().values().sum();
-                let persists = engine.policy_persists();
-                let skip = if outcomes == 0 {
-                    0.0
-                } else {
-                    1.0 - persists as f64 / outcomes as f64
-                };
-                (
-                    engine.pcb_buffered_updates() as f64,
-                    engine.pub_buffer().occupancy(),
-                    skip,
-                )
-            }
-            None => (0.0, 0.0, 0.0),
-        };
-        let bytes = |cat: WriteCategory| (nvm.writes_in(cat) * config.block_bytes as u64) as f64;
-        let row = [
-            wpq.occupancy() as f64,
-            pcb_updates,
-            pub_fill,
-            nvm.queue_depth(now) as f64,
-            skip_rate,
-            bytes(WriteCategory::Data),
-            bytes(WriteCategory::CounterBlock),
-            bytes(WriteCategory::MacBlock),
-            bytes(WriteCategory::PubBlock),
-            bytes(WriteCategory::TreeNode),
-            bytes(WriteCategory::Shadow),
-        ];
-        tm.sink.timeline.push(now.0, &row);
-        tm.sink.advance_epoch(now.0);
     }
 
     /// Replays ops; with `tx_limit` set, each core stops after that many
@@ -1018,32 +902,25 @@ impl SecureNvm {
                 break;
             }
             seq[ci] = u64::MAX;
+            let (now, idx) = (cores[ci].time, cores[ci].idx);
+            let op = trace.cores[ci][idx];
             // Open-loop service runs: a core whose next request has not
             // arrived yet sleeps until the arrival cycle instead of
             // issuing (closed-loop runs have no session and never stall).
-            if let Some(s) = self.service.as_mut() {
-                if let Some(wake) = s.gate(ci, cores[ci].time) {
-                    cores[ci].time = wake;
-                    at[ci] = wake;
-                    seq[ci] = next_seq;
-                    next_seq += 1;
-                    continue;
-                }
+            if let Verdict::Sleep(wake) = self.emit(Event::Issue { core: ci, idx, op, now }) {
+                cores[ci].time = wake;
+                at[ci] = wake;
+                seq[ci] = next_seq;
+                next_seq += 1;
+                continue;
             }
-            let op = trace.cores[ci][cores[ci].idx];
             cores[ci].idx += 1;
             if cores[ci].idx >= trace.cores[ci].len() {
                 cores[ci].done = true;
             }
-            let now = cores[ci].time;
-            if let Some(p) = self.psan.as_mut() {
-                p.set_ctx(ci as u32, (cores[ci].idx - 1) as u32);
-            }
-            if self.psan.is_some() {
-                // Stamp WPQ entries inserted by this op with the issuing
-                // core, so drain events carry cross-core provenance.
-                self.wpq.set_origin(1u32 << (ci as u32 & 31));
-            }
+            // Stamp WPQ entries inserted by this op with the issuing
+            // core, so drain events carry cross-core provenance.
+            self.wpq.set_origin(1u32 << (ci as u32 & 31));
             match op {
                 TraceOp::Read { addr, len } => {
                     let mut lat = 0;
@@ -1055,13 +932,6 @@ impl SecureNvm {
                     cores[ci].time = now + lat + self.config.compute_gap_cycles;
                 }
                 TraceOp::Store { addr, len } => {
-                    if let Some(p) = self.psan.as_mut() {
-                        p.emit(PersistEventKind::Store {
-                            addr,
-                            len,
-                            relaxed: false,
-                        });
-                    }
                     let mut ack = cores[ci].pending_ack;
                     let mut t = now;
                     let (mut block, last, bs) = self.block_span(addr, len);
@@ -1077,35 +947,18 @@ impl SecureNvm {
                         ack = ack.max(self.store_block(t, block));
                         t += self.config.compute_gap_cycles;
                         let index = self.layout.block_index(block);
-                        if let Some(log) = self.op_log.as_mut() {
-                            log.push(LoggedOp::Store { core: ci, block: index });
-                        }
-                        if let Some(ctl) = self.crash_ctl.as_mut() {
-                            ctl.tap(CrashSiteKind::Persist);
-                            if ctl.fired() {
-                                break;
-                            }
+                        let persisted = Event::Persisted { core: ci, block: index };
+                        if self.emit(persisted) == Verdict::Halt {
+                            break;
                         }
                         block += bs;
                     }
                     cores[ci].pending_ack = ack;
                     cores[ci].time = t;
-                    if let Some(ctl) = self.crash_ctl.as_mut() {
-                        if !ctl.fired() {
-                            ctl.tap(CrashSiteKind::Store);
-                        }
-                    }
                 }
                 TraceOp::StoreRelaxed { addr, len } => {
                     // A plain `mov`: the line dirties in the LLC but gains
                     // no durable-ordering edge until a later write-back.
-                    if let Some(p) = self.psan.as_mut() {
-                        p.emit(PersistEventKind::Store {
-                            addr,
-                            len,
-                            relaxed: true,
-                        });
-                    }
                     let (mut block, last, bs) = self.block_span(addr, len);
                     while block <= last {
                         self.llc.insert(block, ());
@@ -1123,21 +976,14 @@ impl SecureNvm {
                     let (mut block, last, bs) = self.block_span(addr, len);
                     while block <= last {
                         let pending = self.relaxed_pending.remove(&block);
-                        if let Some(p) = self.psan.as_mut() {
-                            p.emit(PersistEventKind::Flush { block, pending });
-                        }
+                        self.emit(Event::Flush { block, pending });
                         if pending {
                             ack = ack.max(self.store_block(t, block));
                             t += self.config.compute_gap_cycles;
                             let index = self.layout.block_index(block);
-                            if let Some(log) = self.op_log.as_mut() {
-                                log.push(LoggedOp::Store { core: ci, block: index });
-                            }
-                            if let Some(ctl) = self.crash_ctl.as_mut() {
-                                ctl.tap(CrashSiteKind::Persist);
-                                if ctl.fired() {
-                                    break;
-                                }
+                            let persisted = Event::Persisted { core: ci, block: index };
+                            if self.emit(persisted) == Verdict::Halt {
+                                break;
                             }
                         } else {
                             // Clean line: the write-back is a no-op.
@@ -1151,34 +997,24 @@ impl SecureNvm {
                 TraceOp::Fence => {
                     // `sfence`: order — wait for outstanding persist ACKs —
                     // without ending the transaction.
-                    if let Some(p) = self.psan.as_mut() {
-                        p.emit(PersistEventKind::Fence);
-                    }
                     cores[ci].time = now.max(cores[ci].pending_ack);
                     cores[ci].pending_ack = Cycle::ZERO;
                 }
                 TraceOp::Commit => {
-                    if let Some(p) = self.psan.as_mut() {
-                        p.emit(PersistEventKind::Commit);
-                    }
                     cores[ci].time = now.max(cores[ci].pending_ack);
                     cores[ci].pending_ack = Cycle::ZERO;
                     cores[ci].txs_done += 1;
                     self.transactions += 1;
-                    if let Some(log) = self.op_log.as_mut() {
-                        log.push(LoggedOp::Commit { core: ci });
-                    }
                 }
             }
-            if let Some(s) = self.service.as_mut() {
-                s.end_op(ci, cores[ci].time);
+            // The timeline samples the machine itself, so the tap steps
+            // out of it for this one event.
+            if let Some(mut tap) = self.tap.take() {
+                let end = cores[ci].time;
+                tap.emit(Event::Retired { core: ci, op, start: now, end, machine: self });
+                self.tap = Some(tap);
             }
-            if let Some(tm) = self.telem.as_mut() {
-                tm.record_op(ci, op, now.0, cores[ci].time.0);
-            }
-            self.telemetry_sample(cores[ci].time);
-            self.pump_wpq_events();
-            if self.crash_ctl.as_ref().is_some_and(CrashControl::fired) {
+            if self.pump_wpq_events() == Verdict::Halt {
                 self.tree.flush();
                 return; // power is gone: no core issues anything further
             }
@@ -1193,41 +1029,13 @@ impl SecureNvm {
         self.tree.flush();
     }
 
-    /// Moves buffered WPQ acceptance/drain events into the persist-event
-    /// stream, stamped with the current op context. Called after each
-    /// replayed op so every event of one op is contiguous in the stream.
-    fn pump_wpq_events(&mut self) {
-        if self.psan.is_none() && self.telem.is_none() {
-            return;
-        }
-        let events = self.wpq.take_events();
-        if let Some(p) = self.psan.as_mut() {
-            for e in &events {
-                match *e {
-                    WpqEvent::Accepted {
-                        addr,
-                        category,
-                        coalesced,
-                    } => p.emit(PersistEventKind::Accepted {
-                        block: addr,
-                        category,
-                        coalesced,
-                    }),
-                    WpqEvent::Drained { addr, origins } => {
-                        p.emit(PersistEventKind::Drained { block: addr, origins });
-                    }
-                }
-            }
-        }
-        if let Some(tm) = self.telem.as_mut() {
-            for e in &events {
-                match *e {
-                    WpqEvent::Accepted {
-                        addr, coalesced, ..
-                    } => tm.record_wpq_accept(addr, coalesced),
-                    WpqEvent::Drained { addr, .. } => tm.record_wpq_drain(addr),
-                }
-            }
+    /// Moves buffered WPQ acceptance/drain events into the tap, stamped
+    /// with the current op context. Called after each replayed op so
+    /// every event of one op is contiguous in the persist-event stream.
+    fn pump_wpq_events(&mut self) -> Verdict {
+        match self.tap.as_deref_mut() {
+            Some(tap) => tap.emit(Event::Wpq(&self.wpq.take_events())),
+            None => Verdict::Go,
         }
     }
 
@@ -1371,10 +1179,9 @@ impl SecureNvm {
     /// observer mode, returning how many crash-anchor events of each kind
     /// the workload exposes — the population the crash sweep samples from.
     pub fn enumerate_crash_sites(&mut self, trace: &MultiCoreTrace) -> CrashSiteCounts {
-        self.crash_ctl = Some(CrashControl::observer());
-        let mut cores = Self::fresh_cores(trace);
-        self.replay(trace, &mut cores, None);
-        self.crash_ctl.take().expect("just set").counts()
+        let tap = Tap { anchors: Some(CrashSiteCounts::default()), ..Tap::default() };
+        self.drive(tap, |m| m.replay(trace, &mut Self::fresh_cores(trace), None));
+        self.take_tap().anchors.expect("installed above")
     }
 
     /// Replays the trace until the planned crash point fires, logging every
@@ -1393,11 +1200,15 @@ impl SecureNvm {
             self.config.functional == FunctionalMode::Full,
             "crash testing requires FunctionalMode::Full"
         );
-        self.crash_ctl = Some(CrashControl::armed(plan));
-        self.op_log = Some(Vec::new());
-        let mut cores = Self::fresh_cores(trace);
-        self.replay(trace, &mut cores, None);
-        self.crash_ctl.as_ref().is_some_and(CrashControl::fired)
+        let tap = Tap {
+            anchors: Some(CrashSiteCounts::default()),
+            plan: Some(plan),
+            op_log: Some(Vec::new()),
+            ..Tap::default()
+        };
+        self.drive(tap, |m| m.replay(trace, &mut Self::fresh_cores(trace), None));
+        // The tap stays installed: the op log is taken separately.
+        self.tap.as_ref().is_some_and(|t| t.fired)
     }
 
     fn fresh_cores(trace: &MultiCoreTrace) -> Vec<CoreState> {
@@ -1415,13 +1226,8 @@ impl SecureNvm {
     /// The durably-ACKed operation log of the last [`Self::run_to_crash`],
     /// in execution order. Empty if no crash run logged anything.
     pub fn take_op_log(&mut self) -> Vec<LoggedOp> {
-        self.op_log.take().unwrap_or_default()
-    }
-
-    /// The crash plan currently armed, if any.
-    #[must_use]
-    pub fn crash_plan(&self) -> Option<CrashPlan> {
-        self.crash_ctl.as_ref().and_then(CrashControl::plan)
+        let log = self.tap.as_mut().and_then(|t| t.op_log.take());
+        log.unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -1706,12 +1512,16 @@ struct MachineHost<'a> {
     mac: &'a MacEngine,
     shadow: &'a mut ShadowTracker,
     shadow_writes_emitted: &'a mut u64,
-    crash_ctl: Option<&'a mut CrashControl>,
-    psan: Option<&'a mut PsanRecorder>,
-    telem: Option<&'a mut MachineTelemetry>,
+    tap: Option<&'a mut Tap>,
 }
 
 impl MachineHost<'_> {
+    fn emit(&mut self, event: Event<'_>) {
+        if let Some(tap) = self.tap.as_deref_mut() {
+            tap.emit(event);
+        }
+    }
+
     fn note_shadow_clean(&mut self, addr: u64) {
         if self.shadow_tracking && self.shadow.note_clean(addr) {
             let per_block = (self.block_bytes / 8) as u64;
@@ -1795,21 +1605,10 @@ impl ThothHost for MachineHost<'_> {
                 self.note_shadow_clean(mb);
             }
         }
-        if let Some(ctl) = self.crash_ctl.as_mut() {
-            ctl.tap(CrashSiteKind::MetaPersist);
-        }
+        self.emit(Event::MetaPersist);
     }
 
     fn write_pub_block(&mut self, addr: u64, image: &[u8]) {
-        if let Some(p) = self.psan.as_mut() {
-            p.emit(PersistEventKind::PubAppend {
-                addr,
-                image: image.to_vec(),
-            });
-        }
-        if let Some(tm) = self.telem.as_mut() {
-            tm.record_pub_append(self.now.0);
-        }
         self.wpq.insert(
             self.now,
             addr,
@@ -1817,24 +1616,19 @@ impl ThothHost for MachineHost<'_> {
             WriteCategory::PubBlock,
             self.nvm,
         );
-        if let Some(ctl) = self.crash_ctl.as_mut() {
-            ctl.tap(CrashSiteKind::PubAppend);
-        }
+        let now = self.now;
+        self.emit(Event::PubAppend { addr, image, now });
     }
 
     fn read_pub_block(&mut self, addr: u64) -> Vec<u8> {
-        if let Some(p) = self.psan.as_mut() {
-            p.emit(PersistEventKind::PubEvict { addr });
-        }
-        if let Some(tm) = self.telem.as_mut() {
-            tm.record_pub_evict(self.now.0);
-        }
+        let now = self.now;
+        self.emit(Event::PubEvict { addr, now });
         let _ = self.nvm.time_access(self.now, addr, false);
         self.nvm.read_block(addr)
     }
 
     fn power_failed(&self) -> bool {
-        self.crash_ctl.as_ref().is_some_and(|c| c.fired())
+        self.tap.as_ref().is_some_and(|t| t.fired)
     }
 }
 
@@ -1854,6 +1648,7 @@ struct Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::CrashSiteKind;
     use thoth_workloads::{spec, WorkloadConfig, WorkloadKind};
 
     fn tiny_trace(kind: WorkloadKind) -> MultiCoreTrace {

@@ -155,82 +155,9 @@ impl MetaMech {
     }
 }
 
-/// Accumulates the persist-event stream during an instrumented run.
-#[derive(Debug, Default)]
-pub struct PsanRecorder {
-    events: Vec<PersistEvent>,
-    core: u32,
-    op: u32,
-}
-
-impl PsanRecorder {
-    /// A recorder with no events, positioned outside any op.
-    #[must_use]
-    pub fn new() -> Self {
-        PsanRecorder {
-            events: Vec::new(),
-            core: NO_CTX,
-            op: NO_CTX,
-        }
-    }
-
-    /// Sets the `(core, op)` coordinates stamped on subsequent events.
-    pub fn set_ctx(&mut self, core: u32, op: u32) {
-        self.core = core;
-        self.op = op;
-    }
-
-    /// Appends an event stamped with the current context.
-    pub fn emit(&mut self, kind: PersistEventKind) {
-        let seq = self.events.len() as u64;
-        self.events.push(PersistEvent {
-            seq,
-            core: self.core,
-            op: self.op,
-            kind,
-        });
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consumes the recorder, returning the event stream.
-    #[must_use]
-    pub fn into_events(self) -> Vec<PersistEvent> {
-        self.events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recorder_stamps_context_and_sequence() {
-        let mut r = PsanRecorder::new();
-        r.emit(PersistEventKind::Fence);
-        r.set_ctx(1, 42);
-        r.emit(PersistEventKind::Store {
-            addr: 0x1000,
-            len: 8,
-            relaxed: false,
-        });
-        let evs = r.into_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!((evs[0].core, evs[0].op), (NO_CTX, NO_CTX));
-        assert_eq!(evs[0].seq, 0);
-        assert_eq!((evs[1].core, evs[1].op), (1, 42));
-        assert_eq!(evs[1].seq, 1);
-    }
 
     #[test]
     fn meta_mech_names_are_distinct() {

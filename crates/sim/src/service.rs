@@ -7,13 +7,13 @@
 //! falls behind the offered load, queueing delay accumulates into the
 //! tail exactly as it would at a real front-end.
 //!
-//! [`ServiceSession`] is installed by [`crate::SecureNvm::run_service`]
-//! and consulted by the replay loop at two points:
+//! `ServiceSession` is installed by [`crate::SecureNvm::run_service`] in
+//! the machine's instrumentation tap, which consults it at two points:
 //!
-//! * before an op issues, [`ServiceSession::gate`] checks whether the
+//! * before an op issues, `ServiceSession::gate` checks whether the
 //!   core's next request has arrived yet; if not, the core sleeps until
 //!   the arrival cycle (the op is re-scheduled, not executed), and
-//! * after an op retires, [`ServiceSession::end_op`] counts it against
+//! * after an op retires, `ServiceSession::end_op` counts it against
 //!   the open request's op extent; retiring the last op completes the
 //!   request and records `completion − arrival` into log2-bucket
 //!   [`Hist`]s (overall and per op kind).
@@ -79,7 +79,7 @@ impl ServiceReport {
 /// The replay-time state of one service run (installed on the machine by
 /// [`crate::SecureNvm::run_service`]).
 #[derive(Debug)]
-pub struct ServiceSession {
+pub(crate) struct ServiceSession {
     cursors: Vec<CoreCursor>,
     latency: Hist,
     latency_read: Hist,

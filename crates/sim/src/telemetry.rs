@@ -1,15 +1,22 @@
 //! The machine-side telemetry session: pre-registered stat handles,
 //! trace lanes, and the epoch-sampled timeline schema.
 //!
-//! [`MachineTelemetry`] wraps a [`TelemetrySink`] with everything the
+//! `MachineTelemetry` wraps a [`TelemetrySink`] with everything the
 //! replay loop needs resolved up front — counter/histogram IDs and one
 //! tracer lane per core plus the memory-controller and PUB-engine lanes
-//! — so per-op recording is array indexing, never name lookup. The
-//! machine holds it as `Option<Box<MachineTelemetry>>`: plain runs pay
-//! one `is_some` branch per hook and nothing else (the differential
-//! test `telemetry_neutrality` pins byte-identical reports).
+//! — so per-op recording is array indexing, never name lookup. It is one
+//! of the observers in the machine's instrumentation tap: plain runs
+//! carry no tap and pay one `None` check per instrumentation site (the
+//! differential test `telemetry_neutrality` pins byte-identical reports).
 
-use thoth_telemetry::{CounterId, HistId, TelemetryConfig, TelemetrySink};
+use crate::machine::SecureNvm;
+
+use thoth_memctrl::WpqEvent;
+use thoth_nvm::WriteCategory;
+use thoth_sim_engine::Cycle;
+use thoth_telemetry::{
+    CounterId, HistId, QueueProbe, TelemetryConfig, TelemetryReport, TelemetrySink,
+};
 use thoth_workloads::TraceOp;
 
 /// Column schema of the epoch-sampled timeline (`cycle` is implicit).
@@ -35,8 +42,9 @@ struct OpStat {
     latency: HistId,
 }
 
-/// One run's telemetry state, owned by the machine while instrumented.
-pub struct MachineTelemetry {
+/// One run's telemetry state, owned by the machine's tap while
+/// instrumented.
+pub(crate) struct MachineTelemetry {
     /// The underlying sink (registry + timeline + tracer).
     pub sink: TelemetrySink,
     reads: OpStat,
@@ -141,6 +149,47 @@ impl MachineTelemetry {
         }
     }
 
+    /// Pushes one timeline row if the sampling epoch elapsed at `now`.
+    pub fn sample(&mut self, now: Cycle, m: &SecureNvm) {
+        if !self.sink.sample_due(now.0) {
+            return;
+        }
+        let (wpq, nvm) = (&m.wpq, &m.nvm);
+        let (pcb_updates, pub_fill, skip_rate) = match m.thoth.as_ref() {
+            Some(engine) => {
+                let outcomes: u64 = engine.outcomes().values().sum();
+                let persists = engine.policy_persists();
+                let skip = if outcomes == 0 {
+                    0.0
+                } else {
+                    1.0 - persists as f64 / outcomes as f64
+                };
+                (
+                    engine.pcb_buffered_updates() as f64,
+                    engine.pub_buffer().occupancy(),
+                    skip,
+                )
+            }
+            None => (0.0, 0.0, 0.0),
+        };
+        let bytes = |cat: WriteCategory| (nvm.writes_in(cat) * m.config.block_bytes as u64) as f64;
+        let row = [
+            wpq.occupancy() as f64,
+            pcb_updates,
+            pub_fill,
+            nvm.queue_depth(now) as f64,
+            skip_rate,
+            bytes(WriteCategory::Data),
+            bytes(WriteCategory::CounterBlock),
+            bytes(WriteCategory::MacBlock),
+            bytes(WriteCategory::PubBlock),
+            bytes(WriteCategory::TreeNode),
+            bytes(WriteCategory::Shadow),
+        ];
+        self.sink.timeline.push(now.0, &row);
+        self.sink.advance_epoch(now.0);
+    }
+
     /// Records a PUB append (packed block entering the circular buffer).
     pub fn record_pub_append(&mut self, now: u64) {
         self.sink.registry.add(self.pub_appends, 1);
@@ -157,55 +206,76 @@ impl MachineTelemetry {
         }
     }
 
-    /// Records a WPQ acceptance; non-coalesced entries open an async
-    /// residency interval on the memory-controller lane keyed by address.
-    pub fn record_wpq_accept(&mut self, addr: u64, coalesced: bool) {
-        self.sink.registry.add(self.wpq_accepts, 1);
-        if !coalesced {
-            let now = self.last_now;
-            if let Some(t) = self.sink.tracer.as_mut() {
-                t.async_begin(self.mc_lane, "wpq", addr, now);
+    /// Records a WPQ acceptance or drain. A non-coalesced acceptance
+    /// opens an async residency interval on the memory-controller lane
+    /// keyed by address; the entry's drain closes it.
+    pub fn record_wpq(&mut self, e: WpqEvent) {
+        let now = self.last_now;
+        match e {
+            WpqEvent::Accepted { addr, coalesced, .. } => {
+                self.sink.registry.add(self.wpq_accepts, 1);
+                if !coalesced {
+                    if let Some(t) = self.sink.tracer.as_mut() {
+                        t.async_begin(self.mc_lane, "wpq", addr, now);
+                    }
+                }
+            }
+            WpqEvent::Drained { addr, .. } => {
+                self.sink.registry.add(self.wpq_drains, 1);
+                if let Some(t) = self.sink.tracer.as_mut() {
+                    t.async_end(self.mc_lane, "wpq", addr, now);
+                }
             }
         }
     }
 
-    /// Harvests the substrate throughput counters at session end: AES
-    /// blocks encrypted by the hardware backend, batched hash-kernel
-    /// invocations (merkle + MAC), NVM bank completions coalesced into
-    /// shared scoreboard entries, SipHash rows that went through the
-    /// multi-lane SIMD kernel, warm-start generations of the machine, and
-    /// jobs the harness's LPT scheduler reordered. These are read once
-    /// from the engines rather than recorded per event — the hot paths
-    /// stay telemetry-free.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_substrate_counters(
-        &mut self,
-        aes_hw_blocks: u64,
-        hash_batch_runs: u64,
-        bank_events_coalesced: u64,
-        sip_simd_rows: u64,
-        warm_starts: u64,
-        jobs_lpt_reordered: u64,
-    ) {
-        self.sink.registry.add(self.aes_hw_blocks, aes_hw_blocks);
-        self.sink.registry.add(self.hash_batch_runs, hash_batch_runs);
-        self.sink
-            .registry
-            .add(self.bank_events_coalesced, bank_events_coalesced);
-        self.sink.registry.add(self.sip_simd_rows, sip_simd_rows);
-        self.sink.registry.add(self.warm_starts, warm_starts);
-        self.sink
-            .registry
-            .add(self.jobs_lpt_reordered, jobs_lpt_reordered);
+    /// Installs the occupancy probes the component crates own: the WPQ,
+    /// the NVM banks and, in Thoth modes, the PCB and PUB.
+    pub fn attach_probes(m: &mut SecureNvm) {
+        m.wpq
+            .attach_probe(QueueProbe::new("wpq", m.wpq.config().capacity as u64));
+        m.nvm.attach_probe(QueueProbe::new(
+            "nvm_banks",
+            m.nvm.config().num_banks as u64,
+        ));
+        if let Some(engine) = m.thoth.as_mut() {
+            engine.attach_probes(
+                QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),
+                QueueProbe::new("pub", engine.pub_buffer().capacity_blocks()),
+            );
+        }
     }
 
-    /// Records a WPQ drain, closing the entry's residency interval.
-    pub fn record_wpq_drain(&mut self, addr: u64) {
-        self.sink.registry.add(self.wpq_drains, 1);
-        let now = self.last_now;
-        if let Some(t) = self.sink.tracer.as_mut() {
-            t.async_end(self.mc_lane, "wpq", addr, now);
+    /// Ends the session: absorbs the probes and harvests the substrate
+    /// throughput counters — AES blocks encrypted by the hardware
+    /// backend, batched hash-kernel invocations (merkle + MAC), NVM bank
+    /// completions coalesced into shared scoreboard entries, SipHash rows
+    /// that went through the multi-lane SIMD kernel, warm-start
+    /// generations of the machine, and jobs the harness's LPT scheduler
+    /// reordered. These are read once from the engines rather than
+    /// recorded per event — the hot paths stay telemetry-free.
+    pub fn harvest(mut self, m: &mut SecureNvm) -> TelemetryReport {
+        if let Some(p) = m.wpq.take_probe() {
+            self.sink.absorb_probe(&p);
         }
+        if let Some(p) = m.nvm.take_probe() {
+            self.sink.absorb_probe(&p);
+        }
+        if let Some(engine) = m.thoth.as_mut() {
+            if let Some((pcb, pub_)) = engine.take_probes() {
+                self.sink.absorb_probe(&pcb);
+                self.sink.absorb_probe(&pub_);
+            }
+        }
+        let registry = &mut self.sink.registry;
+        registry.add(self.aes_hw_blocks, m.ctr_mode.hw_blocks());
+        registry.add(self.hash_batch_runs, m.tree.batch_runs() + m.mac.batch_runs());
+        registry.add(self.bank_events_coalesced, m.nvm.bank_events_coalesced());
+        registry.add(self.sip_simd_rows, m.tree.simd_rows() + m.mac.simd_rows());
+        registry.add(self.warm_starts, m.warm_starts);
+        let lpt = thoth_telemetry::progress::jobs_lpt_reordered();
+        registry.add(self.jobs_lpt_reordered, lpt);
+        self.sink.finish()
     }
 }
 
@@ -234,8 +304,9 @@ mod tests {
         let mut tm = MachineTelemetry::new(TelemetryConfig::counters_only(), 1);
         tm.record_op(0, TraceOp::Fence, 0, 10);
         tm.record_pub_append(5);
-        tm.record_wpq_accept(0x80, false);
-        tm.record_wpq_drain(0x80);
+        let category = thoth_nvm::WriteCategory::Data;
+        tm.record_wpq(WpqEvent::Accepted { addr: 0x80, category, coalesced: false });
+        tm.record_wpq(WpqEvent::Drained { addr: 0x80, origins: 0 });
         assert!(tm.sink.tracer.is_none());
         let r = &tm.sink.registry;
         assert_eq!(r.counter_value("pub_appends"), Some(1));

@@ -4,8 +4,9 @@
 //! three times over the same trace — plain, with the full telemetry
 //! config (counters + timeline + tracer), and with counters only — and
 //! every run must produce a bit-identical [`SimReport`] (same FNV digest,
-//! same cycle count, same write totals). This is the contract that lets
-//! the instrumentation hooks live on the hot path: observing a run never
+//! same cycle count, same write totals). Persist-event recording is held
+//! to the same bar in every mode. This is the contract that lets the
+//! instrumentation hooks live on the hot path: observing a run never
 //! perturbs it.
 
 use thoth_sim::{run_trace, Mode, SecureNvm, SimConfig, TelemetryConfig};
@@ -57,6 +58,28 @@ fn telemetry_is_neutral_across_workloads_and_modes() {
                     "no reads recorded at {point}"
                 );
             }
+        }
+    }
+}
+
+/// Persist-event recording is one more observer of the same run: the
+/// report of a [`SecureNvm::run_psan`] replay must be bit-identical to
+/// the plain run's, in every mode.
+#[test]
+fn psan_recording_is_neutral_in_every_mode() {
+    for kind in WorkloadKind::ALL {
+        let trace = trace_for(kind);
+        for mode in Mode::ALL {
+            let config = SimConfig::paper_default(mode, 128);
+            let plain = run_trace(&config, &trace);
+            let (recorded, events) = SecureNvm::new(config).run_psan(&trace);
+            let point = format!("{}/{}", kind.name(), mode.label());
+            assert_eq!(
+                plain.digest(),
+                recorded.digest(),
+                "psan recording perturbed the report digest at {point}"
+            );
+            assert!(!events.is_empty(), "no persist events recorded at {point}");
         }
     }
 }

@@ -814,7 +814,7 @@ mod tests {
         // The peer got adjacent [later-block, earlier-block] pairs.
         let peer_ops = &v.trace.cores[peer_of(&v)];
         let grown = peer_ops.len() - a.trace.cores[peer_of(&v)].len();
-        assert!(grown >= 2 && grown % 2 == 0, "grew by {grown}");
+        assert!(grown >= 2 && grown.is_multiple_of(2), "grew by {grown}");
         let has_reversed_pair = peer_ops.windows(2).any(|w| {
             matches!(
                 (&w[0], &w[1]),

@@ -663,7 +663,7 @@ mod tests {
         for _ in 0..draws {
             counts[z.next_rank(&mut rng) as usize] += 1;
         }
-        let expected = draws as f64 / n as f64;
+        let expected = f64::from(draws) / n as f64;
         for (r, &c) in counts.iter().enumerate() {
             assert!(
                 (c as f64 - expected).abs() < expected * 0.25,
