@@ -31,7 +31,7 @@ cargo run -q --release --locked -p thoth-experiments -- psan --quick
 echo "== fuzz (persist-trace fuzzer, three-observer cross-check) =="
 cargo run -q --release --locked -p thoth-experiments -- fuzz --quick
 
-echo "== telemetry smoke (neutrality + artifact schema, one workload) =="
+echo "== telemetry (neutrality + artifact schema, all five paper workloads) =="
 cargo run -q --release --locked -p thoth-experiments -- telemetry --quick
 
 echo "== service smoke (open-loop saturation: finite monotone quantiles + knee) =="

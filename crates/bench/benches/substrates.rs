@@ -11,7 +11,6 @@ use thoth_core::{PartialUpdate, PubBlockCodec};
 use thoth_crypto::counter::CounterGroup;
 use thoth_crypto::{Aes128, CtrMode, MacEngine, MacKey, SipHash24};
 use thoth_merkle::{BonsaiTree, MerkleConfig};
-use thoth_sim_engine::{CoalescedEventQueue, Cycle, HeapEventQueue};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
@@ -24,13 +23,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(aes.encrypt_block(black_box(&[7u8; 16]))));
     });
 
-    // Head-to-head: the T-table path the simulator uses vs the byte-wise
-    // textbook rounds kept as the property-test oracle.
-    group.bench_function("aes_ttable_vs_bytewise/ttable", |b| {
+    // The T-table software path, the fallback on machines without AES-NI.
+    group.bench_function("aes-ttable-block", |b| {
         b.iter(|| black_box(aes.encrypt_block_ttable(black_box(&[7u8; 16]))));
-    });
-    group.bench_function("aes_ttable_vs_bytewise/bytewise", |b| {
-        b.iter(|| black_box(aes.encrypt_block_bytewise(black_box(&[7u8; 16]))));
     });
 
     // Dispatched backend (AES-NI where the CPU has it) vs the T-table
@@ -117,57 +112,6 @@ fn bench(c: &mut Criterion) {
                 cache.insert(addr, i);
             }
             black_box(cache.len())
-        });
-    });
-
-    // Bank-completion scoreboard shape: accesses issue in bursts (8 per
-    // cycle over 16 lanes) and every completion lands a fixed NVM write
-    // latency out, so same-cycle issues collide on their completion
-    // cycle; the due-drain runs before every issue, exactly as the bank
-    // scoreboard does. The coalesced queue merges each collision burst
-    // into one bitmask entry where the heap pushes and pops every event.
-    const BANK_LAT: u64 = 2000;
-    fn bank_lane(x: &mut u64) -> u32 {
-        *x ^= *x << 13;
-        *x ^= *x >> 7;
-        *x ^= *x << 17;
-        ((*x >> 8) % 16) as u32
-    }
-    group.bench_function("event_queue_coalesced_vs_heap/coalesced", |b| {
-        b.iter(|| {
-            let mut q = CoalescedEventQueue::new();
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            let mut popped = 0u64;
-            for i in 0..4096u64 {
-                let now = Cycle(i / 8);
-                while let Some((_, mask)) = q.pop_due(now) {
-                    popped += u64::from(mask.count_ones());
-                }
-                q.schedule(Cycle(now.0 + BANK_LAT), bank_lane(&mut x));
-            }
-            while let Some((_, mask)) = q.pop() {
-                popped += u64::from(mask.count_ones());
-            }
-            black_box(popped)
-        });
-    });
-    group.bench_function("event_queue_coalesced_vs_heap/heap", |b| {
-        b.iter(|| {
-            let mut q: HeapEventQueue<u32> = HeapEventQueue::new();
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            let mut popped = 0u64;
-            for i in 0..4096u64 {
-                let now = Cycle(i / 8);
-                while q.peek_cycle().is_some_and(|c| c <= now) {
-                    q.pop();
-                    popped += 1;
-                }
-                q.schedule(Cycle(now.0 + BANK_LAT), bank_lane(&mut x));
-            }
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            black_box(popped)
         });
     });
 

@@ -14,8 +14,12 @@
 //!   time from the S-box). This is the fallback on non-x86 builds and the
 //!   differential oracle for the hardware path
 //!   (`aes_hw_vs_ttable`).
-//! * **Byte-wise FIPS-197** — S-box lookups plus explicit `MixColumns`
-//!   arithmetic over GF(2^8); the oracle of last resort for both paths.
+//! * **Byte-wise FIPS-197** (tests only) — S-box lookups plus explicit
+//!   `MixColumns` arithmetic over GF(2^8); the oracle of last resort for
+//!   both paths.
+//!
+//! There is no decryption: counter mode runs the forward cipher both
+//! ways ([`crate::CtrMode::decrypt`]).
 //!
 //! None of these is meant to be a constant-time production cipher — they
 //! exist so the simulator's *functional* state (ciphertexts, one-time
@@ -44,17 +48,6 @@ const SBOX: [u8; 256] = [
     0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
-
-/// The inverse AES S-box, derived from [`SBOX`] at compile time.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
 
 /// Key-schedule round constants `x^(i-1)` in GF(2^8), at compile time.
 const RCON: [u8; 10] = {
@@ -178,19 +171,6 @@ const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
 }
 
-/// General multiplication in GF(2^8).
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
-}
-
 /// AES-128: 10 rounds, 128-bit key, 16-byte blocks.
 ///
 /// # Example
@@ -203,12 +183,15 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// let pt = *b"attack at dawn!!";
 /// let ct = aes.encrypt_block(&pt);
 /// assert_ne!(ct, pt);
-/// assert_eq!(aes.decrypt_block(&ct), pt);
+/// // Every backend is bit-identical to the portable T-table path.
+/// assert_eq!(aes.encrypt_block_ttable(&pt), ct);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
+    /// The round keys as bytes, for the AES-NI path (the only reader).
+    #[cfg(all(target_arch = "x86_64", not(thoth_soft_aes)))]
     round_keys: [[u8; 16]; 11],
-    /// The same schedule as big-endian column words, for the T-table path.
+    /// The key schedule as big-endian column words, for the T-table path.
     rk_words: [u32; 44],
     backend: AesBackend,
     /// Blocks encrypted through the hardware path (telemetry counter
@@ -262,6 +245,7 @@ impl Aes128 {
             rk_words[i] = u32::from_be_bytes(*col);
         }
         Aes128 {
+            #[cfg(all(target_arch = "x86_64", not(thoth_soft_aes)))]
             round_keys,
             rk_words,
             backend,
@@ -283,9 +267,8 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block. Dispatches to AES-NI when the backend
-    /// supports it, else the T-table path; both are bit-identical to
-    /// [`Self::encrypt_block_bytewise`], which the differential tests
-    /// enforce.
+    /// supports it, else the T-table path; both are bit-identical to the
+    /// byte-wise FIPS-197 rounds, which the differential tests enforce.
     #[must_use]
     pub fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
         match self.backend {
@@ -359,43 +342,6 @@ impl Aes128 {
         }
         out
     }
-
-    /// Encrypts one block with the original byte-wise FIPS-197 round
-    /// functions. Retained as the differential-testing oracle for the
-    /// T-table path (`ttable_encrypt_matches_bytewise_oracle`); not used
-    /// on any hot path.
-    #[must_use]
-    pub fn encrypt_block_bytewise(&self, plaintext: &[u8; 16]) -> [u8; 16] {
-        let mut s = *plaintext;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
-        }
-        sub_bytes(&mut s);
-        shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[10]);
-        s
-    }
-
-    /// Decrypts one 16-byte block.
-    #[must_use]
-    pub fn decrypt_block(&self, ciphertext: &[u8; 16]) -> [u8; 16] {
-        let mut s = *ciphertext;
-        add_round_key(&mut s, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(&mut s);
-            inv_sub_bytes(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
-            inv_mix_columns(&mut s);
-        }
-        inv_shift_rows(&mut s);
-        inv_sub_bytes(&mut s);
-        add_round_key(&mut s, &self.round_keys[0]);
-        s
-    }
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -405,67 +351,68 @@ impl std::fmt::Debug for Aes128 {
     }
 }
 
-// The state is stored column-major as in FIPS-197: byte s[r][c] = state[r + 4c].
-
-fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        s[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-fn shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + r) % 4];
-        }
-    }
-}
-
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = xtime(col[0]) ^ xtime(col[1]) ^ col[1] ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ xtime(col[2]) ^ col[2] ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ xtime(col[3]) ^ col[3];
-        s[4 * c + 3] = xtime(col[0]) ^ col[0] ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        s[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        s[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        s[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thoth_testkit::check;
+
+    /// Encrypts one block with the textbook byte-wise FIPS-197 round
+    /// functions: the oracle the T-table and hardware paths are checked
+    /// against.
+    fn encrypt_block_bytewise(aes: &Aes128, plaintext: &[u8; 16]) -> [u8; 16] {
+        let round_key = |r: usize| -> [u8; 16] {
+            let mut rk = [0u8; 16];
+            for c in 0..4 {
+                rk[4 * c..4 * c + 4].copy_from_slice(&aes.rk_words[4 * r + c].to_be_bytes());
+            }
+            rk
+        };
+        let mut s = *plaintext;
+        add_round_key(&mut s, &round_key(0));
+        for round in 1..10 {
+            sub_bytes(&mut s);
+            shift_rows(&mut s);
+            mix_columns(&mut s);
+            add_round_key(&mut s, &round_key(round));
+        }
+        sub_bytes(&mut s);
+        shift_rows(&mut s);
+        add_round_key(&mut s, &round_key(10));
+        s
+    }
+
+    // The state is stored column-major as in FIPS-197: byte s[r][c] = state[r + 4c].
+
+    fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            s[i] ^= rk[i];
+        }
+    }
+
+    fn sub_bytes(s: &mut [u8; 16]) {
+        for b in s.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    fn shift_rows(s: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
+            for c in 0..4 {
+                s[r + 4 * c] = row[(c + r) % 4];
+            }
+        }
+    }
+
+    fn mix_columns(s: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+            s[4 * c] = xtime(col[0]) ^ xtime(col[1]) ^ col[1] ^ col[2] ^ col[3];
+            s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ xtime(col[2]) ^ col[2] ^ col[3];
+            s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ xtime(col[3]) ^ col[3];
+            s[4 * c + 3] = xtime(col[0]) ^ col[0] ^ col[1] ^ col[2] ^ xtime(col[3]);
+        }
+    }
 
     /// FIPS-197 Appendix B: the canonical AES-128 example.
     #[test]
@@ -484,7 +431,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     /// FIPS-197 Appendix C.1 known-answer test.
@@ -504,7 +450,6 @@ mod tests {
         ];
         let aes = Aes128::new(&key);
         assert_eq!(aes.encrypt_block(&pt), expected);
-        assert_eq!(aes.decrypt_block(&expected), pt);
     }
 
     #[test]
@@ -525,9 +470,25 @@ mod tests {
                 let mut pt = [0u8; 16];
                 pt[..8].copy_from_slice(&next().to_le_bytes());
                 pt[8..].copy_from_slice(&next().to_le_bytes());
-                assert_eq!(aes.encrypt_block_ttable(&pt), aes.encrypt_block_bytewise(&pt));
+                assert_eq!(aes.encrypt_block_ttable(&pt), encrypt_block_bytewise(&aes, &pt));
             }
         }
+    }
+
+    /// The T-table fast path must agree with the byte-wise FIPS-197
+    /// oracle on every key/block pair.
+    #[test]
+    fn ttable_encrypt_matches_bytewise_oracle() {
+        check(512, |g| {
+            let key: [u8; 16] = g.bytes();
+            let pt: [u8; 16] = g.bytes();
+            let aes = Aes128::new(&key);
+            assert_eq!(
+                aes.encrypt_block(&pt),
+                encrypt_block_bytewise(&aes, &pt),
+                "T-table and byte-wise AES disagree"
+            );
+        });
     }
 
     /// Whatever backend `new` picked must agree with both software
@@ -557,8 +518,7 @@ mod tests {
             for (pt, ct) in plain.iter().zip(&batch) {
                 assert_eq!(*ct, aes.encrypt_block(pt));
                 assert_eq!(*ct, aes.encrypt_block_ttable(pt));
-                assert_eq!(*ct, aes.encrypt_block_bytewise(pt));
-                assert_eq!(aes.decrypt_block(ct), *pt);
+                assert_eq!(*ct, encrypt_block_bytewise(&aes, pt));
             }
         }
     }
@@ -604,76 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn inv_sbox_inverts_sbox() {
-        for i in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[i as usize] as usize], i);
-        }
-    }
-
-    #[test]
-    fn roundtrip_many_random_blocks() {
-        // Deterministic xorshift so no external RNG dependency here.
-        let mut x: u64 = 0x123456789abcdef;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&next().to_le_bytes());
-        key[8..].copy_from_slice(&next().to_le_bytes());
-        let aes = Aes128::new(&key);
-        for _ in 0..200 {
-            let mut pt = [0u8; 16];
-            pt[..8].copy_from_slice(&next().to_le_bytes());
-            pt[8..].copy_from_slice(&next().to_le_bytes());
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-    }
-
-    #[test]
     fn different_keys_give_different_ciphertexts() {
         let a = Aes128::new(&[0u8; 16]);
         let b = Aes128::new(&[1u8; 16]);
         let pt = [7u8; 16];
         assert_ne!(a.encrypt_block(&pt), b.encrypt_block(&pt));
-    }
-
-    #[test]
-    fn gf_multiplication_identities() {
-        for v in 0..=255u8 {
-            assert_eq!(gmul(v, 1), v);
-            assert_eq!(gmul(v, 2), xtime(v));
-            assert_eq!(gmul(1, v), v);
-        }
-        // {57} * {83} = {c1} from the AES specification.
-        assert_eq!(gmul(0x57, 0x83), 0xc1);
-    }
-
-    #[test]
-    fn shift_rows_inverts() {
-        let mut s = [0u8; 16];
-        for (i, b) in s.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        let orig = s;
-        shift_rows(&mut s);
-        assert_ne!(s, orig);
-        inv_shift_rows(&mut s);
-        assert_eq!(s, orig);
-    }
-
-    #[test]
-    fn mix_columns_inverts() {
-        let mut s = [0u8; 16];
-        for (i, b) in s.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(37).wrapping_add(11);
-        }
-        let orig = s;
-        mix_columns(&mut s);
-        inv_mix_columns(&mut s);
-        assert_eq!(s, orig);
     }
 
     #[test]

@@ -321,27 +321,6 @@ impl SipHash24 {
         }
     }
 
-    /// Hashes many independent messages, element-wise equal to
-    /// [`Self::hash`] on each. Runs of [`BATCH_LANES`] equal-length
-    /// messages go through the interleaved multi-lane kernel — the lanes'
-    /// compression chains are independent, so the CPU overlaps them where
-    /// a serial `hash` loop is latency-bound on one sipround chain.
-    #[must_use]
-    pub fn hash_batch(&self, msgs: &[&[u8]]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(msgs.len());
-        let mut groups = msgs.chunks_exact(BATCH_LANES);
-        for group in &mut groups {
-            let len = group[0].len();
-            if group.iter().all(|m| m.len() == len) {
-                out.extend(self.hash_lanes([group[0], group[1], group[2], group[3]]));
-            } else {
-                out.extend(group.iter().map(|m| self.hash(m)));
-            }
-        }
-        out.extend(groups.remainder().iter().map(|m| self.hash(m)));
-        out
-    }
-
     /// Hashes fixed-width word rows, element-wise equal to
     /// [`Self::hash_words`] on each row. This is the merkle/MAC fast path:
     /// node messages at one tree level are all the same width, so whole
@@ -373,32 +352,6 @@ impl SipHash24 {
             out.extend(v.map(|lane| Self::finalize(lane, last)));
         }
         out.extend(groups.remainder().iter().map(|row| self.hash_words(row)));
-        out
-    }
-
-    /// The interleaved kernel for [`BATCH_LANES`] equal-length byte
-    /// messages: one shared chunk loop, per-lane tail/finalization.
-    fn hash_lanes(&self, msgs: [&[u8]; BATCH_LANES]) -> [u64; BATCH_LANES] {
-        let len = msgs[0].len();
-        let mut v = [self.init_state(); BATCH_LANES];
-        let full = len / 8;
-        for i in 0..full {
-            let mut m = [0u64; BATCH_LANES];
-            for (word, msg) in m.iter_mut().zip(&msgs) {
-                *word =
-                    u64::from_le_bytes(msg[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            }
-            compress_lanes(&mut v, m);
-        }
-        let mut out = [0u64; BATCH_LANES];
-        for ((state, msg), tag) in v.into_iter().zip(&msgs).zip(&mut out) {
-            let rem = &msg[full * 8..];
-            let mut last = (len as u64 & 0xff) << 56;
-            for (i, &b) in rem.iter().enumerate() {
-                last |= u64::from(b) << (8 * i);
-            }
-            *tag = Self::finalize(state, last);
-        }
         out
     }
 
@@ -590,25 +543,6 @@ mod tests {
             }
             assert_eq!(s.finish(), h.hash(&bytes), "{n} words");
         }
-    }
-
-    #[test]
-    fn hash_batch_matches_scalar_on_mixed_corpus() {
-        let h = SipHash24::new(21, 22);
-        // Lengths chosen so the corpus mixes lane-eligible runs (equal
-        // lengths) with ragged groups that fall back to scalar, plus a
-        // non-multiple-of-4 tail.
-        let lens: [usize; 11] = [0, 8, 8, 8, 8, 15, 15, 16, 17, 64, 7];
-        let msgs: Vec<Vec<u8>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (0..n).map(|j| (i * 31 + j * 7) as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let batched = h.hash_batch(&refs);
-        let scalar: Vec<u64> = refs.iter().map(|m| h.hash(m)).collect();
-        assert_eq!(batched, scalar);
-        assert!(h.hash_batch(&[]).is_empty());
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn main() {
                 if !scale_given {
                     s.scale = ExpSettings::quick().scale;
                 }
-                let out = telemetry::run(s, quick);
+                let out = telemetry::run(s);
                 emit(out.tables, "telemetry");
                 if !out.ok {
                     eprintln!("telemetry: FAILED (non-neutral or invalid artifact, see above)");

@@ -45,16 +45,6 @@ struct PointRow {
     json_ok: bool,
 }
 
-/// The workloads an invocation covers: the full paper suite, or just the
-/// B-tree under `--quick` (CI's smoke gate).
-fn workloads(quick: bool) -> &'static [WorkloadKind] {
-    if quick {
-        &[WorkloadKind::Btree]
-    } else {
-        &WorkloadKind::ALL
-    }
-}
-
 /// Expected header of the timeline CSV (schema lock for downstream
 /// plotting scripts).
 fn timeline_header() -> String {
@@ -69,13 +59,13 @@ fn timeline_header() -> String {
 /// Runs the instrumented matrix, writes `results/telemetry/`, and
 /// reports the verdict.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool) -> TelemetryOutcome {
+pub fn run(settings: ExpSettings) -> TelemetryOutcome {
     let out_dir = "results/telemetry";
     std::fs::create_dir_all(out_dir).expect("create results/telemetry");
     let mut cache = TraceCache::new(settings);
     let mut rows = Vec::new();
 
-    for &kind in workloads(quick) {
+    for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
         for mode in [Mode::baseline(), Mode::thoth_wtsc()] {
             let label = mode.label();
@@ -179,12 +169,6 @@ pub fn run(settings: ExpSettings, quick: bool) -> TelemetryOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_sets() {
-        assert_eq!(workloads(true).len(), 1);
-        assert_eq!(workloads(false).len(), WorkloadKind::ALL.len());
-    }
 
     #[test]
     fn timeline_header_is_locked() {

@@ -2,7 +2,7 @@
 
 use crate::category::WriteCategory;
 use crate::wear::WearTracker;
-use thoth_sim_engine::{CoalescedEventQueue, Cycle, FastMap, Frequency};
+use thoth_sim_engine::{Cycle, FastMap, Frequency};
 use thoth_telemetry::QueueProbe;
 
 /// Static configuration of the NVM device (paper Table I defaults).
@@ -80,31 +80,15 @@ pub struct NvmDevice {
     /// `Box<[u8]>` rather than `Vec<u8>`: blocks never resize, and rewrites
     /// reuse the existing allocation instead of replacing it.
     blocks: FastMap<u64, Box<[u8]>>,
-    /// Per-bank earliest availability (authoritative timing state).
+    /// Per-bank earliest availability: the bank model's only timing state.
     bank_busy_until: Vec<Cycle>,
-    /// Bank-completion scoreboard: same-cycle completions coalesce into
-    /// one `(cycle, bank bitmask)` entry, so busy-bank queries drain a
-    /// handful of entries instead of scanning every bank. Each busy bank
-    /// has exactly one live entry bit; a bank whose occupancy was
-    /// extended re-checks `bank_busy_until` at pop time and reschedules.
-    completions: CoalescedEventQueue,
-    /// Bitmask of banks holding a live scoreboard entry. A bank schedules
-    /// at most one completion event at a time; the bit clears only when
-    /// its entry pops with the bank genuinely idle. Tracking per-bank
-    /// bits (not a counter) keeps the scoreboard correct even when cores
-    /// issue accesses with non-monotonic timestamps.
-    live_events: u64,
-    /// High-water mark of scoreboard drains; queries behind it fall back
-    /// to the scan (the scoreboard only moves forward in time).
-    drained_to: Cycle,
     wear: WearTracker,
     /// Functional writes per category, indexed by [`WriteCategory::index`]
     /// (a dense array so the per-write accounting is two adds, not a
     /// string-keyed map lookup).
     writes_by_cat: [u64; WriteCategory::ALL.len()],
-    /// Timed accesses issued through [`Self::time_access`].
+    /// Timed reads issued through [`Self::time_access`].
     timed_reads: u64,
-    timed_writes: u64,
     /// Telemetry probe recording busy-bank counts per timed access.
     /// `None` (the default) keeps the timing path probe-free.
     probe: Option<QueueProbe>,
@@ -118,13 +102,9 @@ impl NvmDevice {
             config,
             blocks: FastMap::default(),
             bank_busy_until: vec![Cycle::ZERO; config.num_banks],
-            completions: CoalescedEventQueue::new(),
-            live_events: 0,
-            drained_to: Cycle::ZERO,
             wear: WearTracker::new(),
             writes_by_cat: [0; WriteCategory::ALL.len()],
             timed_reads: 0,
-            timed_writes: 0,
             probe: None,
         }
     }
@@ -348,75 +328,21 @@ impl NvmDevice {
         } else {
             self.config.read_cycles()
         };
-        self.drain_completions(now);
-        let bit = 1u64 << bank;
         let start = now.max(self.bank_busy_until[bank]);
         let done = start + latency;
         self.bank_busy_until[bank] = done;
-        if self.live_events & bit == 0 {
-            // No live entry: open the bank's single scoreboard entry.
-            // A bank that already has one keeps it (now stale), and the
-            // entry re-checks `bank_busy_until` and reschedules when it
-            // pops.
-            self.live_events |= bit;
-            self.completions.schedule(done, bank as u32);
-        }
-        if is_write {
-            self.timed_writes += 1;
-        } else {
+        if !is_write {
             self.timed_reads += 1;
         }
-        if self.probe.is_some() {
-            let busy = self.tracked_busy_banks(now);
-            let p = self.probe.as_mut().expect("checked above");
-            p.record(busy);
+        if let Some(mut p) = self.probe.take() {
+            p.record(self.queue_depth(now));
+            self.probe = Some(p);
         }
         done
     }
 
-    /// Pops every due scoreboard entry, settling each carried bank:
-    /// still-extended banks reschedule at their current availability,
-    /// genuinely free banks leave the busy count.
-    fn drain_completions(&mut self, now: Cycle) {
-        if now < self.drained_to {
-            return; // the scoreboard only moves forward
-        }
-        self.drained_to = now;
-        while let Some((_, mask)) = self.completions.pop_due(now) {
-            let mut remaining = mask;
-            while remaining != 0 {
-                let bank = remaining.trailing_zeros() as usize;
-                remaining &= remaining - 1;
-                let until = self.bank_busy_until[bank];
-                if until > now {
-                    self.completions.schedule(until, bank as u32);
-                } else {
-                    self.live_events &= !(1u64 << bank);
-                }
-            }
-        }
-    }
-
-    /// Busy-bank count from the scoreboard: O(due entries) amortized
-    /// instead of a full bank scan. Queries behind the drain high-water
-    /// mark fall back to the scan, which is always authoritative.
-    pub fn tracked_busy_banks(&mut self, now: Cycle) -> u64 {
-        if now < self.drained_to {
-            return self.queue_depth(now);
-        }
-        self.drain_completions(now);
-        u64::from(self.live_events.count_ones())
-    }
-
-    /// Completion events absorbed into same-cycle bitmask entries — the
-    /// schedules a per-event queue would have carried separately.
-    #[must_use]
-    pub fn bank_events_coalesced(&self) -> u64 {
-        self.completions.coalesced()
-    }
-
     /// Number of banks still busy at `now` — the device-side queue-depth
-    /// proxy the telemetry timeline samples.
+    /// proxy the telemetry timeline samples and the probe records.
     #[must_use]
     pub fn queue_depth(&self, now: Cycle) -> u64 {
         self.bank_busy_until
@@ -436,19 +362,10 @@ impl NvmDevice {
         self.probe.take()
     }
 
-    /// Earliest cycle at which a new access to `addr` could start.
-    #[must_use]
-    pub fn earliest_start(&self, now: Cycle, addr: u64) -> Cycle {
-        now.max(self.bank_busy_until[self.bank_of(addr)])
-    }
-
     /// Resets all bank timing (not the functional state). Used between the
     /// warm-up and measured phases of an experiment.
     pub fn reset_timing(&mut self) {
         self.bank_busy_until.fill(Cycle::ZERO);
-        self.completions.clear();
-        self.live_events = 0;
-        self.drained_to = Cycle::ZERO;
     }
 
     // ---- statistics -------------------------------------------------------
@@ -471,12 +388,6 @@ impl NvmDevice {
         self.timed_reads
     }
 
-    /// Writes issued through the timing model.
-    #[must_use]
-    pub fn timed_writes(&self) -> u64 {
-        self.timed_writes
-    }
-
     /// The wear tracker (per-block write counts).
     #[must_use]
     pub fn wear(&self) -> &WearTracker {
@@ -489,7 +400,6 @@ impl NvmDevice {
     pub fn reset_stats(&mut self) {
         self.writes_by_cat = [0; WriteCategory::ALL.len()];
         self.timed_reads = 0;
-        self.timed_writes = 0;
         self.wear = WearTracker::new();
     }
 }
@@ -581,15 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn earliest_start_reflects_bank_occupancy() {
-        let mut d = dev();
-        d.time_access(Cycle(0), 0, true);
-        assert_eq!(d.earliest_start(Cycle(0), 0), Cycle(2000));
-        assert_eq!(d.earliest_start(Cycle(3000), 0), Cycle(3000));
-        assert_eq!(d.earliest_start(Cycle(0), 128), Cycle(0));
-    }
-
-    #[test]
     fn torn_write_persists_prefix_only() {
         let mut d = dev();
         d.write_block(0, &[0x11; 128], WriteCategory::Data);
@@ -648,7 +549,7 @@ mod tests {
         let mut d = dev();
         d.time_access(Cycle(0), 0, true);
         d.reset_timing();
-        assert_eq!(d.earliest_start(Cycle(0), 0), Cycle(0));
+        assert_eq!(d.queue_depth(Cycle(0)), 0);
     }
 
     #[test]
@@ -679,80 +580,40 @@ mod tests {
         assert_eq!(d.read_block(0x2000)[0], 7);
     }
 
-    /// Differential: the coalescing completion scoreboard must agree
-    /// with the full bank scan at every step of a pseudo-random but
-    /// time-monotonic access schedule, while actually merging events.
-    #[test]
-    fn completion_scoreboard_matches_bank_scan() {
-        let mut d = dev();
-        let mut x: u64 = 0xc0_ffee_0000_1234;
-        let mut now = 0u64;
-        for step in 0..4000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Bursts of same-cycle accesses across banks force same-cycle
-            // completions; occasional jumps drain everything.
-            if x.is_multiple_of(4) {
-                now += x % 3000;
-            }
-            let addr = (x >> 16) % (1 << 20);
-            let is_write = x.is_multiple_of(2);
-            d.time_access(Cycle(now), addr, is_write);
-            assert_eq!(
-                d.tracked_busy_banks(Cycle(now)),
-                d.queue_depth(Cycle(now)),
-                "step {step} at cycle {now}"
-            );
-        }
-        assert!(
-            d.bank_events_coalesced() > 0,
-            "same-cycle completions must coalesce"
-        );
-        // Far future: everything drains back to idle.
-        assert_eq!(d.tracked_busy_banks(Cycle(now + 1_000_000)), 0);
-        // Queries behind the drain mark fall back to the scan.
-        assert_eq!(d.tracked_busy_banks(Cycle(0)), d.queue_depth(Cycle(0)));
-    }
-
-    #[test]
-    fn scoreboard_survives_timing_reset() {
-        let mut d = dev();
-        d.time_access(Cycle(0), 0, true);
-        d.time_access(Cycle(0), 128, true);
-        assert_eq!(d.tracked_busy_banks(Cycle(0)), 2);
-        d.reset_timing();
-        assert_eq!(d.tracked_busy_banks(Cycle(0)), 0);
-        let done = d.time_access(Cycle(100), 0, false);
-        assert_eq!(done, Cycle(700));
-        assert_eq!(d.tracked_busy_banks(Cycle(100)), 1);
-        assert_eq!(d.tracked_busy_banks(Cycle(700)), 0);
-    }
-
     #[test]
     fn queue_depth_counts_busy_banks() {
         let mut d = dev();
         assert_eq!(d.queue_depth(Cycle(0)), 0);
         d.time_access(Cycle(0), 0, true); // bank 0 busy until 2000
-        d.time_access(Cycle(0), 128, false); // bank 1 busy until 600
+        d.time_access(Cycle(400), 128, false); // bank 1 busy until 1000
         assert_eq!(d.queue_depth(Cycle(0)), 2);
         assert_eq!(d.queue_depth(Cycle(1000)), 1);
         assert_eq!(d.queue_depth(Cycle(2000)), 0);
+        // Cores issue out of cycle order: an access stamped before the
+        // previous one still waits for its busy bank, and the bank
+        // counts as busy at that earlier cycle.
+        assert_eq!(d.time_access(Cycle(100), 0, true), Cycle(4000));
+        assert_eq!(d.queue_depth(Cycle(100)), 2);
     }
 
     #[test]
     fn probe_records_busy_banks_and_detaches() {
         let mut d = dev();
-        d.attach_probe(QueueProbe::new("nvm_banks", 16));
-        d.time_access(Cycle(0), 0, true);
-        d.time_access(Cycle(0), 128, true);
-        let p = d.take_probe().expect("probe attached");
-        assert_eq!(p.samples(), 2);
+        let mut p = QueueProbe::new("nvm_banks", 16);
+        // The last access is stamped before the previous one and queues
+        // behind busy bank 0.
+        for (now, addr) in [(Cycle(0), 0), (Cycle(1000), 128), (Cycle(500), 0)] {
+            d.attach_probe(p);
+            d.time_access(now, addr, true);
+            p = d.take_probe().expect("probe attached");
+            assert_eq!(p.last(), d.queue_depth(now), "access at {now}");
+        }
+        assert_eq!(p.samples(), 3);
         assert_eq!(p.peak(), 2);
         assert!(p.within_capacity());
         assert!(d.take_probe().is_none());
         // Timing results are probe-independent.
         let done = d.time_access(Cycle(0), 0, true);
-        assert_eq!(done, Cycle(4000));
+        assert_eq!(done, Cycle(6000));
     }
 }

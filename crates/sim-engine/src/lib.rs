@@ -1,42 +1,37 @@
-//! Discrete-event simulation kernel used by every Thoth substrate.
+//! Simulation kernel used by every Thoth substrate.
 //!
 //! This crate provides the deterministic foundations that the NVM device
 //! model, memory controller, and full-system simulator are built on:
 //!
 //! * [`Cycle`] — a strongly-typed simulation timestamp with nanosecond
 //!   conversions at a configurable clock frequency,
-//! * [`CoalescedEventQueue`] — the NVM bank-completion queue, merging
-//!   same-cycle lanes into one bitmask entry ([`HeapEventQueue`], a
-//!   stable-order heap queue, is its reference implementation),
 //! * [`fastmap`] — deterministic multiplicative hashing ([`FastMap`],
 //!   [`FastSet`]) for the simulator's address-keyed hot maps,
 //! * [`rng`] — a deterministic, seedable random-number generator so every
 //!   experiment in the paper reproduction is bit-for-bit repeatable.
 //!
+//! There is no event queue: the replay loop picks the next core by an
+//! argmin scan over per-core wake-up cycles, and each NVM bank keeps the
+//! cycle it is busy until (DESIGN.md §3.5).
+//!
 //! # Example
 //!
 //! ```
-//! use thoth_sim_engine::{Cycle, HeapEventQueue};
+//! use thoth_sim_engine::{Cycle, Frequency};
 //!
-//! let mut q: HeapEventQueue<&'static str> = HeapEventQueue::new();
-//! q.schedule(Cycle(20), "late");
-//! q.schedule(Cycle(10), "early");
-//! q.schedule(Cycle(10), "early-second"); // same cycle: FIFO order
-//!
-//! assert_eq!(q.pop(), Some((Cycle(10), "early")));
-//! assert_eq!(q.pop(), Some((Cycle(10), "early-second")));
-//! assert_eq!(q.pop(), Some((Cycle(20), "late")));
-//! assert_eq!(q.pop(), None);
+//! // A 500 ns PCM write issued at cycle 100 holds its bank until 2100.
+//! let busy_until = Cycle(100) + Frequency::ghz(4).ns_to_cycles(500);
+//! assert_eq!(busy_until, Cycle(2100));
+//! // A later access to that bank starts once the bank is free.
+//! assert_eq!(Cycle(150).max(busy_until), Cycle(2100));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod events;
 pub mod fastmap;
 pub mod rng;
 
 pub use clock::{Cycle, Frequency};
-pub use events::{CoalescedEventQueue, HeapEventQueue};
 pub use fastmap::{FastMap, FastSet};
 pub use rng::DetRng;

@@ -1,29 +1,8 @@
-//! Property tests: the event queue behaves like a stable sort, and the
-//! deterministic RNG honours its contracts (deterministic thoth-testkit
-//! cases).
+//! Property tests: the deterministic RNG honours its contracts and cycles
+//! order totally (deterministic thoth-testkit cases).
 
-use thoth_sim_engine::{Cycle, DetRng, HeapEventQueue};
+use thoth_sim_engine::{Cycle, DetRng};
 use thoth_testkit::check;
-
-#[test]
-fn event_queue_is_a_stable_sort() {
-    check(256, |g| {
-        let times = g.vec_of(0, 200, |g| g.below(100));
-        let mut q = HeapEventQueue::new();
-        for (seq, &t) in times.iter().enumerate() {
-            q.schedule(Cycle(t), seq);
-        }
-        // Reference: stable sort by time keeps insertion order for ties.
-        let mut expect: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expect.sort_by_key(|&(t, _)| t);
-        let mut got = Vec::new();
-        while let Some((at, seq)) = q.pop() {
-            got.push((at.0, seq));
-        }
-        assert_eq!(got, expect);
-    });
-}
 
 #[test]
 fn rng_gen_range_is_always_in_bounds() {

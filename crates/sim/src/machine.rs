@@ -59,7 +59,6 @@ pub struct SecureNvm {
     /// on-chip persistent root register.
     pub(crate) tree: BonsaiTree,
     shadow: ShadowTracker,
-    shadow_writes_emitted: u64,
     /// The paper's mechanism (Thoth modes only).
     pub(crate) thoth: Option<ThothEngine>,
     /// Per-data-block logical write version (the "application data").
@@ -181,7 +180,6 @@ impl SecureNvm {
             )),
             tree: BonsaiTree::new(MerkleConfig::new(8, layout.tree_leaves()), TREE_KEY),
             shadow: ShadowTracker::new(),
-            shadow_writes_emitted: 0,
             thoth,
             data_versions: FastMap::default(),
             prefill_pool: Vec::new(),
@@ -364,7 +362,6 @@ impl SecureNvm {
             let addr = self.layout.shadow_addr(n);
             self.wpq
                 .insert(now, addr, None, WriteCategory::Shadow, &mut self.nvm);
-            self.shadow_writes_emitted += 1;
         }
     }
 
@@ -526,7 +523,6 @@ impl SecureNvm {
             mac_cache,
             mac,
             shadow,
-            shadow_writes_emitted,
             config,
             tap,
             ..
@@ -542,7 +538,6 @@ impl SecureNvm {
             mac_cache,
             mac,
             shadow,
-            shadow_writes_emitted,
             tap: tap.as_deref_mut(),
         };
         thoth.as_mut().expect("Thoth mode").insert(pu, &mut host);
@@ -733,7 +728,6 @@ impl SecureNvm {
             llc: self.llc.clone(),
             tree: self.tree.clone(),
             shadow: self.shadow.clone(),
-            shadow_writes_emitted: self.shadow_writes_emitted,
             thoth: self.thoth.clone(),
             data_versions: self.data_versions.clone(),
             prefill_pool: self.prefill_pool.clone(),
@@ -868,8 +862,8 @@ impl SecureNvm {
     /// Replays ops; with `tx_limit` set, each core stops after that many
     /// transactions (the warm-up boundary).
     ///
-    /// Cores interleave through the discrete-event queue: each core is an
-    /// event scheduled at its next-issue cycle; ties resolve in FIFO
+    /// Cores interleave by next-issue cycle: each core holds one wake-up
+    /// slot, the earliest slot issues next, and ties resolve in FIFO
     /// (scheduling) order, deterministically.
     fn replay(&mut self, trace: &MultiCoreTrace, cores: &mut [CoreState], tx_limit: Option<usize>) {
         // Core scheduler: each core has at most one outstanding wake-up,
@@ -1511,7 +1505,6 @@ struct MachineHost<'a> {
     mac_cache: &'a mut SetAssocCache<Vec<u8>>,
     mac: &'a MacEngine,
     shadow: &'a mut ShadowTracker,
-    shadow_writes_emitted: &'a mut u64,
     tap: Option<&'a mut Tap>,
 }
 
@@ -1530,7 +1523,6 @@ impl MachineHost<'_> {
                 let saddr = self.layout.shadow_addr(n);
                 self.wpq
                     .insert(self.now, saddr, None, WriteCategory::Shadow, self.nvm);
-                *self.shadow_writes_emitted += 1;
             }
         }
     }

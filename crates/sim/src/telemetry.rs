@@ -59,7 +59,6 @@ pub(crate) struct MachineTelemetry {
     wpq_drains: CounterId,
     aes_hw_blocks: CounterId,
     hash_batch_runs: CounterId,
-    bank_events_coalesced: CounterId,
     sip_simd_rows: CounterId,
     warm_starts: CounterId,
     jobs_lpt_reordered: CounterId,
@@ -92,7 +91,6 @@ impl MachineTelemetry {
         let wpq_drains = sink.registry.counter("wpq_drains");
         let aes_hw_blocks = sink.registry.counter("aes_hw_blocks");
         let hash_batch_runs = sink.registry.counter("hash_batch_runs");
-        let bank_events_coalesced = sink.registry.counter("bank_events_coalesced");
         let sip_simd_rows = sink.registry.counter("sip_simd_rows");
         let warm_starts = sink.registry.counter("warm_starts");
         let jobs_lpt_reordered = sink.registry.counter("jobs_lpt_reordered");
@@ -119,7 +117,6 @@ impl MachineTelemetry {
             wpq_drains,
             aes_hw_blocks,
             hash_batch_runs,
-            bank_events_coalesced,
             sip_simd_rows,
             warm_starts,
             jobs_lpt_reordered,
@@ -248,9 +245,8 @@ impl MachineTelemetry {
 
     /// Ends the session: absorbs the probes and harvests the substrate
     /// throughput counters — AES blocks encrypted by the hardware
-    /// backend, batched hash-kernel invocations (merkle + MAC), NVM bank
-    /// completions coalesced into shared scoreboard entries, SipHash rows
-    /// that went through the multi-lane SIMD kernel, warm-start
+    /// backend, batched hash-kernel invocations (merkle + MAC), SipHash
+    /// rows that went through the multi-lane SIMD kernel, warm-start
     /// generations of the machine, and jobs the harness's LPT scheduler
     /// reordered. These are read once from the engines rather than
     /// recorded per event — the hot paths stay telemetry-free.
@@ -270,7 +266,6 @@ impl MachineTelemetry {
         let registry = &mut self.sink.registry;
         registry.add(self.aes_hw_blocks, m.ctr_mode.hw_blocks());
         registry.add(self.hash_batch_runs, m.tree.batch_runs() + m.mac.batch_runs());
-        registry.add(self.bank_events_coalesced, m.nvm.bank_events_coalesced());
         registry.add(self.sip_simd_rows, m.tree.simd_rows() + m.mac.simd_rows());
         registry.add(self.warm_starts, m.warm_starts);
         let lpt = thoth_telemetry::progress::jobs_lpt_reordered();

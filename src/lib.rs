@@ -16,7 +16,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`sim_engine`] | simulation kernel: cycles, bank-completion queue, fast maps, RNG |
+//! | [`sim_engine`] | simulation kernel: cycles, fast maps, RNG |
 //! | [`crypto`] | AES-128, counter-mode encryption, split counters, SipHash MACs |
 //! | [`cache`] | set-associative write-back caches with subblock dirty masks |
 //! | [`nvm`] | banked PCM device model + sparse functional store |
