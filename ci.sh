@@ -51,4 +51,17 @@ RUSTFLAGS="--cfg thoth_soft_aes" cargo test -q --locked -p thoth-crypto
 echo "== crypto with SIMD hashing disabled (thoth_soft_sip fallback must not rot) =="
 RUSTFLAGS="--cfg thoth_soft_sip" cargo test -q --locked -p thoth-crypto
 
+echo "== results/ byte-identity (the --quick stages above reproduce every committed artifact) =="
+# The ablation, crashtest, psan, fuzz, telemetry and service stages
+# rewrite their files under results/; a simulator change that moves any
+# of them (Full-mode crypto, instrumented replay, recovery) fails here
+# even where no digest pin covers it. Commit regenerated artifacts
+# before running ci.sh.
+drift=$(git status --porcelain -- results/)
+if [ -n "$drift" ]; then
+    echo "results/ differs from the committed artifacts:"
+    echo "$drift"
+    exit 1
+fi
+
 echo "ci: all green"

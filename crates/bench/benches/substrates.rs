@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use thoth_cache::{CacheConfig, SetAssocCache};
 use thoth_core::{PartialUpdate, PubBlockCodec};
-use thoth_crypto::counter::CounterGroup;
+use thoth_crypto::counter::CounterBlock;
 use thoth_crypto::{Aes128, CtrMode, MacEngine, MacKey, SipHash24};
 use thoth_merkle::{BonsaiTree, MerkleConfig};
 
@@ -59,12 +59,19 @@ fn bench(c: &mut Criterion) {
     let rows: Vec<[u64; 9]> = (0..64u64)
         .map(|i| std::array::from_fn(|j| i * 31 + j as u64))
         .collect();
+    let mut tags = vec![0u64; rows.len()];
     group.bench_function("siphash_simd_vs_scalar/dispatched-batch64", |b| {
-        b.iter(|| black_box(sip.hash_words_batch(black_box(&rows))));
+        b.iter(|| {
+            sip.hash_words_batch(black_box(&rows), &mut tags);
+            black_box(&tags);
+        });
     });
     let sip_soft = SipHash24::new_soft(1, 2);
     group.bench_function("siphash_simd_vs_scalar/soft-batch64", |b| {
-        b.iter(|| black_box(sip_soft.hash_words_batch(black_box(&rows))));
+        b.iter(|| {
+            sip_soft.hash_words_batch(black_box(&rows), &mut tags);
+            black_box(&tags);
+        });
     });
     group.bench_function("siphash_simd_vs_scalar/serial-batch64", |b| {
         b.iter(|| {
@@ -75,20 +82,26 @@ fn bench(c: &mut Criterion) {
 
     let ctr = CtrMode::new(b"0123456789abcdef");
     group.bench_function("ctr-encrypt-128B-block", |b| {
-        b.iter(|| black_box(ctr.encrypt(0x1000, 3, 4, black_box(&[9u8; 128]))));
+        let mut block = [9u8; 128];
+        b.iter(|| {
+            ctr.encrypt(0x1000, 3, 4, black_box(&mut block));
+            black_box(&block);
+        });
     });
 
     let mac = MacEngine::new(MacKey([3u8; 16]));
     group.bench_function("two-level-mac-128B", |b| {
-        b.iter(|| black_box(mac.both_levels(0x1000, 3, 4, black_box(&[9u8; 128]))));
+        let mut first = [0u8; MacEngine::first_level_len(128)];
+        b.iter(|| black_box(mac.both_levels(0x1000, 3, 4, black_box(&[9u8; 128]), &mut first)));
     });
 
-    group.bench_function("counter-group-pack-unpack", |b| {
-        let mut g = CounterGroup::new(32);
-        g.increment(7);
+    group.bench_function("counter-image-increment-in-place", |b| {
+        let geometry = CounterBlock::geometry(128, 4096);
+        let mut image = vec![0u8; 128];
+        let mut slot = 0;
         b.iter(|| {
-            let img = g.to_bytes();
-            black_box(CounterGroup::from_bytes(&img, 32))
+            slot = (slot + 7) % geometry.blocks_per_page;
+            black_box(geometry.increment(black_box(&mut image), 1, slot))
         });
     });
 
@@ -126,9 +139,11 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("pub-codec-encode-decode-128B", |b| {
+        let mut decoded = Vec::new();
         b.iter(|| {
             let img = codec.encode(black_box(&updates));
-            black_box(codec.decode(&img))
+            codec.decode_into(&img, &mut decoded);
+            black_box(&decoded);
         });
     });
 

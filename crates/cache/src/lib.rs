@@ -128,10 +128,22 @@ impl CacheStats {
 ///
 /// Addresses are block-aligned internally; callers may pass any byte
 /// address within the block.
+///
+/// Sets are sized once, at construction: each set lists the indices of
+/// its resident lines in way order, in one flat slot array. The lines
+/// themselves live in one vector that only grows while the cache fills
+/// (a few doublings over a run), so a full cache evicts and refills
+/// without allocating. Sparse caches (the data LLC) stay small: a line
+/// costs memory only once resident.
 #[derive(Clone)]
 pub struct SetAssocCache<V> {
     config: CacheConfig,
-    sets: Vec<Vec<Line<V>>>,
+    /// Every resident line, in no particular order.
+    lines: Vec<Line<V>>,
+    /// `ways` slots per set: the `lines` indices of the set's resident
+    /// lines in way order. The first `fill[set]` slots are in use.
+    slots: Vec<u32>,
+    fill: Vec<u32>,
     tick: u64,
     stats: CacheStats,
     /// `(log2(block_bytes), num_sets - 1)` when both are powers of two —
@@ -143,9 +155,16 @@ pub struct SetAssocCache<V> {
 
 impl<V> SetAssocCache<V> {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache has 2^32 or more lines.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = (0..config.num_sets()).map(|_| Vec::new()).collect();
+        assert!(
+            u32::try_from(config.num_lines()).is_ok(),
+            "line indices must fit in 32 bits"
+        );
         let pow2 = (config.block_bytes.is_power_of_two() && config.num_sets().is_power_of_two())
             .then(|| {
                 (
@@ -155,7 +174,9 @@ impl<V> SetAssocCache<V> {
             });
         SetAssocCache {
             config,
-            sets,
+            lines: Vec::new(),
+            slots: vec![0; config.num_lines()],
+            fill: vec![0; config.num_sets()],
             tick: 0,
             stats: CacheStats::default(),
             pow2,
@@ -196,6 +217,39 @@ impl<V> SetAssocCache<V> {
         self.tick
     }
 
+    /// The in-use slots of `set`, in way order.
+    fn ways_of(&self, set: usize) -> &[u32] {
+        let base = set * self.config.ways;
+        &self.slots[base..base + self.fill[set] as usize]
+    }
+
+    /// `(set, way, lines index)` of the resident line holding `addr`.
+    fn find(&self, addr: u64) -> Option<(usize, usize, usize)> {
+        let block = self.align(addr);
+        let set = self.set_index(block);
+        let ways = self.ways_of(set);
+        ways.iter()
+            .position(|&i| self.lines[i as usize].addr == block)
+            .map(|way| (set, way, ways[way] as usize))
+    }
+
+    fn line(&self, addr: u64) -> Option<&Line<V>> {
+        self.find(addr).map(|(_, _, i)| &self.lines[i])
+    }
+
+    fn line_mut(&mut self, addr: u64) -> Option<&mut Line<V>> {
+        self.find(addr).map(|(_, _, i)| &mut self.lines[i])
+    }
+
+    /// Removes `way` from `set`'s way order, moving the last way into
+    /// its place (a `Vec::swap_remove` of the set).
+    fn unlink(&mut self, set: usize, way: usize) {
+        let base = set * self.config.ways;
+        let last = base + self.fill[set] as usize - 1;
+        self.slots[base + way] = self.slots[last];
+        self.fill[set] -= 1;
+    }
+
     /// Looks up `addr`, counting a hit or miss and refreshing LRU on hit.
     /// Returns a shared reference to the payload.
     pub fn lookup(&mut self, addr: u64) -> Option<&V> {
@@ -204,14 +258,12 @@ impl<V> SetAssocCache<V> {
 
     /// Looks up `addr` mutably, counting a hit or miss and refreshing LRU.
     pub fn lookup_mut(&mut self, addr: u64) -> Option<&mut V> {
-        let block = self.align(addr);
-        let set = self.set_index(block);
         let tick = self.bump();
-        let line = self.sets[set].iter_mut().find(|l| l.addr == block);
-        match line {
-            Some(l) => {
-                l.last_use = tick;
+        match self.find(addr) {
+            Some((_, _, i)) => {
                 self.stats.hits += 1;
+                let l = &mut self.lines[i];
+                l.last_use = tick;
                 Some(&mut l.value)
             }
             None => {
@@ -224,20 +276,13 @@ impl<V> SetAssocCache<V> {
     /// Checks residency without touching LRU or statistics.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        self.sets[set].iter().any(|l| l.addr == block)
+        self.find(addr).is_some()
     }
 
     /// Reads the payload without touching LRU or statistics.
     #[must_use]
     pub fn peek(&self, addr: u64) -> Option<&V> {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        self.sets[set]
-            .iter()
-            .find(|l| l.addr == block)
-            .map(|l| &l.value)
+        self.line(addr).map(|l| &l.value)
     }
 
     /// Whether the block is resident and dirty. Non-resident blocks are
@@ -245,23 +290,13 @@ impl<V> SetAssocCache<V> {
     /// *before* applying a partial update.
     #[must_use]
     pub fn is_dirty(&self, addr: u64) -> bool {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        self.sets[set]
-            .iter()
-            .find(|l| l.addr == block)
-            .is_some_and(|l| l.dirty)
+        self.line(addr).is_some_and(|l| l.dirty)
     }
 
     /// The per-subblock dirty mask of a resident block (0 if absent).
     #[must_use]
     pub fn dirty_mask(&self, addr: u64) -> u64 {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        self.sets[set]
-            .iter()
-            .find(|l| l.addr == block)
-            .map_or(0, |l| l.dirty_mask)
+        self.line(addr).map_or(0, |l| l.dirty_mask)
     }
 
     /// Inserts a *clean* block, evicting the LRU line of the set if full.
@@ -276,44 +311,49 @@ impl<V> SetAssocCache<V> {
         let block = self.align(addr);
         let set = self.set_index(block);
         let tick = self.bump();
-
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.addr == block) {
-            l.value = value;
-            l.dirty = false;
-            l.dirty_mask = 0;
-            l.last_use = tick;
-            return None;
-        }
-
-        let mut evicted = None;
-        if self.sets[set].len() >= self.config.ways {
-            let lru = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("set is non-empty");
-            let old = self.sets[set].swap_remove(lru);
-            if old.dirty {
-                self.stats.dirty_evictions += 1;
-            } else {
-                self.stats.clean_evictions += 1;
-            }
-            evicted = Some(Evicted {
-                addr: old.addr,
-                value: old.value,
-                dirty: old.dirty,
-                dirty_mask: old.dirty_mask,
-            });
-        }
-        self.sets[set].push(Line {
+        let line = Line {
             addr: block,
             value,
             dirty: false,
             dirty_mask: 0,
             last_use: tick,
-        });
-        evicted
+        };
+
+        if let Some((_, _, i)) = self.find(block) {
+            self.lines[i] = line;
+            return None;
+        }
+
+        let base = set * self.config.ways;
+        let fill = self.fill[set] as usize;
+        if fill < self.config.ways {
+            self.slots[base + fill] = self.lines.len() as u32;
+            self.fill[set] += 1;
+            self.lines.push(line);
+            return None;
+        }
+
+        // Full set: the new line takes the LRU victim's storage and goes
+        // last in way order (the first minimum wins ties).
+        let way = (0..fill)
+            .min_by_key(|&w| self.lines[self.slots[base + w] as usize].last_use)
+            .expect("set is non-empty");
+        let i = self.slots[base + way] as usize;
+        self.unlink(set, way);
+        self.slots[base + fill - 1] = i as u32;
+        self.fill[set] += 1;
+        let old = std::mem::replace(&mut self.lines[i], line);
+        if old.dirty {
+            self.stats.dirty_evictions += 1;
+        } else {
+            self.stats.clean_evictions += 1;
+        }
+        Some(Evicted {
+            addr: old.addr,
+            value: old.value,
+            dirty: old.dirty,
+            dirty_mask: old.dirty_mask,
+        })
     }
 
     /// Marks a resident block dirty, optionally setting one subblock bit.
@@ -324,42 +364,46 @@ impl<V> SetAssocCache<V> {
     ///
     /// Panics if `subblock` is 64 or more (the mask is 64 bits wide).
     pub fn mark_dirty(&mut self, addr: u64, subblock: Option<usize>) -> bool {
-        let block = self.align(addr);
-        let set = self.set_index(block);
         let tick = self.bump();
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.addr == block) {
-            l.dirty = true;
-            if let Some(i) = subblock {
-                assert!(i < 64, "subblock index {i} out of mask range");
-                l.dirty_mask |= 1 << i;
-            }
-            l.last_use = tick;
-            true
-        } else {
-            false
+        let Some(l) = self.line_mut(addr) else {
+            return false;
+        };
+        l.dirty = true;
+        if let Some(i) = subblock {
+            assert!(i < 64, "subblock index {i} out of mask range");
+            l.dirty_mask |= 1 << i;
         }
+        l.last_use = tick;
+        true
     }
 
     /// Clears the dirty state of a resident block (after persisting it).
     /// Returns `true` if the block was resident.
     pub fn clean(&mut self, addr: u64) -> bool {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.addr == block) {
-            l.dirty = false;
-            l.dirty_mask = 0;
-            true
-        } else {
-            false
-        }
+        let Some(l) = self.line_mut(addr) else {
+            return false;
+        };
+        l.dirty = false;
+        l.dirty_mask = 0;
+        true
     }
 
     /// Removes a block, returning it.
     pub fn remove(&mut self, addr: u64) -> Option<Evicted<V>> {
-        let block = self.align(addr);
-        let set = self.set_index(block);
-        let idx = self.sets[set].iter().position(|l| l.addr == block)?;
-        let old = self.sets[set].swap_remove(idx);
+        let (set, way, i) = self.find(addr)?;
+        self.unlink(set, way);
+        let old = self.lines.swap_remove(i);
+        if let Some(moved) = self.lines.get(i) {
+            // The last line moved into the hole: repoint its slot.
+            let moved_set = self.set_index(moved.addr);
+            let base = moved_set * self.config.ways;
+            let last = self.lines.len() as u32;
+            let slot = self.slots[base..base + self.fill[moved_set] as usize]
+                .iter_mut()
+                .find(|s| **s == last)
+                .expect("every line has a slot");
+            *slot = i as u32;
+        }
         Some(Evicted {
             addr: old.addr,
             value: old.value,
@@ -368,12 +412,15 @@ impl<V> SetAssocCache<V> {
         })
     }
 
-    /// Drains every line (a crash dropping volatile state, or a flush).
-    /// Lines are returned in unspecified order.
+    /// Drains every line (a crash dropping volatile state, or a flush),
+    /// set by set in way order.
     pub fn drain(&mut self) -> Vec<Evicted<V>> {
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for l in set.drain(..) {
+        let mut lines: Vec<Option<Line<V>>> = self.lines.drain(..).map(Some).collect();
+        let mut out = Vec::with_capacity(lines.len());
+        for set in 0..self.config.num_sets() {
+            let base = set * self.config.ways;
+            for &i in &self.slots[base..base + self.fill[set] as usize] {
+                let l = lines[i as usize].take().expect("every line has one slot");
                 out.push(Evicted {
                     addr: l.addr,
                     value: l.value,
@@ -382,27 +429,31 @@ impl<V> SetAssocCache<V> {
                 });
             }
         }
+        self.fill.fill(0);
         out
     }
 
-    /// Iterates over `(addr, &value, dirty, dirty_mask)` of all lines.
+    /// Iterates over `(addr, &value, dirty, dirty_mask)` of all lines,
+    /// set by set in way order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V, bool, u64)> {
-        self.sets
-            .iter()
-            .flatten()
-            .map(|l| (l.addr, &l.value, l.dirty, l.dirty_mask))
+        (0..self.config.num_sets())
+            .flat_map(move |set| self.ways_of(set))
+            .map(move |&i| {
+                let l = &self.lines[i as usize];
+                (l.addr, &l.value, l.dirty, l.dirty_mask)
+            })
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.len()
     }
 
     /// Returns `true` if no lines are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lines.is_empty()
     }
 }
 
@@ -545,8 +596,8 @@ mod tests {
             c.insert(i * 64, i as u32);
         }
         assert!(c.len() <= c.config().num_lines());
-        for set_lines in &c.sets {
-            assert!(set_lines.len() <= 2);
+        for set in 0..c.config().num_sets() {
+            assert!(c.ways_of(set).len() <= 2);
         }
     }
 
@@ -564,6 +615,75 @@ mod tests {
         let mut c = small();
         c.insert(0x0, 1);
         c.mark_dirty(0x0, Some(64));
+    }
+
+    /// The flat layout against a per-set `Vec` model: the same victims,
+    /// payloads and set-by-set way order (`iter`, `drain`) under a random
+    /// mix of inserts, lookups, dirtying, removals and clones.
+    #[test]
+    fn matches_the_per_set_vector_model() {
+        let mut c = small();
+        let mut model: Vec<Vec<(u64, u32, bool, u64)>> = vec![Vec::new(); 2];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..4000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x >> 8) % 12 * 64;
+            let set = (addr / 64 % 2) as usize;
+            match x % 5 {
+                0 | 1 => {
+                    let ev = c.insert(addr, step);
+                    if let Some(w) = model[set].iter().position(|l| l.0 == addr) {
+                        model[set][w] = (addr, step, false, 0);
+                        assert!(ev.is_none());
+                    } else if model[set].len() == 2 {
+                        let lru = model[set].iter().enumerate().min_by_key(|(_, l)| l.3).unwrap().0;
+                        let old = model[set].swap_remove(lru);
+                        let ev = ev.expect("full set evicts");
+                        assert_eq!((ev.addr, ev.value, ev.dirty), (old.0, old.1, old.2));
+                        model[set].push((addr, step, false, c.tick));
+                    } else {
+                        assert!(ev.is_none());
+                        model[set].push((addr, step, false, c.tick));
+                    }
+                    let w = model[set].iter().position(|l| l.0 == addr).unwrap();
+                    model[set][w].3 = c.tick;
+                }
+                2 => {
+                    let hit = c.lookup(addr).copied();
+                    let w = model[set].iter().position(|l| l.0 == addr);
+                    assert_eq!(hit, w.map(|w| model[set][w].1));
+                    if let Some(w) = w {
+                        model[set][w].3 = c.tick;
+                    }
+                }
+                3 => {
+                    let resident = c.mark_dirty(addr, None);
+                    let w = model[set].iter().position(|l| l.0 == addr);
+                    assert_eq!(resident, w.is_some());
+                    if let Some(w) = w {
+                        model[set][w].2 = true;
+                        model[set][w].3 = c.tick;
+                    }
+                }
+                _ => {
+                    let removed = c.remove(addr).map(|e| e.value);
+                    let w = model[set].iter().position(|l| l.0 == addr);
+                    assert_eq!(removed, w.map(|w| model[set].swap_remove(w).1));
+                }
+            }
+            let order: Vec<(u64, u32, bool)> = c.iter().map(|(a, v, d, _)| (a, *v, d)).collect();
+            let expect: Vec<(u64, u32, bool)> =
+                model.iter().flatten().map(|l| (l.0, l.1, l.2)).collect();
+            assert_eq!(order, expect, "step {step}");
+        }
+        let copy = c.clone();
+        let drained: Vec<u64> = c.drain().iter().map(|e| e.addr).collect();
+        let expect: Vec<u64> = model.iter().flatten().map(|l| l.0).collect();
+        assert_eq!(drained, expect);
+        assert!(c.is_empty());
+        assert_eq!(copy.iter().count(), expect.len());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!    time (resident? dirty? does the entry hold the latest value?),
 //! 2. **persisting** a metadata block in place (and marking it clean),
 //! 3. **writing** a packed PUB block into the persistence path,
-//! 4. **reading** a PUB block back from NVM.
+//! 4. **reading** a PUB block back from NVM (lending its image, so the
+//!    engine decodes it without a copy).
 //!
 //! Everything else — entry packing, FIFO management, the 80% threshold,
 //! policy decisions, and the Figure-3 outcome accounting — lives here.
@@ -36,10 +37,12 @@ pub trait ThothHost {
     fn persist_metadata(&mut self, kind: MetadataKind, update: &PartialUpdate);
 
     /// Writes one packed PUB block at `addr` through the persistence path.
+    /// `image` is the engine's encode buffer: the host copies what it keeps.
     fn write_pub_block(&mut self, addr: u64, image: &[u8]);
 
-    /// Reads the PUB block at `addr` from NVM.
-    fn read_pub_block(&mut self, addr: u64) -> Vec<u8>;
+    /// Reads the PUB block at `addr` from NVM and lends its image to
+    /// `read` (called exactly once).
+    fn read_pub_block(&mut self, addr: u64, read: &mut dyn FnMut(&[u8]));
 
     /// `true` once the host has injected a crash: the engine stops starting
     /// new work (evictions) but always finishes the atomic transition in
@@ -66,6 +69,8 @@ pub struct ThothEngine {
     /// Reusable encode buffer for PUB appends (one block image) — the
     /// append path is hot enough that a fresh `Vec` per block shows up.
     scratch: Vec<u8>,
+    /// Reusable decode buffer for the PUB eviction victim's entries.
+    victim: Vec<PartialUpdate>,
 }
 
 impl ThothEngine {
@@ -85,6 +90,7 @@ impl ThothEngine {
             pcb_probe: None,
             pub_probe: None,
             scratch: vec![0; pub_config.block_bytes],
+            victim: Vec::with_capacity(codec.entries_per_block()),
         }
     }
 
@@ -176,6 +182,7 @@ impl ThothEngine {
                 // at the loop boundaries below, never mid-append.
                 let addr = self.pub_buf.peek_tail();
                 self.codec.encode_into(&block, &mut self.scratch);
+                self.pcb.recycle(block);
                 host.write_pub_block(addr, &self.scratch);
                 self.pub_buf.commit_tail();
                 while self.pub_buf.needs_eviction() && !host.power_failed() {
@@ -199,8 +206,23 @@ impl ThothEngine {
         let Some(victim) = self.pub_buf.peek_oldest() else {
             return false;
         };
-        let image = host.read_pub_block(victim);
-        for e in self.codec.decode(&image) {
+        let mut entries = std::mem::take(&mut self.victim);
+        let codec = self.codec;
+        host.read_pub_block(victim, &mut |image| codec.decode_into(image, &mut entries));
+        let done = self.classify_victim(&entries, host);
+        self.victim = entries;
+        if !done {
+            return false;
+        }
+        let popped = self.pub_buf.pop_oldest();
+        debug_assert_eq!(popped, Some(victim));
+        true
+    }
+
+    /// Classifies every entry of an eviction victim, persisting the
+    /// metadata blocks the policy requires; `false` if power failed first.
+    fn classify_victim(&mut self, entries: &[PartialUpdate], host: &mut impl ThothHost) -> bool {
+        for &e in entries {
             if host.power_failed() {
                 return false;
             }
@@ -216,8 +238,6 @@ impl ThothEngine {
                 }
             }
         }
-        let popped = self.pub_buf.pop_oldest();
-        debug_assert_eq!(popped, Some(victim));
         true
     }
 
@@ -304,8 +324,8 @@ mod tests {
         fn write_pub_block(&mut self, addr: u64, image: &[u8]) {
             self.pub_mem.insert(addr, image.to_vec());
         }
-        fn read_pub_block(&mut self, addr: u64) -> Vec<u8> {
-            self.pub_mem[&addr].clone()
+        fn read_pub_block(&mut self, addr: u64, read: &mut dyn FnMut(&[u8])) {
+            read(&self.pub_mem[&addr]);
         }
     }
 
@@ -344,7 +364,9 @@ mod tests {
         assert_eq!(h.pub_mem.len(), 1);
         assert_eq!(e.pub_buffer().len_blocks(), 1);
         let img = h.pub_mem.values().next().unwrap();
-        assert_eq!(e.codec().decode(img).len(), 9);
+        let mut entries = Vec::new();
+        e.codec().decode_into(img, &mut entries);
+        assert_eq!(entries.len(), 9);
     }
 
     #[test]
@@ -381,7 +403,8 @@ mod tests {
         let mut flushed = Vec::new();
         e.crash_flush(|addr, img| flushed.push((addr, img.to_vec())));
         assert_eq!(flushed.len(), 1, "one padded block");
-        let entries = e.codec().decode(&flushed[0].1);
+        let mut entries = Vec::new();
+        e.codec().decode_into(&flushed[0].1, &mut entries);
         assert_eq!(entries.len(), 4, "duplicates collapse on decode");
         assert_eq!(e.recovery_scan().len(), 1);
         e.clear();

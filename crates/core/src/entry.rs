@@ -71,7 +71,9 @@ impl PartialUpdate {
 ///     .collect();
 /// let img = codec.encode(&updates);
 /// assert_eq!(img.len(), 128);
-/// assert_eq!(codec.decode(&img), updates);
+/// let mut decoded = Vec::new();
+/// codec.decode_into(&img, &mut decoded);
+/// assert_eq!(decoded, updates);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PubBlockCodec {
@@ -161,20 +163,20 @@ impl PubBlockCodec {
         }
     }
 
-    /// Decodes a block image into its entries. Trailing duplicates created
-    /// by crash-time padding are collapsed.
+    /// Decodes a block image into its entries, replacing the contents of
+    /// `out` (whose buffer callers reuse across blocks). Trailing
+    /// duplicates created by crash-time padding are collapsed.
     ///
     /// # Panics
     ///
     /// Panics if the image is shorter than one block.
-    #[must_use]
-    pub fn decode(&self, image: &[u8]) -> Vec<PartialUpdate> {
+    pub fn decode_into(&self, image: &[u8], out: &mut Vec<PartialUpdate>) {
         assert!(
             image.len() >= self.block_bytes,
             "PUB block image truncated"
         );
         let cap = self.entries_per_block();
-        let mut out: Vec<PartialUpdate> = Vec::with_capacity(cap);
+        out.clear();
         for slot in 0..cap {
             let bit = slot * ENTRY_BITS;
             // Mirror of the encode window: one 14-byte read covers the
@@ -196,7 +198,6 @@ impl PubBlockCodec {
             }
             out.push(u);
         }
-        out
     }
 }
 
@@ -249,6 +250,13 @@ fn read_bits(buf: &[u8], bitpos: usize, nbits: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// The entries of `image` as a new vector.
+    fn decode(codec: &PubBlockCodec, image: &[u8]) -> Vec<PartialUpdate> {
+        let mut out = Vec::new();
+        codec.decode_into(image, &mut out);
+        out
+    }
+
     fn sample(i: u32) -> PartialUpdate {
         PartialUpdate {
             block_index: i.wrapping_mul(0x9e37_79b9),
@@ -297,7 +305,7 @@ mod tests {
                 );
                 // And the windowed decode reads back what the bitwise
                 // reference would: per-field read_bits equality.
-                for (slot, u) in codec.decode(&fast).iter().enumerate() {
+                for (slot, u) in decode(&codec, &fast).iter().enumerate() {
                     let bit = slot * ENTRY_BITS;
                     assert_eq!(u64::from(u.block_index), read_bits(&fast, bit, 32));
                     assert_eq!(u.mac2, read_bits(&fast, bit + 32, 64));
@@ -322,14 +330,14 @@ mod tests {
     fn roundtrip_full_block_128() {
         let codec = PubBlockCodec::new(128);
         let updates: Vec<_> = (0..9).map(sample).collect();
-        assert_eq!(codec.decode(&codec.encode(&updates)), updates);
+        assert_eq!(decode(&codec, &codec.encode(&updates)), updates);
     }
 
     #[test]
     fn roundtrip_full_block_256() {
         let codec = PubBlockCodec::new(256);
         let updates: Vec<_> = (100..119).map(sample).collect();
-        assert_eq!(codec.decode(&codec.encode(&updates)), updates);
+        assert_eq!(decode(&codec, &codec.encode(&updates)), updates);
     }
 
     #[test]
@@ -338,7 +346,7 @@ mod tests {
         let updates: Vec<_> = (0..4).map(sample).collect();
         let img = codec.encode(&updates);
         // Duplicates collapse on decode.
-        assert_eq!(codec.decode(&img), updates);
+        assert_eq!(decode(&codec, &img), updates);
     }
 
     #[test]
@@ -360,7 +368,7 @@ mod tests {
             mac_status: true,
         };
         let img = codec.encode(&[u]);
-        assert_eq!(codec.decode(&img)[0], u);
+        assert_eq!(decode(&codec, &img)[0], u);
     }
 
     #[test]
@@ -369,7 +377,7 @@ mod tests {
         let mut u = sample(1);
         u.minor = 0xff; // invalid: top bit must not leak into the MAC field
         let img = codec.encode(&[u]);
-        let back = codec.decode(&img)[0];
+        let back = decode(&codec, &img)[0];
         assert_eq!(back.minor, 0x7f);
         assert_eq!(back.mac2, u.mac2, "adjacent field unharmed");
     }
@@ -394,7 +402,7 @@ mod tests {
         let codec = PubBlockCodec::new(128);
         let mut updates: Vec<_> = (0..9).map(sample).collect();
         updates[4] = updates[3]; // a genuinely repeated update
-        let back = codec.decode(&codec.encode(&updates));
+        let back = decode(&codec, &codec.encode(&updates));
         // The repeated entry collapses — acceptable: re-applying a partial
         // update during recovery is idempotent.
         assert_eq!(back.len(), 8);

@@ -26,7 +26,9 @@ pub enum PcbInsert {
     Added,
     /// Appended, which required a new slot while all slots were occupied:
     /// the oldest (full) slot is evicted and its packed updates must now
-    /// be written to the PUB (one block write through the WPQ).
+    /// be written to the PUB (one block write through the WPQ). Handing
+    /// the slot back with [`Pcb::recycle`] afterwards lets the next new
+    /// slot reuse its buffer.
     Emit(Vec<PartialUpdate>),
 }
 
@@ -80,6 +82,9 @@ pub struct Pcb {
     entries_per_block: usize,
     /// Oldest-first; the back slot is the open one.
     slots: VecDeque<Vec<PartialUpdate>>,
+    /// An emitted slot's buffer handed back by [`Self::recycle`], reused
+    /// for the next new slot.
+    spare: Option<Vec<PartialUpdate>>,
     stats: PcbStats,
 }
 
@@ -97,7 +102,8 @@ impl Pcb {
         Pcb {
             num_slots,
             entries_per_block,
-            slots: VecDeque::new(),
+            slots: VecDeque::with_capacity(num_slots),
+            spare: None,
             stats: PcbStats::default(),
         }
     }
@@ -157,8 +163,14 @@ impl Pcb {
                 self.stats.emitted_blocks += 1;
                 emitted = Some(oldest);
             }
-            self.slots
-                .push_back(Vec::with_capacity(self.entries_per_block));
+            let slot = match self.spare.take() {
+                Some(mut buf) => {
+                    buf.clear();
+                    buf
+                }
+                None => Vec::with_capacity(self.entries_per_block),
+            };
+            self.slots.push_back(slot);
         }
         let open = self.slots.back_mut().expect("just ensured");
         open.push(update);
@@ -167,6 +179,12 @@ impl Pcb {
             Some(block) => PcbInsert::Emit(block),
             None => PcbInsert::Added,
         }
+    }
+
+    /// Hands an emitted slot ([`PcbInsert::Emit`]) back once its updates
+    /// are written, so the next new slot reuses its buffer.
+    pub fn recycle(&mut self, slot: Vec<PartialUpdate>) {
+        self.spare = Some(slot);
     }
 
     /// Snapshot of every non-empty slot's contents, oldest first, without

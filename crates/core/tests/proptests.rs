@@ -99,7 +99,8 @@ fn codec_roundtrips() {
             let slice = &updates[..take];
             let mut expect = slice.to_vec();
             expect.dedup();
-            let decoded = codec.decode(&codec.encode(slice));
+            let mut decoded = Vec::new();
+            codec.decode_into(&codec.encode(slice), &mut decoded);
             assert_eq!(&decoded[..expect.len().min(decoded.len())], &expect[..]);
         }
     });

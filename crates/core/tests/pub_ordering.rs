@@ -26,8 +26,8 @@ impl ThothHost for MapHost {
     fn write_pub_block(&mut self, addr: u64, image: &[u8]) {
         self.pub_mem.insert(addr, image.to_vec());
     }
-    fn read_pub_block(&mut self, addr: u64) -> Vec<u8> {
-        self.pub_mem[&addr].clone()
+    fn read_pub_block(&mut self, addr: u64, read: &mut dyn FnMut(&[u8])) {
+        read(&self.pub_mem[&addr]);
     }
 }
 
@@ -61,9 +61,10 @@ fn upd(block: u32, minor: u8) -> PartialUpdate {
 /// earlier (staler) ones — exactly what `merge_entry` does in the machine.
 fn recovered_view(engine: &ThothEngine, host: &mut MapHost) -> HashMap<u32, PartialUpdate> {
     let mut view = HashMap::new();
+    let mut entries = Vec::new();
     for addr in engine.recovery_scan() {
-        let image = host.read_pub_block(addr);
-        for e in engine.codec().decode(&image) {
+        host.read_pub_block(addr, &mut |image| engine.codec().decode_into(image, &mut entries));
+        for &e in &entries {
             view.insert(e.block_index, e);
         }
     }

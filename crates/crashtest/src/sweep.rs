@@ -325,10 +325,11 @@ pub fn oracle_selftest(cfg: &SweepConfig) -> Result<(), String> {
     for &(block, _) in &written {
         let (cb, group, slot) = layout.ctr_location(block);
         let image = m.nvm().read_block(cb);
-        let mut groups = layout.ctr_geometry.unpack(&image);
-        let (_, minor) = groups[group].value_of(slot);
-        groups[group].set_minor(slot, (minor + 1) & 0x7F);
-        let modified = layout.ctr_geometry.pack(&groups);
+        let geometry = layout.ctr_geometry;
+        let minor = geometry.minor(&image, group, slot);
+        let mut modified = image.clone();
+        geometry.normalize(&mut modified);
+        geometry.set_minor(&mut modified, group, slot, (minor + 1) & 0x7F);
         let max_diff = image
             .iter()
             .zip(&modified)

@@ -11,6 +11,12 @@
 //! granularity (64/128/256 B). Only whole groups are stored per block, as in
 //! the classic split-counter layout where a 64 B block holds 64 minors and
 //! one major.
+//!
+//! The simulator keeps counter blocks as their packed images and works on
+//! them in place through [`CounterBlock`] (read, increment, set a minor),
+//! so a counter update never unpacks or repacks a block. [`CounterGroup`]
+//! with [`CounterBlock::pack`]/[`CounterBlock::unpack`] is the unpacked
+//! model those in-place operations are tested against.
 
 /// Width of a minor counter in bits.
 pub const MINOR_COUNTER_BITS: u32 = 7;
@@ -237,6 +243,7 @@ fn read_bits(buf: &[u8], bitpos: usize, nbits: usize) -> u64 {
 /// # Example
 ///
 /// ```
+/// use thoth_crypto::counter::IncrementOutcome;
 /// use thoth_crypto::CounterBlock;
 ///
 /// // 128 B blocks, 4 KB pages -> 32 blocks per page, 298-bit groups,
@@ -245,6 +252,14 @@ fn read_bits(buf: &[u8], bitpos: usize, nbits: usize) -> u64 {
 /// assert_eq!(geo.blocks_per_page, 32);
 /// assert_eq!(geo.groups_per_block, 3);
 /// assert_eq!(geo.data_blocks_per_counter_block(), 96);
+///
+/// // Counters update in place on the packed image.
+/// let mut image = vec![0u8; 128];
+/// assert_eq!(geo.increment(&mut image, 2, 31), IncrementOutcome::Minor);
+/// assert_eq!(geo.value_of(&image, 2, 31), (0, 1));
+/// geo.set_minor(&mut image, 2, 31, 127);
+/// assert_eq!(geo.increment(&mut image, 2, 31), IncrementOutcome::MajorOverflow);
+/// assert_eq!(geo.value_of(&image, 2, 31), (1, 0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterBlock {
@@ -292,6 +307,110 @@ impl CounterBlock {
     #[must_use]
     pub fn data_blocks_per_counter_block(&self) -> usize {
         self.groups_per_block * self.blocks_per_page
+    }
+
+    /// Bytes one packed group occupies.
+    fn group_bytes(&self) -> usize {
+        (64 + self.blocks_per_page * MINOR_COUNTER_BITS as usize).div_ceil(8)
+    }
+
+    /// `(byte, bit shift)` of the minor of block `slot` in group `group`.
+    fn minor_at(&self, group: usize, slot: usize) -> (usize, u32) {
+        assert!(
+            group < self.groups_per_block && slot < self.blocks_per_page,
+            "counter ({group}, {slot}) outside the block"
+        );
+        let bit = (group * self.group_bytes() + 8) * 8 + slot * MINOR_COUNTER_BITS as usize;
+        (bit / 8, (bit % 8) as u32)
+    }
+
+    /// The major counter of group `group`, read from a packed image.
+    #[must_use]
+    pub fn major(&self, image: &[u8], group: usize) -> u64 {
+        let at = group * self.group_bytes();
+        u64::from_le_bytes(image[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// The minor counter of block `slot` in group `group`, read from a
+    /// packed image.
+    #[must_use]
+    pub fn minor(&self, image: &[u8], group: usize, slot: usize) -> u8 {
+        let (byte, shift) = self.minor_at(group, slot);
+        // A 7-bit field spills into the next byte only past shift 1.
+        let mut window = u16::from(image[byte]);
+        if shift > 1 {
+            window |= u16::from(image[byte + 1]) << 8;
+        }
+        (window >> shift) as u8 & MINOR_COUNTER_MAX
+    }
+
+    /// The (major, minor) counter pair of block `slot` in group `group` —
+    /// [`CounterGroup::value_of`] on a packed image.
+    #[must_use]
+    pub fn value_of(&self, image: &[u8], group: usize, slot: usize) -> (u64, u8) {
+        (self.major(image, group), self.minor(image, group, slot))
+    }
+
+    /// Overwrites one minor counter in a packed image —
+    /// [`CounterGroup::set_minor`] in place. Every other bit is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `minor` exceeds 7 bits.
+    pub fn set_minor(&self, image: &mut [u8], group: usize, slot: usize, minor: u8) {
+        assert!(minor <= MINOR_COUNTER_MAX, "minor {minor} exceeds 7 bits");
+        let (byte, shift) = self.minor_at(group, slot);
+        let mask = u16::from(MINOR_COUNTER_MAX) << shift;
+        let value = u16::from(minor) << shift;
+        image[byte] = image[byte] & !(mask as u8) | value as u8;
+        if shift > 1 {
+            image[byte + 1] = image[byte + 1] & !((mask >> 8) as u8) | (value >> 8) as u8;
+        }
+    }
+
+    /// Increments the counter of block `slot` in group `group` of a packed
+    /// image, handling minor overflow — [`CounterGroup::increment`] in
+    /// place: on overflow the group's major counter increments and all of
+    /// its minors reset.
+    pub fn increment(&self, image: &mut [u8], group: usize, slot: usize) -> IncrementOutcome {
+        let minor = self.minor(image, group, slot);
+        if minor < MINOR_COUNTER_MAX {
+            self.set_minor(image, group, slot, minor + 1);
+            return IncrementOutcome::Minor;
+        }
+        let major = self
+            .major(image, group)
+            .checked_add(1)
+            .expect("64-bit major counter overflow: cryptographically unreachable");
+        let at = group * self.group_bytes();
+        image[at..at + 8].copy_from_slice(&major.to_le_bytes());
+        // The minors are one byte-aligned bit run after the major.
+        let bits = self.blocks_per_page * MINOR_COUNTER_BITS as usize;
+        image[at + 8..at + 8 + bits / 8].fill(0);
+        if !bits.is_multiple_of(8) {
+            image[at + 8 + bits / 8] &= !((1u8 << (bits % 8)) - 1);
+        }
+        IncrementOutcome::MajorOverflow
+    }
+
+    /// Clears every bit of a counter-block image that holds no counter
+    /// (the padding after each group's minors and after the last group),
+    /// making it byte-identical to `pack(&unpack(image))`. Images the
+    /// in-place operations start from are normalized, so they stay
+    /// byte-identical to what packing the unpacked groups would produce.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is shorter than one block.
+    pub fn normalize(&self, image: &mut [u8]) {
+        let gb = self.group_bytes();
+        let bits = self.blocks_per_page * MINOR_COUNTER_BITS as usize;
+        if !bits.is_multiple_of(8) {
+            for g in 0..self.groups_per_block {
+                image[g * gb + 8 + bits / 8] &= (1u8 << (bits % 8)) - 1;
+            }
+        }
+        image[self.groups_per_block * gb..self.block_bytes].fill(0);
     }
 
     /// Packs `groups` into one counter block image of `block_bytes` bytes.

@@ -10,6 +10,10 @@
 
 use crate::aes::Aes128;
 
+/// Pads [`CtrMode::encrypt`] generates per batched-cipher call (a
+/// multiple of the four-wide hardware pipeline).
+const PAD_BATCH: usize = 16;
+
 /// A pad generator: produces the 16-byte OTP chunk for a given IV tuple.
 ///
 /// [`CtrMode`] is the AES-backed production implementation; tests can
@@ -28,11 +32,16 @@ pub trait BlockCipherPad {
 ///
 /// let ctr = CtrMode::new(&[7u8; 16]);
 /// let plain = vec![0xAB; 128];
-/// let cipher = ctr.encrypt(0x1000, 5, 2, &plain);
-/// assert_ne!(cipher, plain);
-/// assert_eq!(ctr.decrypt(0x1000, 5, 2, &cipher), plain);
+/// let mut block = plain.clone();
+/// ctr.encrypt(0x1000, 5, 2, &mut block); // in place
+/// assert_ne!(block, plain);
+/// let cipher = block.clone();
+/// ctr.decrypt(0x1000, 5, 2, &mut block);
+/// assert_eq!(block, plain);
 /// // A stale counter decrypts to garbage:
-/// assert_ne!(ctr.decrypt(0x1000, 5, 1, &cipher), plain);
+/// block.copy_from_slice(&cipher);
+/// ctr.decrypt(0x1000, 5, 1, &mut block);
+/// assert_ne!(block, plain);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CtrMode {
@@ -48,7 +57,7 @@ impl CtrMode {
         }
     }
 
-    /// XORs `data` with the OTP for `(addr, major, minor)`.
+    /// XORs `data` in place with the OTP for `(addr, major, minor)`.
     ///
     /// Encryption and decryption are the same operation; [`Self::decrypt`]
     /// is provided for readability at call sites.
@@ -56,33 +65,34 @@ impl CtrMode {
     /// # Panics
     ///
     /// Panics if `data.len()` is not a multiple of 16.
-    #[must_use]
-    pub fn encrypt(&self, addr: u64, major: u64, minor: u8, data: &[u8]) -> Vec<u8> {
+    pub fn encrypt(&self, addr: u64, major: u64, minor: u8, data: &mut [u8]) {
         assert_eq!(
             data.len() % 16,
             0,
             "block length must be a multiple of the AES block size"
         );
-        // Build every chunk's IV up front and run the whole pad stream
-        // through the batched cipher (4-wide on AES-NI), then XOR in place.
-        let chunks = data.len() / 16;
-        let mut pads: Vec<[u8; 16]> = (0..chunks)
-            .map(|i| Self::iv(addr, major, minor, i as u32))
-            .collect();
-        self.aes.encrypt_blocks(&mut pads);
-        let mut out = data.to_vec();
-        for (chunk, pad) in out.chunks_exact_mut(16).zip(&pads) {
-            for (d, p) in chunk.iter_mut().zip(pad) {
-                *d ^= p;
+        // Build each span's IVs in a stack buffer, run them through the
+        // batched cipher (4-wide on AES-NI), then XOR in place. One span
+        // covers a whole 256 B block.
+        let mut pads = [[0u8; 16]; PAD_BATCH];
+        for (s, span) in data.chunks_mut(16 * PAD_BATCH).enumerate() {
+            let pads = &mut pads[..span.len() / 16];
+            for (i, pad) in pads.iter_mut().enumerate() {
+                *pad = Self::iv(addr, major, minor, (s * PAD_BATCH + i) as u32);
+            }
+            self.aes.encrypt_blocks(pads);
+            for (chunk, pad) in span.chunks_exact_mut(16).zip(pads.iter()) {
+                for (d, p) in chunk.iter_mut().zip(pad) {
+                    *d ^= p;
+                }
             }
         }
-        out
     }
 
-    /// Decrypts `data`; identical to [`Self::encrypt`] (XOR with the pad).
-    #[must_use]
-    pub fn decrypt(&self, addr: u64, major: u64, minor: u8, data: &[u8]) -> Vec<u8> {
-        self.encrypt(addr, major, minor, data)
+    /// Decrypts `data` in place; identical to [`Self::encrypt`] (XOR with
+    /// the pad).
+    pub fn decrypt(&self, addr: u64, major: u64, minor: u8, data: &mut [u8]) {
+        self.encrypt(addr, major, minor, data);
     }
 
     /// AES blocks encrypted on the hardware path so far (telemetry).
@@ -117,14 +127,21 @@ mod tests {
         CtrMode::new(b"0123456789abcdef")
     }
 
+    /// `data` XORed with the pad, as a new vector.
+    fn enc(ctr: &CtrMode, addr: u64, major: u64, minor: u8, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        ctr.encrypt(addr, major, minor, &mut out);
+        out
+    }
+
     #[test]
     fn roundtrip_all_paper_block_sizes() {
         let ctr = engine();
         for size in [64usize, 128, 256] {
             let data: Vec<u8> = (0..size).map(|i| (i * 7 + 3) as u8).collect();
-            let ct = ctr.encrypt(0xdead00, 1, 2, &data);
+            let ct = enc(&ctr, 0xdead00, 1, 2, &data);
             assert_eq!(ct.len(), size);
-            assert_eq!(ctr.decrypt(0xdead00, 1, 2, &ct), data);
+            assert_eq!(enc(&ctr, 0xdead00, 1, 2, &ct), data);
         }
     }
 
@@ -133,8 +150,8 @@ mod tests {
         // Same data + counter at different addresses -> different ciphertext.
         let ctr = engine();
         let data = vec![0u8; 64];
-        let a = ctr.encrypt(0x1000, 0, 0, &data);
-        let b = ctr.encrypt(0x2000, 0, 0, &data);
+        let a = enc(&ctr, 0x1000, 0, 0, &data);
+        let b = enc(&ctr, 0x2000, 0, 0, &data);
         assert_ne!(a, b);
     }
 
@@ -143,9 +160,9 @@ mod tests {
         // Same data + address with bumped minor or major -> different ciphertext.
         let ctr = engine();
         let data = vec![0u8; 64];
-        let base = ctr.encrypt(0x1000, 0, 0, &data);
-        assert_ne!(ctr.encrypt(0x1000, 0, 1, &data), base);
-        assert_ne!(ctr.encrypt(0x1000, 1, 0, &data), base);
+        let base = enc(&ctr, 0x1000, 0, 0, &data);
+        assert_ne!(enc(&ctr, 0x1000, 0, 1, &data), base);
+        assert_ne!(enc(&ctr, 0x1000, 1, 0, &data), base);
     }
 
     #[test]
@@ -154,7 +171,7 @@ mod tests {
         // ciphertext chunks (chunk index is in the IV).
         let ctr = engine();
         let data = vec![0x55u8; 128];
-        let ct = ctr.encrypt(0x40, 9, 9, &data);
+        let ct = enc(&ctr, 0x40, 9, 9, &data);
         let chunks: Vec<&[u8]> = ct.chunks_exact(16).collect();
         for i in 1..chunks.len() {
             assert_ne!(chunks[0], chunks[i], "chunk {i} repeated");
@@ -165,16 +182,16 @@ mod tests {
     fn wrong_counter_fails_to_decrypt() {
         let ctr = engine();
         let data: Vec<u8> = (0..64).collect();
-        let ct = ctr.encrypt(0x80, 3, 7, &data);
-        assert_ne!(ctr.decrypt(0x80, 3, 8, &ct), data);
-        assert_ne!(ctr.decrypt(0x80, 4, 7, &ct), data);
-        assert_ne!(ctr.decrypt(0x88, 3, 7, &ct), data);
+        let ct = enc(&ctr, 0x80, 3, 7, &data);
+        assert_ne!(enc(&ctr, 0x80, 3, 8, &ct), data);
+        assert_ne!(enc(&ctr, 0x80, 4, 7, &ct), data);
+        assert_ne!(enc(&ctr, 0x88, 3, 7, &ct), data);
     }
 
     #[test]
     #[should_panic(expected = "multiple of the AES block size")]
     fn unaligned_length_panics() {
-        let _ = engine().encrypt(0, 0, 0, &[0u8; 15]);
+        engine().encrypt(0, 0, 0, &mut [0u8; 15]);
     }
 
     #[test]
@@ -182,9 +199,9 @@ mod tests {
         // `encrypt` runs the whole pad stream through the batched cipher;
         // the per-chunk `pad` trait path is the reference.
         let ctr = engine();
-        for size in [16usize, 48, 64, 128, 256] {
+        for size in [16usize, 48, 64, 128, 256, 512, 1040] {
             let data: Vec<u8> = (0..size).map(|i| (i * 13 + 5) as u8).collect();
-            let ct = ctr.encrypt(0xabc0, 11, 4, &data);
+            let ct = enc(&ctr, 0xabc0, 11, 4, &data);
             for (i, (chunk, plain)) in
                 ct.chunks_exact(16).zip(data.chunks_exact(16)).enumerate()
             {

@@ -37,14 +37,16 @@ impl std::fmt::Debug for MacKey {
 ///
 /// let eng = MacEngine::new(MacKey([3u8; 16]));
 /// let ct = vec![0xCD; 128];
-/// let first = eng.first_level(0x1000, 4, 1, &ct);
-/// assert_eq!(first.len(), 16); // 8-to-1 over 128 B
+/// let mut first = [0u8; MacEngine::first_level_len(128)]; // 8-to-1: 16 B
+/// eng.first_level(0x1000, 4, 1, &ct, &mut first);
 /// let tag = eng.second_level(0x1000, &first);
 ///
 /// // Tampering with the ciphertext changes the first-level MAC:
 /// let mut bad = ct.clone();
 /// bad[5] ^= 1;
-/// assert_ne!(eng.first_level(0x1000, 4, 1, &bad), first);
+/// let mut tampered = [0u8; 16];
+/// eng.first_level(0x1000, 4, 1, &bad, &mut tampered);
+/// assert_ne!(tampered, first);
 /// # let _ = tag;
 /// ```
 #[derive(Debug, Clone)]
@@ -76,30 +78,41 @@ impl MacEngine {
         block_bytes / FIRST_LEVEL_RATIO
     }
 
-    /// Computes the first-level MAC: one 8 B tag per 64 B of ciphertext,
-    /// each bound to the address, counter pair, and chunk index.
+    /// Computes the first-level MAC into `out`: one 8 B tag per 64 B of
+    /// ciphertext, each bound to the address, counter pair, and chunk
+    /// index.
     ///
     /// # Panics
     ///
-    /// Panics if `ciphertext` is not a multiple of 64 bytes.
-    #[must_use]
-    pub fn first_level(&self, addr: u64, major: u64, minor: u8, ciphertext: &[u8]) -> Vec<u8> {
+    /// Panics if `ciphertext` is not a multiple of 64 bytes or `out` is
+    /// not [`Self::first_level_len`] of it.
+    pub fn first_level(
+        &self,
+        addr: u64,
+        major: u64,
+        minor: u8,
+        ciphertext: &[u8],
+        out: &mut [u8],
+    ) {
         assert_eq!(
             ciphertext.len() % 64,
             0,
             "first-level MAC expects whole 64 B chunks"
         );
-        let mut out = Vec::with_capacity(Self::first_level_len(ciphertext.len()));
-        for (i, chunk) in ciphertext.chunks_exact(64).enumerate() {
-            let tag = self.sip.hash_parts(&[
+        assert_eq!(
+            out.len(),
+            Self::first_level_len(ciphertext.len()),
+            "first-level MAC output must be one 8 B tag per 64 B chunk"
+        );
+        for (i, (chunk, tag)) in ciphertext.chunks_exact(64).zip(out.chunks_exact_mut(8)).enumerate() {
+            let word = self.sip.hash_parts(&[
                 chunk,
                 &addr.to_le_bytes(),
                 &major.to_le_bytes(),
                 &[minor, i as u8],
             ]);
-            out.extend_from_slice(&tag.to_le_bytes());
+            tag.copy_from_slice(&word.to_le_bytes());
         }
-        out
     }
 
     /// Computes the 8 B second-level MAC over a first-level MAC, bound to
@@ -109,8 +122,8 @@ impl MacEngine {
         self.sip.hash_parts(&[first_level, &addr.to_le_bytes()])
     }
 
-    /// Convenience: both levels at once, returning
-    /// `(first_level, second_level)`.
+    /// Convenience: both levels at once — the first-level MAC into
+    /// `first` (as [`Self::first_level`]), returning the second level.
     #[must_use]
     pub fn both_levels(
         &self,
@@ -118,10 +131,10 @@ impl MacEngine {
         major: u64,
         minor: u8,
         ciphertext: &[u8],
-    ) -> (Vec<u8>, u64) {
-        let first = self.first_level(addr, major, minor, ciphertext);
-        let second = self.second_level(addr, &first);
-        (first, second)
+        first: &mut [u8],
+    ) -> u64 {
+        self.first_level(addr, major, minor, ciphertext, first);
+        self.second_level(addr, first)
     }
 
     /// Hashes an arbitrary message (used by the Merkle tree for node
@@ -139,14 +152,17 @@ impl MacEngine {
         self.sip.hash_words(words)
     }
 
-    /// Hashes fixed-width word rows through the multi-lane kernel,
-    /// element-wise equal to [`Self::raw_hash_words`] on each row.
-    #[must_use]
-    pub fn raw_hash_words_batch<const W: usize>(&self, rows: &[[u64; W]]) -> Vec<u64> {
+    /// Hashes fixed-width word rows through the multi-lane kernel into
+    /// `out`, element-wise equal to [`Self::raw_hash_words`] on each row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `rows` differ in length.
+    pub fn raw_hash_words_batch<const W: usize>(&self, rows: &[[u64; W]], out: &mut [u64]) {
         self.batch_runs.set(self.batch_runs.get() + 1);
         self.simd_rows
             .set(self.simd_rows.get() + self.sip.simd_rows_of(rows.len()));
-        self.sip.hash_words_batch(rows)
+        self.sip.hash_words_batch(rows, out);
     }
 
     /// Batched-kernel invocations so far (telemetry).
@@ -171,13 +187,22 @@ mod tests {
         MacEngine::new(MacKey(*b"macmacmacmacmac!"))
     }
 
+    impl MacEngine {
+        /// The first-level MAC as a vector.
+        fn first(&self, addr: u64, major: u64, minor: u8, ciphertext: &[u8]) -> Vec<u8> {
+            let mut out = vec![0; Self::first_level_len(ciphertext.len())];
+            self.first_level(addr, major, minor, ciphertext, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn first_level_sizes_match_paper() {
         let eng = engine();
         // 128 B block -> 16 B MAC; 256 B -> 32 B (Section IV-A).
-        assert_eq!(eng.first_level(0, 0, 0, &[0u8; 128]).len(), 16);
-        assert_eq!(eng.first_level(0, 0, 0, &[0u8; 256]).len(), 32);
-        assert_eq!(eng.first_level(0, 0, 0, &[0u8; 64]).len(), 8);
+        assert_eq!(eng.first(0, 0, 0, &[0u8; 128]).len(), 16);
+        assert_eq!(eng.first(0, 0, 0, &[0u8; 256]).len(), 32);
+        assert_eq!(eng.first(0, 0, 0, &[0u8; 64]).len(), 8);
         assert_eq!(MacEngine::first_level_len(128), 16);
         assert_eq!(MacEngine::first_level_len(256), 32);
     }
@@ -186,8 +211,8 @@ mod tests {
     fn deterministic() {
         let eng = engine();
         let ct = vec![9u8; 128];
-        assert_eq!(eng.first_level(1, 2, 3, &ct), eng.first_level(1, 2, 3, &ct));
-        let f = eng.first_level(1, 2, 3, &ct);
+        assert_eq!(eng.first(1, 2, 3, &ct), eng.first(1, 2, 3, &ct));
+        let f = eng.first(1, 2, 3, &ct);
         assert_eq!(eng.second_level(1, &f), eng.second_level(1, &f));
     }
 
@@ -195,21 +220,21 @@ mod tests {
     fn binds_address_and_counter() {
         let eng = engine();
         let ct = vec![0u8; 64];
-        let base = eng.first_level(0x100, 7, 1, &ct);
-        assert_ne!(eng.first_level(0x140, 7, 1, &ct), base, "address must bind");
-        assert_ne!(eng.first_level(0x100, 8, 1, &ct), base, "major must bind");
-        assert_ne!(eng.first_level(0x100, 7, 2, &ct), base, "minor must bind");
+        let base = eng.first(0x100, 7, 1, &ct);
+        assert_ne!(eng.first(0x140, 7, 1, &ct), base, "address must bind");
+        assert_ne!(eng.first(0x100, 8, 1, &ct), base, "major must bind");
+        assert_ne!(eng.first(0x100, 7, 2, &ct), base, "minor must bind");
     }
 
     #[test]
     fn detects_single_bit_tamper_anywhere() {
         let eng = engine();
         let ct: Vec<u8> = (0..128).map(|i| i as u8).collect();
-        let good = eng.first_level(0x2000, 1, 1, &ct);
+        let good = eng.first(0x2000, 1, 1, &ct);
         for byte in [0usize, 63, 64, 127] {
             let mut bad = ct.clone();
             bad[byte] ^= 0x80;
-            assert_ne!(eng.first_level(0x2000, 1, 1, &bad), good, "byte {byte}");
+            assert_ne!(eng.first(0x2000, 1, 1, &bad), good, "byte {byte}");
         }
     }
 
@@ -221,10 +246,10 @@ mod tests {
         let mut ct = vec![0u8; 128];
         ct[..64].fill(0xAA);
         ct[64..].fill(0xBB);
-        let good = eng.first_level(0, 0, 0, &ct);
+        let good = eng.first(0, 0, 0, &ct);
         let mut swapped = ct[64..].to_vec();
         swapped.extend_from_slice(&ct[..64]);
-        let bad = eng.first_level(0, 0, 0, &swapped);
+        let bad = eng.first(0, 0, 0, &swapped);
         assert_ne!(good, bad);
         // And tag words are not merely permuted:
         assert_ne!(&good[..8], &bad[8..]);
@@ -243,22 +268,24 @@ mod tests {
     fn both_levels_consistent() {
         let eng = engine();
         let ct = vec![0x42; 256];
-        let (f, s) = eng.both_levels(0x900, 3, 3, &ct);
-        assert_eq!(f, eng.first_level(0x900, 3, 3, &ct));
+        let mut f = [0u8; 32];
+        let s = eng.both_levels(0x900, 3, 3, &ct, &mut f);
+        assert_eq!(f[..], eng.first(0x900, 3, 3, &ct));
         assert_eq!(s, eng.second_level(0x900, &f));
     }
 
     #[test]
     #[should_panic(expected = "whole 64 B chunks")]
     fn unaligned_ciphertext_panics() {
-        let _ = engine().first_level(0, 0, 0, &[0u8; 100]);
+        let _ = engine().first(0, 0, 0, &[0u8; 100]);
     }
 
     #[test]
     fn raw_hash_words_matches_byte_encoding() {
         let eng = engine();
         let rows: Vec<[u64; 4]> = (0..6).map(|r| [r, r * 3 + 1, r ^ 0x55, 7 - r]).collect();
-        let batched = eng.raw_hash_words_batch(&rows);
+        let mut batched = [0u64; 6];
+        eng.raw_hash_words_batch(&rows, &mut batched);
         assert_eq!(eng.batch_runs(), 1);
         for (row, &tag) in rows.iter().zip(&batched) {
             assert_eq!(tag, eng.raw_hash_words(row));

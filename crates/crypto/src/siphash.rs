@@ -327,32 +327,40 @@ impl SipHash24 {
     /// dirty-parent sets run through the multi-lane kernel — vectorized
     /// four lanes wide on the AVX2 backend, scalar-interleaved otherwise.
     /// Ragged tails (fewer than [`BATCH_LANES`] rows) fall back to serial
-    /// [`Self::hash_words`] on either backend.
-    #[must_use]
-    pub fn hash_words_batch<const W: usize>(&self, rows: &[[u64; W]]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(rows.len());
+    /// [`Self::hash_words`] on either backend. Row `i`'s tag lands in
+    /// `out[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `rows` differ in length.
+    pub fn hash_words_batch<const W: usize>(&self, rows: &[[u64; W]], out: &mut [u64]) {
+        assert_eq!(out.len(), rows.len(), "one output word per row");
         let mut groups = rows.chunks_exact(BATCH_LANES);
+        let mut tags = out.chunks_exact_mut(BATCH_LANES);
         let last = ((W as u64 * 8) & 0xff) << 56;
         #[cfg(all(target_arch = "x86_64", not(thoth_soft_sip)))]
         if self.backend() == SipBackend::SimdAvx2 {
-            for g in &mut groups {
+            for (g, t) in (&mut groups).zip(&mut tags) {
                 let lanes: &[[u64; W]; BATCH_LANES] = g.try_into().expect("exact chunk");
                 // SAFETY: the backend is `SimdAvx2` only when
                 // `detect_backend` saw the `avx2` feature at runtime.
-                out.extend(unsafe { simd::hash_rows(self.init_state(), lanes, last) });
+                t.copy_from_slice(&unsafe { simd::hash_rows(self.init_state(), lanes, last) });
             }
-            out.extend(groups.remainder().iter().map(|row| self.hash_words(row)));
-            return out;
+            for (row, t) in groups.remainder().iter().zip(tags.into_remainder()) {
+                *t = self.hash_words(row);
+            }
+            return;
         }
-        for g in &mut groups {
+        for (g, t) in (&mut groups).zip(&mut tags) {
             let mut v = [self.init_state(); BATCH_LANES];
             for (((&a, &b), &c), &d) in g[0].iter().zip(&g[1]).zip(&g[2]).zip(&g[3]) {
                 compress_lanes(&mut v, [a, b, c, d]);
             }
-            out.extend(v.map(|lane| Self::finalize(lane, last)));
+            t.copy_from_slice(&v.map(|lane| Self::finalize(lane, last)));
         }
-        out.extend(groups.remainder().iter().map(|row| self.hash_words(row)));
-        out
+        for (row, t) in groups.remainder().iter().zip(tags.into_remainder()) {
+            *t = self.hash_words(row);
+        }
     }
 
     #[inline]
@@ -554,16 +562,23 @@ mod tests {
             let rows: Vec<[u64; 10]> = (0..count)
                 .map(|r| std::array::from_fn(|i| (r * 17 + i) as u64 ^ 0xABCD))
                 .collect();
-            let batched = h.hash_words_batch(&rows);
+            let batched = batch(&h, &rows);
             let scalar: Vec<u64> = rows.iter().map(|row| h.hash_words(row)).collect();
             assert_eq!(batched, scalar, "{count} rows");
         }
         // Width with a non-zero tail interaction in the length byte.
         let rows: Vec<[u64; 4]> = (0..5).map(|r| [r, r + 1, r + 2, r + 3]).collect();
         assert_eq!(
-            h.hash_words_batch(&rows),
+            batch(&h, &rows),
             rows.iter().map(|row| h.hash_words(row)).collect::<Vec<_>>()
         );
+    }
+
+    /// The batch kernel's tags as a vector.
+    fn batch<const W: usize>(h: &SipHash24, rows: &[[u64; W]]) -> Vec<u64> {
+        let mut out = vec![0; rows.len()];
+        h.hash_words_batch(rows, &mut out);
+        out
     }
 
     /// Tiny deterministic generator for differential-test row corpora
@@ -589,8 +604,8 @@ mod tests {
                 .map(|_| std::array::from_fn(|_| xorshift(&mut s)))
                 .collect();
             let serial: Vec<u64> = rows.iter().map(|r| fast.hash_words(r)).collect();
-            assert_eq!(fast.hash_words_batch(&rows), serial, "{count} rows dispatched");
-            assert_eq!(soft.hash_words_batch(&rows), serial, "{count} rows forced-soft");
+            assert_eq!(batch(&fast, &rows), serial, "{count} rows dispatched");
+            assert_eq!(batch(&soft, &rows), serial, "{count} rows forced-soft");
         }
     }
 
@@ -608,8 +623,8 @@ mod tests {
                     .map(|_| std::array::from_fn(|_| xorshift(&mut s)))
                     .collect();
                 let serial: Vec<u64> = rows.iter().map(|r| fast.hash_words(r)).collect();
-                assert_eq!(fast.hash_words_batch(&rows), serial, "width {}", $w);
-                assert_eq!(soft.hash_words_batch(&rows), serial, "width {} soft", $w);
+                assert_eq!(batch(&fast, &rows), serial, "width {}", $w);
+                assert_eq!(batch(&soft, &rows), serial, "width {} soft", $w);
             };
         }
         check_width!(0);

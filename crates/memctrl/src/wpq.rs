@@ -46,6 +46,7 @@ impl WpqConfig {
 #[derive(Debug, Clone)]
 struct Entry {
     addr: u64,
+    /// The queue's own copy of the written block (see [`Wpq::insert`]).
     payload: Option<Vec<u8>>,
     category: WriteCategory,
     /// `Some(cycle)` once the drain engine committed this entry to an NVM
@@ -109,12 +110,13 @@ pub struct WpqStats {
 /// let mut wpq = Wpq::new(WpqConfig::with_capacity(64));
 ///
 /// // A persist is ACKed the moment the WPQ accepts it:
-/// let t = wpq.insert(Cycle(0), 0x1000, Some(vec![1; 128]), WriteCategory::Data, &mut nvm);
+/// let t = wpq.insert(Cycle(0), 0x1000, Some(&[1; 128]), WriteCategory::Data, &mut nvm);
 /// assert_eq!(t, Cycle(0));
 ///
 /// // A second write to the same block coalesces:
-/// wpq.insert(Cycle(5), 0x1000, Some(vec![2; 128]), WriteCategory::Data, &mut nvm);
+/// wpq.insert(Cycle(5), 0x1000, Some(&[2; 128]), WriteCategory::Data, &mut nvm);
 /// assert_eq!(wpq.stats().coalesced, 1);
+/// assert_eq!(wpq.forward(0x1000), Some(&[2; 128][..]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Wpq {
@@ -140,6 +142,9 @@ pub struct Wpq {
     powered: bool,
     /// Event log for the persistency sanitizer; `None` (off) by default.
     events: Option<Vec<WpqEvent>>,
+    /// Payload buffers of retired entries, reused by later inserts so a
+    /// queue in steady state copies payloads without allocating.
+    spare: Vec<Vec<u8>>,
     /// Origin mask stamped onto entries inserted from now on (one bit per
     /// core; 0 = background). Set by the machine alongside the recorder
     /// context so drained entries carry cross-core provenance.
@@ -163,12 +168,13 @@ impl Wpq {
         assert!(config.low_watermark < config.capacity);
         Wpq {
             config,
-            entries: VecDeque::new(),
+            entries: VecDeque::with_capacity(config.capacity),
             committed: 0,
             earliest_done: None,
             stats: WpqStats::default(),
             powered: true,
             events: None,
+            spare: Vec::new(),
             origin: 0,
             probe: None,
         }
@@ -205,12 +211,18 @@ impl Wpq {
         self.events = if on { Some(Vec::new()) } else { None };
     }
 
-    /// Takes the recorded events, leaving an empty log (recording stays
-    /// enabled). Empty if recording is off.
-    pub fn take_events(&mut self) -> Vec<WpqEvent> {
-        match self.events.as_mut() {
-            Some(ev) => std::mem::take(ev),
-            None => Vec::new(),
+    /// The events recorded since the last [`Self::clear_events`]; empty
+    /// if recording is off.
+    #[must_use]
+    pub fn events(&self) -> &[WpqEvent] {
+        self.events.as_deref().unwrap_or_default()
+    }
+
+    /// Empties the event log in place, keeping its buffer (recording
+    /// stays enabled).
+    pub fn clear_events(&mut self) {
+        if let Some(ev) = self.events.as_mut() {
+            ev.clear();
         }
     }
 
@@ -271,12 +283,25 @@ impl Wpq {
     /// Committed entries need no forwarding in this model: their payload
     /// is applied to the device's functional state at commit time.
     #[must_use]
-    pub fn forward(&self, addr: u64) -> Option<&Vec<u8>> {
+    pub fn forward(&self, addr: u64) -> Option<&[u8]> {
         self.entries
             .iter()
             .skip(self.committed)
             .find(|e| e.addr == addr)
-            .and_then(|e| e.payload.as_ref())
+            .and_then(|e| e.payload.as_deref())
+    }
+
+    /// Stores a copy of `data` in `slot`, reusing the buffer already
+    /// there or a spare one; a cleared slot's buffer becomes spare.
+    fn store_payload(spare: &mut Vec<Vec<u8>>, slot: &mut Option<Vec<u8>>, data: Option<&[u8]>) {
+        match data {
+            Some(d) => {
+                let buf = slot.get_or_insert_with(|| spare.pop().unwrap_or_default());
+                buf.clear();
+                buf.extend_from_slice(d);
+            }
+            None => spare.extend(slot.take()),
+        }
     }
 
     /// Removes entries whose drains completed by `now`. Costs one compare
@@ -289,7 +314,8 @@ impl Wpq {
         let mut i = 0;
         while i < self.committed {
             if self.entries[i].drain_done.expect("committed prefix") <= now {
-                self.entries.remove(i);
+                let retired = self.entries.remove(i).expect("index in prefix");
+                self.spare.extend(retired.payload);
                 self.committed -= 1;
             } else {
                 i += 1;
@@ -347,7 +373,9 @@ impl Wpq {
     }
 
     /// Inserts a block write, returning the cycle at which it is accepted
-    /// into the persistence domain (the persist ACK).
+    /// into the persistence domain (the persist ACK). The queue keeps its
+    /// own copy of `payload` (`None` models the write's traffic without
+    /// its bytes), in a buffer recycled from a retired entry.
     ///
     /// If an uncommitted entry for the same block is pending, the write
     /// coalesces and is ACKed immediately. If the queue is full, every
@@ -357,7 +385,7 @@ impl Wpq {
         &mut self,
         now: Cycle,
         addr: u64,
-        payload: Option<Vec<u8>>,
+        payload: Option<&[u8]>,
         category: WriteCategory,
         nvm: &mut NvmDevice,
     ) -> Cycle {
@@ -371,7 +399,7 @@ impl Wpq {
             .skip(self.committed)
             .find(|e| e.addr == addr)
         {
-            e.payload = payload;
+            Self::store_payload(&mut self.spare, &mut e.payload, payload);
             e.category = category;
             e.origin_mask |= self.origin;
             self.stats.coalesced += 1;
@@ -402,9 +430,11 @@ impl Wpq {
             self.retire(accept);
         }
 
+        let mut slot = None;
+        Self::store_payload(&mut self.spare, &mut slot, payload);
         self.entries.push_back(Entry {
             addr,
-            payload,
+            payload: slot,
             category,
             drain_done: None,
             origin_mask: self.origin,
@@ -424,10 +454,10 @@ impl Wpq {
     pub fn drain_all(&mut self, now: Cycle, nvm: &mut NvmDevice) -> Cycle {
         self.commit_prefix(self.entries.len(), now, nvm);
         let mut last = now;
-        for e in &self.entries {
+        for e in self.entries.drain(..) {
             last = last.max(e.drain_done.expect("just committed"));
+            self.spare.extend(e.payload);
         }
-        self.entries.clear();
         self.committed = 0;
         self.earliest_done = None;
         self.note_occupancy();
@@ -472,6 +502,7 @@ impl Wpq {
                 Some(p) => nvm.write_block(e.addr, p, e.category),
                 None => nvm.note_write(e.addr, e.category),
             }
+            self.spare.extend(e.payload);
         }
     }
 }
@@ -485,8 +516,18 @@ mod tests {
         NvmDevice::new(NvmConfig::table_i(128))
     }
 
-    fn block(v: u8) -> Option<Vec<u8>> {
-        Some(vec![v; 128])
+    fn block(v: u8) -> Option<&'static [u8]> {
+        // One static image per byte value: payloads are borrowed.
+        static IMAGES: [[u8; 128]; 256] = {
+            let mut all = [[0u8; 128]; 256];
+            let mut v = 0;
+            while v < 256 {
+                all[v] = [v as u8; 128];
+                v += 1;
+            }
+            all
+        };
+        Some(&IMAGES[v as usize])
     }
 
     #[test]
@@ -617,6 +658,25 @@ mod tests {
         q.crash_flush(&mut m);
         assert_eq!(m.read_block(0x700 * 128), vec![9; 128]);
         assert_eq!(m.writes_in(WriteCategory::Data), 1);
+    }
+
+    #[test]
+    fn coalesced_payloads_forward_the_newest_image() {
+        let mut m = nvm();
+        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        q.insert(Cycle(0), 0x80, block(1), WriteCategory::Data, &mut m);
+        assert_eq!(q.forward(0x80), block(1));
+        // A payload-free write drops the pending bytes...
+        q.insert(Cycle(1), 0x80, None, WriteCategory::Data, &mut m);
+        assert_eq!(q.forward(0x80), None);
+        // ...and a later image takes a buffer again.
+        q.insert(Cycle(2), 0x80, block(2), WriteCategory::Data, &mut m);
+        assert_eq!(q.forward(0x80), block(2));
+        q.drain_all(Cycle(3), &mut m);
+        assert_eq!(m.read_block(0x80), vec![2; 128]);
+        // Retired buffers serve later inserts with their own contents.
+        q.insert(Cycle(4), 0x100, block(3), WriteCategory::Data, &mut m);
+        assert_eq!(q.forward(0x100), block(3));
     }
 
     #[test]
@@ -769,12 +829,17 @@ mod tests {
         q.set_origin(0); // background traffic carries no origin
         q.insert(Cycle(2), 0x100, None, WriteCategory::CounterBlock, &mut m);
         q.drain_all(Cycle(3), &mut m);
-        let ev = q.take_events();
+        let ev = q.events();
         assert!(
             ev.contains(&WpqEvent::Drained { addr: 0x80, origins: 0b11 }),
             "coalesced entry names both contributing cores"
         );
         assert!(ev.contains(&WpqEvent::Drained { addr: 0x100, origins: 0 }));
+        // Clearing empties the log in place; recording stays on.
+        q.clear_events();
+        assert!(q.events().is_empty());
+        q.insert(Cycle(4), 0x180, None, WriteCategory::Data, &mut m);
+        assert_eq!(q.events().len(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn drain_all_persists_newest_values() {
         let mut t = Cycle(0);
         for (slot, v) in writes {
             let addr = slot * 128;
-            t = wpq.insert(t, addr, Some(vec![v; 128]), WriteCategory::Data, &mut nvm);
+            t = wpq.insert(t, addr, Some(&[v; 128]), WriteCategory::Data, &mut nvm);
             t += 10;
             last.insert(addr, v);
         }
@@ -47,7 +47,7 @@ fn crash_flush_persists_newest_values() {
         let mut t = Cycle(0);
         for (slot, v) in writes {
             let addr = slot * 128;
-            t = wpq.insert(t, addr, Some(vec![v; 128]), WriteCategory::Data, &mut nvm);
+            t = wpq.insert(t, addr, Some(&[v; 128]), WriteCategory::Data, &mut nvm);
             last.insert(addr, v);
         }
         wpq.crash_flush(&mut nvm);
@@ -68,7 +68,7 @@ fn forward_or_device_always_has_newest() {
         let mut t = Cycle(0);
         for (slot, v) in writes {
             let addr = slot * 128;
-            t = wpq.insert(t, addr, Some(vec![v; 128]), WriteCategory::Data, &mut nvm);
+            t = wpq.insert(t, addr, Some(&[v; 128]), WriteCategory::Data, &mut nvm);
             let seen = wpq
                 .forward(addr)
                 .map_or_else(|| nvm.read_block(addr)[0], |p| p[0]);
@@ -88,7 +88,7 @@ fn occupancy_bounded_and_acks_monotonic() {
         let mut wpq = Wpq::new(WpqConfig::with_capacity(cap));
         let mut t = Cycle(0);
         for (slot, v) in writes {
-            let ack = wpq.insert(t, slot * 128, Some(vec![v; 128]), WriteCategory::Data, &mut nvm);
+            let ack = wpq.insert(t, slot * 128, Some(&[v; 128]), WriteCategory::Data, &mut nvm);
             assert!(ack >= t, "ACK in the past");
             assert!(wpq.occupancy() <= cap);
             t = ack;

@@ -410,7 +410,8 @@ impl BonsaiTree {
                 row
             })
             .collect();
-        let mut hashes = self.hasher.hash_words_batch(&rows);
+        let mut hashes = vec![0; rows.len()];
+        self.hasher.hash_words_batch(&rows, &mut hashes);
         hashes.extend(dirty[split..].iter().map(|&p| scalar(p)));
         self.batch_runs += 1;
         self.simd_rows += self.hasher.simd_rows_of(rows.len());

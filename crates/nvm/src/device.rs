@@ -54,6 +54,14 @@ impl NvmConfig {
     }
 }
 
+/// Block slots per image chunk of the store. Small enough that a
+/// half-used chunk wastes little; large enough that the PUB prefill's
+/// tens of thousands of blocks take a few hundred allocations. One
+/// contiguous slab would avoid even those, but regrowing it copies the
+/// store and leaves freed slabs behind that raise the allocator's
+/// mmap threshold, which costs more peak memory than the store saves.
+const CHUNK_BLOCKS: usize = 256;
+
 /// The simulated NVM device.
 ///
 /// # Example
@@ -76,10 +84,12 @@ impl NvmConfig {
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
     config: NvmConfig,
-    /// Sparse block store: block-aligned address -> fixed-size block image.
-    /// `Box<[u8]>` rather than `Vec<u8>`: blocks never resize, and rewrites
-    /// reuse the existing allocation instead of replacing it.
-    blocks: FastMap<u64, Box<[u8]>>,
+    /// Sparse block index: block-aligned address -> slot in [`Self::chunks`].
+    blocks: FastMap<u64, u32>,
+    /// Block images, [`CHUNK_BLOCKS`] slots per chunk. A block keeps its
+    /// slot for the device's lifetime (rewrites copy in place), and a
+    /// chunk is allocated once at full size and never reallocated.
+    chunks: Vec<Box<[u8]>>,
     /// Per-bank earliest availability: the bank model's only timing state.
     bank_busy_until: Vec<Cycle>,
     wear: WearTracker,
@@ -101,6 +111,7 @@ impl NvmDevice {
         NvmDevice {
             config,
             blocks: FastMap::default(),
+            chunks: Vec::new(),
             bank_busy_until: vec![Cycle::ZERO; config.num_banks],
             wear: WearTracker::new(),
             writes_by_cat: [0; WriteCategory::ALL.len()],
@@ -139,11 +150,8 @@ impl NvmDevice {
     /// Reads the block containing `addr`. Untouched blocks read as zeros.
     #[must_use]
     pub fn read_block(&self, addr: u64) -> Vec<u8> {
-        self.check_range(addr);
-        let block = self.align(addr);
-        self.blocks
-            .get(&block)
-            .map_or_else(|| vec![0; self.config.block_bytes], |b| b.to_vec())
+        self.block_image(addr)
+            .map_or_else(|| vec![0; self.config.block_bytes], <[u8]>::to_vec)
     }
 
     /// Borrowing read of the block containing `addr`, or `None` for a
@@ -153,7 +161,31 @@ impl NvmDevice {
     #[must_use]
     pub fn block_image(&self, addr: u64) -> Option<&[u8]> {
         self.check_range(addr);
-        self.blocks.get(&self.align(addr)).map(|b| &**b)
+        let slot = *self.blocks.get(&self.align(addr))?;
+        Some(self.slot(slot))
+    }
+
+    fn slot(&self, slot: u32) -> &[u8] {
+        let bs = self.config.block_bytes;
+        let at = slot as usize % CHUNK_BLOCKS * bs;
+        &self.chunks[slot as usize / CHUNK_BLOCKS][at..at + bs]
+    }
+
+    /// The image of `block` (block-aligned) for writing, giving a
+    /// never-written block a fresh all-zero slot.
+    fn slot_mut(&mut self, block: u64) -> &mut [u8] {
+        let bs = self.config.block_bytes;
+        let next = self.blocks.len();
+        let slot = *self.blocks.entry(block).or_insert_with(|| {
+            u32::try_from(next).expect("NVM store holds at most 2^32 blocks")
+        }) as usize;
+        if slot / CHUNK_BLOCKS == self.chunks.len() {
+            // Slots are handed out densely, so a new chunk is needed
+            // exactly when the previous one is full.
+            self.chunks.push(vec![0; CHUNK_BLOCKS * bs].into_boxed_slice());
+        }
+        let at = slot % CHUNK_BLOCKS * bs;
+        &mut self.chunks[slot / CHUNK_BLOCKS][at..at + bs]
     }
 
     /// Writes one full block, tagged with a traffic category.
@@ -169,13 +201,7 @@ impl NvmDevice {
             "write must be one full block"
         );
         let block = self.align(addr);
-        // Reuse the existing allocation on rewrite — the common case once a
-        // block is resident.
-        if let Some(img) = self.blocks.get_mut(&block) {
-            img.copy_from_slice(data);
-        } else {
-            self.blocks.insert(block, data.into());
-        }
+        self.slot_mut(block).copy_from_slice(data);
         self.wear.record(block);
         self.writes_by_cat[category.index()] += 1;
     }
@@ -214,12 +240,7 @@ impl NvmDevice {
             crate::fault::TORN_WRITE_UNIT
         );
         let block = self.align(addr);
-        let block_bytes = self.config.block_bytes;
-        let img = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| vec![0u8; block_bytes].into());
-        img[..prefix_bytes].copy_from_slice(&data[..prefix_bytes]);
+        self.slot_mut(block)[..prefix_bytes].copy_from_slice(&data[..prefix_bytes]);
         self.wear.record(block);
         self.writes_by_cat[category.index()] += 1;
     }
@@ -240,17 +261,16 @@ impl NvmDevice {
             "install must be one full block"
         );
         let block = self.align(addr);
-        if let Some(img) = self.blocks.get_mut(&block) {
-            img.copy_from_slice(data);
-        } else {
-            self.blocks.insert(block, data.into());
-        }
+        self.slot_mut(block).copy_from_slice(data);
     }
 
-    /// Pre-sizes the block store for `additional` more resident blocks
+    /// Pre-sizes the block index for `additional` more resident blocks
     /// (bulk-install paths like the PUB prefill).
     pub fn reserve_blocks(&mut self, additional: usize) {
         self.blocks.reserve(additional);
+        let slots = self.blocks.len() + additional;
+        self.chunks
+            .reserve(slots.div_ceil(CHUNK_BLOCKS).saturating_sub(self.chunks.len()));
     }
 
     /// Records a write for accounting/wear without storing bytes.
@@ -287,12 +307,7 @@ impl NvmDevice {
         self.check_range(addr);
         let block = self.align(addr);
         let offset = (addr - block) as usize;
-        let block_bytes = self.config.block_bytes;
-        let img = self
-            .blocks
-            .entry(block)
-            .or_insert_with(|| vec![0u8; block_bytes].into());
-        img[offset] ^= xor_mask;
+        self.slot_mut(block)[offset] ^= xor_mask;
     }
 
     /// Number of distinct blocks ever written.
@@ -533,6 +548,27 @@ mod tests {
         d.tamper(5, 0xFF);
         assert_eq!(d.read_block(0)[5], 0xFF);
         assert_eq!(d.total_writes(), before_writes);
+    }
+
+    #[test]
+    fn store_spans_chunks_and_clones_deep() {
+        let mut d = dev();
+        let n = 3 * CHUNK_BLOCKS as u64 + 5;
+        // Interleave new blocks with rewrites of old ones: a block keeps
+        // its slot, so rewrites never disturb a neighbour.
+        for i in 0..n {
+            d.write_block(i * 4096, &[i as u8; 128], WriteCategory::Data);
+            d.write_block(i / 2 * 4096, &[(i / 2) as u8 ^ 0xFF; 128], WriteCategory::Data);
+        }
+        assert_eq!(d.resident_blocks(), n as usize);
+        let copy = d.clone();
+        d.write_block(0, &[0x5A; 128], WriteCategory::Data);
+        for i in 0..n {
+            let want = if i <= (n - 1) / 2 { i as u8 ^ 0xFF } else { i as u8 };
+            assert_eq!(copy.block_image(i * 4096), Some(&[want; 128][..]), "block {i}");
+        }
+        assert_eq!(d.read_block(0), vec![0x5A; 128]);
+        assert_eq!(d.block_image(n * 4096), None);
     }
 
     #[test]

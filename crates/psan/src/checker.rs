@@ -467,7 +467,8 @@ impl<'a> Checker<'a> {
     }
 
     fn on_pub_append(&mut self, core: u32, op: u32, addr: u64, image: &[u8]) {
-        let entries = self.codec.decode(image);
+        let mut entries = Vec::new();
+        self.codec.decode_into(image, &mut entries);
         let keys: Vec<PubKey> = entries
             .iter()
             .map(|e| (e.block_index, e.minor, e.mac2))

@@ -127,6 +127,12 @@ impl MemoryLayout {
         self.block_bytes / self.macs_per_block
     }
 
+    /// The byte range of MAC slot `mslot` within its MAC block.
+    #[must_use]
+    pub fn mac_slot(&self, mslot: usize) -> std::ops::Range<usize> {
+        mslot * self.mac_len()..(mslot + 1) * self.mac_len()
+    }
+
     /// The Merkle-tree leaf index of a counter block address.
     ///
     /// # Panics

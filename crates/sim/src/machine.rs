@@ -12,11 +12,11 @@ use crate::service::{ServiceReport, ServiceSession};
 use crate::tap::{Event, Tap, Verdict};
 use crate::telemetry::MachineTelemetry;
 
-use thoth_cache::{CacheConfig, CacheStats, SetAssocCache};
+use thoth_cache::{CacheConfig, CacheStats, Evicted, SetAssocCache};
 use thoth_core::engine::{ThothEngine, ThothHost};
 use thoth_core::policy::{BlockView, MetadataKind};
 use thoth_core::{EvictOutcome, PartialUpdate, PcbStats, PubConfig};
-use thoth_crypto::counter::CounterGroup;
+use thoth_crypto::counter::IncrementOutcome;
 use thoth_crypto::{CtrMode, MacEngine, MacKey};
 use thoth_memctrl::{Wpq, WpqConfig, WpqStats};
 use thoth_merkle::{BonsaiTree, MerkleConfig, ShadowTracker};
@@ -47,10 +47,12 @@ pub struct SecureNvm {
     pub(crate) wpq: Wpq,
     pub(crate) ctr_mode: CtrMode,
     pub(crate) mac: MacEngine,
-    /// Counter cache: payload = unpacked split-counter groups.
-    pub(crate) ctr_cache: SetAssocCache<Vec<CounterGroup>>,
+    /// Counter cache: payload = the packed counter-block image, updated
+    /// in place through the layout's counter geometry (and normalized
+    /// when filled, so it always equals packing its counters).
+    pub(crate) ctr_cache: SetAssocCache<Box<[u8]>>,
     /// MAC cache: payload = the MAC block image (first-level MACs).
-    pub(crate) mac_cache: SetAssocCache<Vec<u8>>,
+    pub(crate) mac_cache: SetAssocCache<Box<[u8]>>,
     /// Merkle-tree cache: payload-free (the logical tree holds values).
     mt_cache: SetAssocCache<()>,
     /// Data-side LLC model.
@@ -79,6 +81,69 @@ pub struct SecureNvm {
     /// [`Self::new`] (0 for cold machines, 1 for [`WarmBoot`] clones) —
     /// harvested as the `warm_starts` telemetry counter.
     pub(crate) warm_starts: u64,
+    /// Buffers the store and recovery paths reuse instead of allocating.
+    scratch: Scratch,
+}
+
+/// Buffers the machine reuses across stores: every block image on the
+/// hot path has one owner that is overwritten, never re-allocated.
+#[derive(Clone)]
+struct Scratch {
+    /// The block being written: its plaintext, then (encrypted in
+    /// place) its ciphertext. Full functional mode only.
+    data: Vec<u8>,
+    /// The first-level MAC of the block being written or checked.
+    mac: Vec<u8>,
+    /// Fast-mode MAC fabrication: one hash row per tag word, and the
+    /// batched kernel's output.
+    rows: Vec<[u64; 4]>,
+    tags: Vec<u64>,
+    /// A metadata line buffer: each cache fill takes it, each eviction
+    /// hands the victim's buffer back.
+    line: Option<Box<[u8]>>,
+    /// An all-zero block, the image of a never-written block.
+    zeros: Box<[u8]>,
+}
+
+impl Scratch {
+    fn new(layout: &MemoryLayout) -> Self {
+        let words = layout.mac_len() / 8;
+        Scratch {
+            data: vec![0; layout.block_bytes],
+            mac: vec![0; layout.mac_len()],
+            rows: vec![[0; 4]; words],
+            tags: vec![0; words],
+            line: None,
+            zeros: vec![0; layout.block_bytes].into_boxed_slice(),
+        }
+    }
+
+    /// A line buffer to fill (the recycled one, else a new one).
+    fn take_line(&mut self) -> Box<[u8]> {
+        self.line
+            .take()
+            .unwrap_or_else(|| vec![0; self.zeros.len()].into_boxed_slice())
+    }
+
+    /// First-level MAC into [`Self::mac`]: real over the ciphertext in
+    /// [`Self::data`] with `full`, else fabricated deterministically from
+    /// the counter.
+    fn first_level_mac(&mut self, mac: &MacEngine, addr: u64, major: u64, minor: u8, full: bool) {
+        if full {
+            mac.first_level(addr, major, minor, &self.data, &mut self.mac);
+            return;
+        }
+        // One batched-kernel call fabricates every tag word; each row
+        // hashes bit-identically to `raw_hash` over its 32-byte LE
+        // encoding.
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            *row = [addr, major, u64::from(minor), i as u64];
+        }
+        mac.raw_hash_words_batch(&self.rows, &mut self.tags);
+        for (out, tag) in self.mac.chunks_exact_mut(8).zip(&self.tags) {
+            out.copy_from_slice(&tag.to_le_bytes());
+        }
+    }
 }
 
 /// A post-warm-up machine image: the state of [`SecureNvm::run`] right
@@ -188,6 +253,7 @@ impl SecureNvm {
             tap: None,
             relaxed_pending: FastSet::default(),
             warm_starts: 0,
+            scratch: Scratch::new(&layout),
             config,
         }
     }
@@ -221,9 +287,9 @@ impl SecureNvm {
     // Functional helpers
     // ------------------------------------------------------------------
 
-    /// Deterministic plaintext of a data block at a logical version.
-    fn plaintext(&self, addr: u64, version: u64) -> Vec<u8> {
-        let mut out = vec![0u8; self.config.block_bytes];
+    /// Writes the deterministic plaintext of a data block at a logical
+    /// version into `out` (one block).
+    fn plaintext(addr: u64, version: u64, out: &mut [u8]) {
         let mut x = addr ^ version.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xA5A5_A5A5;
         for chunk in out.chunks_mut(8) {
             x ^= x << 13;
@@ -231,34 +297,73 @@ impl SecureNvm {
             x ^= x << 17;
             chunk.copy_from_slice(&x.to_le_bytes()[..chunk.len()]);
         }
-        out
     }
 
-    /// First-level MAC: real (over ciphertext) in Full mode, fabricated
-    /// deterministically from the counter in Fast mode.
-    fn first_level_mac(&self, addr: u64, major: u64, minor: u8, ct: Option<&[u8]>) -> Vec<u8> {
-        match ct {
-            Some(ct) => self.mac.first_level(addr, major, minor, ct),
-            None => {
-                // One batched-kernel call fabricates every tag word;
-                // each row hashes bit-identically to `raw_hash` over its
-                // 32-byte LE encoding, so values match the old per-word
-                // loop exactly.
-                let words = self.layout.mac_len() / 8;
-                let rows: Vec<[u64; 4]> = (0..words)
-                    .map(|i| [addr, major, u64::from(minor), i as u64])
-                    .collect();
-                let mut out = Vec::with_capacity(self.layout.mac_len());
-                for tag in self.mac.raw_hash_words_batch(&rows) {
-                    out.extend_from_slice(&tag.to_le_bytes());
-                }
-                out
-            }
+    /// Builds the data block `addr` holds at `version` under counter
+    /// `(major, minor)` in the scratch buffers: the ciphertext in
+    /// `scratch.data` (Full mode only) and its first-level MAC in
+    /// `scratch.mac`. Returns whether the ciphertext was built.
+    fn seal_block(&mut self, addr: u64, version: u64, major: u64, minor: u8) -> bool {
+        let full = self.config.functional == FunctionalMode::Full;
+        if full {
+            Self::plaintext(addr, version, &mut self.scratch.data);
+            self.ctr_mode.encrypt(addr, major, minor, &mut self.scratch.data);
         }
+        self.scratch.first_level_mac(&self.mac, addr, major, minor, full);
+        full
     }
 
-    pub(crate) fn pack_ctr_block(&self, groups: &[CounterGroup]) -> Vec<u8> {
-        self.layout.ctr_geometry.pack(groups)
+    /// The persisted image of the block at `addr` (zeros if never
+    /// written).
+    pub(crate) fn persisted(&self, addr: u64) -> &[u8] {
+        self.nvm.block_image(addr).unwrap_or(&self.scratch.zeros)
+    }
+
+    /// The `(major, minor)` counter of data block `index` as persisted in
+    /// its counter block.
+    pub(crate) fn persisted_counter(&self, index: u64) -> (u64, u8) {
+        let (cb, group, slot) = self.layout.ctr_location(index);
+        self.layout.ctr_geometry.value_of(self.persisted(cb), group, slot)
+    }
+
+    /// Recomputes data block `index`'s first-level MAC from its persisted
+    /// ciphertext under counter `(major, minor)` into `scratch.mac`.
+    pub(crate) fn persisted_first_mac(&mut self, index: u64, major: u64, minor: u8) {
+        let addr = self.layout.block_addr(index);
+        let ct = self.nvm.block_image(addr).unwrap_or(&self.scratch.zeros);
+        self.mac.first_level(addr, major, minor, ct, &mut self.scratch.mac);
+    }
+
+    /// Recovery write: stores `scratch.mac` into data block `index`'s
+    /// slot of its persisted MAC block unless it is already there.
+    /// Returns the MAC block's address if it was written.
+    pub(crate) fn restore_mac_slot(&mut self, index: u64) -> Option<u64> {
+        let (mb, mslot) = self.layout.mac_location(index);
+        let range = self.layout.mac_slot(mslot);
+        let mut line = self.scratch.take_line();
+        let image = self.nvm.block_image(mb).unwrap_or(&self.scratch.zeros);
+        if image[range.clone()] == self.scratch.mac[..] {
+            self.scratch.line = Some(line);
+            return None;
+        }
+        line.copy_from_slice(image);
+        line[range].copy_from_slice(&self.scratch.mac);
+        self.nvm.write_block(mb, &line, WriteCategory::Recovery);
+        self.scratch.line = Some(line);
+        Some(mb)
+    }
+
+    /// Puts the cached image of metadata block `addr` (the counter cache
+    /// for [`WriteCategory::CounterBlock`], else the MAC cache) into the
+    /// WPQ; returns the persist ACK.
+    pub(crate) fn persist_cached(&mut self, now: Cycle, addr: u64, category: WriteCategory) -> Cycle {
+        let cache = if category == WriteCategory::CounterBlock {
+            &self.ctr_cache
+        } else {
+            &self.mac_cache
+        };
+        let image = cache.peek(addr).expect("persisted metadata is resident");
+        self.wpq.insert(now, addr, Some(image), category, &mut self.nvm)
     }
 
     // ------------------------------------------------------------------
@@ -274,17 +379,10 @@ impl SecureNvm {
         if self.ctr_cache.lookup(cb).is_some() {
             return 0;
         }
-        let (image, latency) = match self.wpq.forward(cb) {
-            Some(img) => (img.clone(), 0),
-            None => {
-                let img = self.nvm.read_block(cb);
-                let done = self.nvm.time_access(now, cb, false);
-                (img, done - now)
-            }
-        };
-        let groups = self.layout.ctr_geometry.unpack(&image);
-        if let Some(ev) = self.ctr_cache.insert(cb, groups) {
-            self.writeback_ctr(now, ev.addr, &ev.value, ev.dirty);
+        let (mut line, latency) = self.fetch_meta(now, cb);
+        self.layout.ctr_geometry.normalize(&mut line);
+        if let Some(ev) = self.ctr_cache.insert(cb, line) {
+            self.writeback(now, ev, WriteCategory::CounterBlock);
         }
         latency
     }
@@ -295,42 +393,36 @@ impl SecureNvm {
         if self.mac_cache.lookup(mb).is_some() {
             return 0;
         }
-        let (image, latency) = match self.wpq.forward(mb) {
-            Some(img) => (img.clone(), 0),
-            None => {
-                let img = self.nvm.read_block(mb);
-                let done = self.nvm.time_access(now, mb, false);
-                (img, done - now)
-            }
-        };
-        if let Some(ev) = self.mac_cache.insert(mb, image) {
-            self.writeback_mac(now, ev.addr, &ev.value, ev.dirty);
+        let (line, latency) = self.fetch_meta(now, mb);
+        if let Some(ev) = self.mac_cache.insert(mb, line) {
+            self.writeback(now, ev, WriteCategory::MacBlock);
         }
         latency
     }
 
-    /// Natural write-back of an evicted counter block.
-    fn writeback_ctr(&mut self, now: Cycle, addr: u64, groups: &[CounterGroup], dirty: bool) {
-        if dirty {
-            let image = self.pack_ctr_block(groups);
-            self.wpq
-                .insert(now, addr, Some(image), WriteCategory::CounterBlock, &mut self.nvm);
-            self.note_shadow_clean(now, addr);
+    /// A line buffer holding the current image of metadata block `addr`
+    /// — the pending WPQ write if there is one, else the device's — and
+    /// the fetch latency (zero when forwarded).
+    fn fetch_meta(&mut self, now: Cycle, addr: u64) -> (Box<[u8]>, u64) {
+        let mut line = self.scratch.take_line();
+        if let Some(image) = self.wpq.forward(addr) {
+            line.copy_from_slice(image);
+            return (line, 0);
         }
+        line.copy_from_slice(self.nvm.block_image(addr).unwrap_or(&self.scratch.zeros));
+        let done = self.nvm.time_access(now, addr, false);
+        (line, done - now)
     }
 
-    /// Natural write-back of an evicted MAC block.
-    fn writeback_mac(&mut self, now: Cycle, addr: u64, image: &[u8], dirty: bool) {
-        if dirty {
-            self.wpq.insert(
-                now,
-                addr,
-                Some(image.to_vec()),
-                WriteCategory::MacBlock,
-                &mut self.nvm,
-            );
-            self.note_shadow_clean(now, addr);
+    /// Natural write-back of an evicted metadata line; its buffer serves
+    /// the next fill.
+    fn writeback(&mut self, now: Cycle, ev: Evicted<Box<[u8]>>, category: WriteCategory) {
+        if ev.dirty {
+            self.wpq
+                .insert(now, ev.addr, Some(&ev.value), category, &mut self.nvm);
+            self.note_shadow_clean(now, ev.addr);
         }
+        self.scratch.line = Some(ev.value);
     }
 
     pub(crate) fn note_shadow_dirty(&mut self, now: Cycle, addr: u64) {
@@ -384,11 +476,11 @@ impl SecureNvm {
         let ctr_was_dirty = self.ctr_cache.is_dirty(cb);
         let mac_was_dirty = self.mac_cache.is_dirty(mb);
 
-        // Increment the counter.
-        let groups = self.ctr_cache.lookup_mut(cb).expect("ensured");
-        let outcome = groups[group].increment(slot);
-        let (major, minor) = groups[group].value_of(slot);
-        let overflowed = outcome == thoth_crypto::counter::IncrementOutcome::MajorOverflow;
+        // Increment the counter in the cached counter-block image.
+        let geometry = self.layout.ctr_geometry;
+        let image = self.ctr_cache.lookup_mut(cb).expect("ensured");
+        let overflowed = geometry.increment(image, group, slot) == IncrementOutcome::MajorOverflow;
+        let (major, minor) = geometry.value_of(image, group, slot);
 
         // Application data version bump.
         let version = self.data_versions.entry(index).or_insert(0);
@@ -398,27 +490,17 @@ impl SecureNvm {
         // Encrypt + first-level MAC (pad generation overlaps the fetch;
         // charge the serial tail).
         t += self.config.aes_cycles + self.config.hash_cycles;
-        let ciphertext = match self.config.functional {
-            FunctionalMode::Full => {
-                let pt = self.plaintext(addr, version);
-                Some(self.ctr_mode.encrypt(addr, major, minor, &pt))
-            }
-            FunctionalMode::Fast => None,
-        };
-        let first_mac = self.first_level_mac(addr, major, minor, ciphertext.as_deref());
+        let has_ciphertext = self.seal_block(addr, version, major, minor);
 
         // Update the MAC cache image.
-        let mac_len = self.layout.mac_len();
         let img = self.mac_cache.lookup_mut(mb).expect("ensured");
-        img[mslot * mac_len..(mslot + 1) * mac_len].copy_from_slice(&first_mac);
+        img[self.layout.mac_slot(mslot)].copy_from_slice(&self.scratch.mac);
 
         // Eager integrity-tree update over the cached counter block.
         let leaf = self.layout.tree_leaf(cb);
-        let packed = {
-            let groups = self.ctr_cache.peek(cb).expect("ensured");
-            self.pack_ctr_block(groups)
-        };
-        let leaf_hash = self.tree.leaf_hash_of(cb, &packed);
+        let leaf_hash = self
+            .tree
+            .leaf_hash_of(cb, self.ctr_cache.peek(cb).expect("ensured"));
         // The logical-tree rehash is deferred: the path's node identities
         // are positional (level L holds index `leaf / arity^L`), so the
         // caching/persistence walk below needs no hashing, and queued
@@ -476,11 +558,15 @@ impl SecureNvm {
         }
 
         // Persist, per the mechanism's schedule.
+        let ciphertext = has_ciphertext.then_some(&self.scratch.data[..]);
         let data_ack = self
             .wpq
             .insert(t, addr, ciphertext, WriteCategory::Data, &mut self.nvm);
         let mut ack = data_ack.max(tree_ack);
 
+        // The mechanism borrows the MAC while it has the machine; the
+        // buffer goes back to the scratch afterwards.
+        let first_mac = std::mem::take(&mut self.scratch.mac);
         let meta = StoreMeta {
             index,
             addr,
@@ -490,10 +576,10 @@ impl SecureNvm {
             minor,
             ctr_was_dirty,
             mac_was_dirty,
-            first_mac,
-            packed_ctr: packed,
+            first_mac: &first_mac,
         };
-        let mech = mechanism.persist_store(self, &mut t, &mut ack, meta);
+        let mech = mechanism.persist_store(self, &mut t, &mut ack, &meta);
+        self.scratch.mac = first_mac;
         self.emit(Event::MetaCover { block: addr, mech });
 
         // Minor-counter overflow: persist the counter block immediately
@@ -525,6 +611,7 @@ impl SecureNvm {
             shadow,
             config,
             tap,
+            scratch,
             ..
         } = self;
         let mut host = MachineHost {
@@ -539,6 +626,7 @@ impl SecureNvm {
             mac,
             shadow,
             tap: tap.as_deref_mut(),
+            zeros: &scratch.zeros,
         };
         thoth.as_mut().expect("Thoth mode").insert(pu, &mut host);
         now
@@ -548,13 +636,7 @@ impl SecureNvm {
     /// re-encrypt every written block of the overflowed page.
     fn handle_overflow(&mut self, now: Cycle, cb: u64, trigger_index: u64) -> Cycle {
         // Eager counter-block persist.
-        let image = {
-            let groups = self.ctr_cache.peek(cb).expect("resident");
-            self.pack_ctr_block(groups)
-        };
-        let mut ack = self
-            .wpq
-            .insert(now, cb, Some(image), WriteCategory::CounterBlock, &mut self.nvm);
+        let mut ack = self.persist_cached(now, cb, WriteCategory::CounterBlock);
         self.ctr_cache.clean(cb);
         self.note_shadow_clean(now, cb);
 
@@ -584,26 +666,18 @@ impl SecureNvm {
         let (mb, mslot) = self.layout.mac_location(index);
         let lat = self.ensure_mac(now, mb);
         let t = now + lat;
-        let (major, minor) = {
-            let groups = self.ctr_cache.peek(cb).expect("resident");
-            groups[group].value_of(slot)
-        };
+        let image = self.ctr_cache.peek(cb).expect("resident");
+        let (major, minor) = self.layout.ctr_geometry.value_of(image, group, slot);
         let version = self.data_versions[&index];
-        let ciphertext = match self.config.functional {
-            FunctionalMode::Full => {
-                let pt = self.plaintext(addr, version);
-                Some(self.ctr_mode.encrypt(addr, major, minor, &pt))
-            }
-            FunctionalMode::Fast => None,
-        };
-        let first_mac = self.first_level_mac(addr, major, minor, ciphertext.as_deref());
-        let mac_len = self.layout.mac_len();
+        let has_ciphertext = self.seal_block(addr, version, major, minor);
         let mac_was_dirty = self.mac_cache.is_dirty(mb);
         let img = self.mac_cache.lookup_mut(mb).expect("ensured");
-        img[mslot * mac_len..(mslot + 1) * mac_len].copy_from_slice(&first_mac);
+        img[self.layout.mac_slot(mslot)].copy_from_slice(&self.scratch.mac);
+        let ciphertext = has_ciphertext.then_some(&self.scratch.data[..]);
         let ack = self
             .wpq
             .insert(t, addr, ciphertext, WriteCategory::Data, &mut self.nvm);
+        let first_mac = std::mem::take(&mut self.scratch.mac);
         let meta = ReencryptMeta {
             index,
             addr,
@@ -611,9 +685,10 @@ impl SecureNvm {
             mslot,
             minor,
             mac_was_dirty,
-            first_mac,
+            first_mac: &first_mac,
         };
-        let mech = mechanism_of(self.config.mode).persist_reencrypt(self, t, meta);
+        let mech = mechanism_of(self.config.mode).persist_reencrypt(self, t, &meta);
+        self.scratch.mac = first_mac;
         self.emit(Event::MetaCover { block: addr, mech });
         ack
     }
@@ -736,6 +811,7 @@ impl SecureNvm {
             tap: None,
             relaxed_pending: self.relaxed_pending.clone(),
             warm_starts: self.warm_starts + 1,
+            scratch: self.scratch.clone(),
         }
     }
 
@@ -1027,10 +1103,12 @@ impl SecureNvm {
     /// with the current op context. Called after each replayed op so
     /// every event of one op is contiguous in the persist-event stream.
     fn pump_wpq_events(&mut self) -> Verdict {
-        match self.tap.as_deref_mut() {
-            Some(tap) => tap.emit(Event::Wpq(&self.wpq.take_events())),
-            None => Verdict::Go,
-        }
+        let Some(tap) = self.tap.as_deref_mut() else {
+            return Verdict::Go;
+        };
+        let verdict = tap.emit(Event::Wpq(self.wpq.events()));
+        self.wpq.clear_events();
+        verdict
     }
 
     /// Block-aligned addresses spanned by `[addr, addr+len)`.
@@ -1322,25 +1400,19 @@ impl SecureNvm {
             MerkleConfig::new(8, self.layout.tree_leaves()),
             TREE_KEY,
             ctr_blocks.iter().map(|&cb| {
-                let img = self.nvm.read_block(cb);
-                (self.layout.tree_leaf(cb), self.tree.leaf_hash_of(cb, &img))
+                let img = self.persisted(cb);
+                (self.layout.tree_leaf(cb), self.tree.leaf_hash_of(cb, img))
             }),
         );
         report.root_verified = rebuilt.root() == self.tree.root();
 
         // 3. Verify every written data block decrypts and authenticates.
-        let mac_len = self.layout.mac_len();
         let indices: Vec<u64> = self.data_versions.keys().copied().collect();
         for index in indices {
-            let addr = self.layout.block_addr(index);
-            let (cb, group, slot) = self.layout.ctr_location(index);
+            let (major, minor) = self.persisted_counter(index);
+            self.persisted_first_mac(index, major, minor);
             let (mb, mslot) = self.layout.mac_location(index);
-            let groups = self.layout.ctr_geometry.unpack(&self.nvm.read_block(cb));
-            let (major, minor) = groups[group].value_of(slot);
-            let ct = self.nvm.read_block(addr);
-            let expect = self.mac.first_level(addr, major, minor, &ct);
-            let mac_img = self.nvm.read_block(mb);
-            if mac_img[mslot * mac_len..(mslot + 1) * mac_len] == expect[..] {
+            if self.persisted(mb)[self.layout.mac_slot(mslot)] == self.scratch.mac[..] {
                 report.blocks_verified += 1;
             } else {
                 report.blocks_failed += 1;
@@ -1358,7 +1430,7 @@ impl SecureNvm {
     pub fn debug_ctr_cache_snapshot(&self) -> Vec<(u64, Vec<u8>, bool, u64)> {
         self.ctr_cache
             .iter()
-            .map(|(a, groups, d, m)| (a, self.pack_ctr_block(groups), d, m))
+            .map(|(a, image, d, m)| (a, image.to_vec(), d, m))
             .collect()
     }
 
@@ -1373,9 +1445,8 @@ impl SecureNvm {
             .block_addrs_in(self.layout.ctr_base, self.layout.mac_base);
         let mut out = Vec::new();
         for cb in ctr_blocks {
-            let img = self.nvm.read_block(cb);
             let leaf = self.layout.tree_leaf(cb);
-            let actual = self.tree.leaf_hash_of(cb, &img);
+            let actual = self.tree.leaf_hash_of(cb, self.persisted(cb));
             let expected = self.tree.hash_of(thoth_merkle::NodeId { level: 0, index: leaf });
             if actual != expected {
                 out.push(LeafMismatch {
@@ -1410,7 +1481,9 @@ impl SecureNvm {
     /// `version` — what a durable store of that version wrote.
     #[must_use]
     pub fn expected_plaintext(&self, block_index: u64, version: u64) -> Vec<u8> {
-        self.plaintext(self.layout.block_addr(block_index), version)
+        let mut out = vec![0; self.config.block_bytes];
+        Self::plaintext(self.layout.block_addr(block_index), version, &mut out);
+        out
     }
 
     /// Decrypts the *persisted* ciphertext of `block_index` under the
@@ -1419,11 +1492,10 @@ impl SecureNvm {
     #[must_use]
     pub fn decrypt_persisted(&self, block_index: u64) -> Vec<u8> {
         let addr = self.layout.block_addr(block_index);
-        let (cb, group, slot) = self.layout.ctr_location(block_index);
-        let groups = self.layout.ctr_geometry.unpack(&self.nvm.read_block(cb));
-        let (major, minor) = groups[group].value_of(slot);
-        let ct = self.nvm.read_block(addr);
-        self.ctr_mode.decrypt(addr, major, minor, &ct)
+        let (major, minor) = self.persisted_counter(block_index);
+        let mut out = self.persisted(addr).to_vec();
+        self.ctr_mode.decrypt(addr, major, minor, &mut out);
+        out
     }
 
     /// Authenticates the persisted ciphertext of `block_index` against the
@@ -1436,15 +1508,12 @@ impl SecureNvm {
     /// authentication fails.
     pub fn authenticate_persisted(&self, block_index: u64) -> Result<(), MacMismatch> {
         let addr = self.layout.block_addr(block_index);
-        let (cb, group, slot) = self.layout.ctr_location(block_index);
         let (mb, mslot) = self.layout.mac_location(block_index);
-        let groups = self.layout.ctr_geometry.unpack(&self.nvm.read_block(cb));
-        let (major, minor) = groups[group].value_of(slot);
-        let ct = self.nvm.read_block(addr);
-        let expect = self.mac.first_level(addr, major, minor, &ct);
-        let mac_len = self.layout.mac_len();
-        let mac_img = self.nvm.read_block(mb);
-        let stored = &mac_img[mslot * mac_len..(mslot + 1) * mac_len];
+        let (major, minor) = self.persisted_counter(block_index);
+        let mut expect = vec![0; self.layout.mac_len()];
+        self.mac
+            .first_level(addr, major, minor, self.persisted(addr), &mut expect);
+        let stored = &self.persisted(mb)[self.layout.mac_slot(mslot)];
         if stored == expect.as_slice() {
             Ok(())
         } else {
@@ -1467,26 +1536,23 @@ impl SecureNvm {
     pub(crate) fn merge_entry(&mut self, e: &PartialUpdate) -> bool {
         let index = u64::from(e.block_index);
         let addr = self.layout.block_addr(index);
-        let (cb, group, slot) = self.layout.ctr_location(index);
-        let (mb, mslot) = self.layout.mac_location(index);
-        let ct = self.nvm.read_block(addr);
-        let mut groups = self.layout.ctr_geometry.unpack(&self.nvm.read_block(cb));
-        let major = groups[group].major();
-        let first = self.mac.first_level(addr, major, e.minor, &ct);
-        if self.mac.second_level(addr, &first) != e.mac2 {
+        let (major, minor) = self.persisted_counter(index);
+        self.persisted_first_mac(index, major, e.minor);
+        if self.mac.second_level(addr, &self.scratch.mac) != e.mac2 {
             return false; // stale: a newer entry or in-place copy wins
         }
-        if groups[group].value_of(slot).1 != e.minor {
-            groups[group].set_minor(slot, e.minor);
-            let img = self.pack_ctr_block(&groups);
-            self.nvm.write_block(cb, &img, WriteCategory::Recovery);
+        if minor != e.minor {
+            // Rewrite the counter block as packing its counters would:
+            // normalized, with the entry's minor merged in.
+            let (cb, group, slot) = self.layout.ctr_location(index);
+            let mut line = self.scratch.take_line();
+            line.copy_from_slice(self.persisted(cb));
+            self.layout.ctr_geometry.normalize(&mut line);
+            self.layout.ctr_geometry.set_minor(&mut line, group, slot, e.minor);
+            self.nvm.write_block(cb, &line, WriteCategory::Recovery);
+            self.scratch.line = Some(line);
         }
-        let mac_len = self.layout.mac_len();
-        let mut mac_img = self.nvm.read_block(mb);
-        if mac_img[mslot * mac_len..(mslot + 1) * mac_len] != first[..] {
-            mac_img[mslot * mac_len..(mslot + 1) * mac_len].copy_from_slice(&first);
-            self.nvm.write_block(mb, &mac_img, WriteCategory::Recovery);
-        }
+        self.restore_mac_slot(index);
         true
     }
 }
@@ -1501,11 +1567,13 @@ struct MachineHost<'a> {
     shadow_tracking: bool,
     nvm: &'a mut NvmDevice,
     wpq: &'a mut Wpq,
-    ctr_cache: &'a mut SetAssocCache<Vec<CounterGroup>>,
-    mac_cache: &'a mut SetAssocCache<Vec<u8>>,
+    ctr_cache: &'a mut SetAssocCache<Box<[u8]>>,
+    mac_cache: &'a mut SetAssocCache<Box<[u8]>>,
     mac: &'a MacEngine,
     shadow: &'a mut ShadowTracker,
     tap: Option<&'a mut Tap>,
+    /// The image of a never-written block.
+    zeros: &'a [u8],
 }
 
 impl MachineHost<'_> {
@@ -1541,10 +1609,11 @@ impl ThothHost for MachineHost<'_> {
                 } else {
                     let sub = self.layout.ctr_subblock(index) % 64;
                     let subblock_dirty = self.ctr_cache.dirty_mask(cb) & (1 << sub) != 0;
+                    let geometry = self.layout.ctr_geometry;
                     let value_matches = self
                         .ctr_cache
                         .peek(cb)
-                        .is_some_and(|g| g[group].value_of(slot).1 == e.minor);
+                        .is_some_and(|img| geometry.minor(img, group, slot) == e.minor);
                     BlockView::Dirty {
                         subblock_dirty,
                         value_matches,
@@ -1553,7 +1622,6 @@ impl ThothHost for MachineHost<'_> {
             }
             MetadataKind::Mac => {
                 let (mb, mslot) = self.layout.mac_location(index);
-                let mac_len = self.layout.mac_len();
                 if !self.mac_cache.contains(mb) {
                     BlockView::NotPresent
                 } else if !self.mac_cache.is_dirty(mb) {
@@ -1562,7 +1630,7 @@ impl ThothHost for MachineHost<'_> {
                     let subblock_dirty = self.mac_cache.dirty_mask(mb) & (1 << (mslot % 64)) != 0;
                     let addr = self.layout.block_addr(index);
                     let value_matches = self.mac_cache.peek(mb).is_some_and(|img| {
-                        let first = &img[mslot * mac_len..(mslot + 1) * mac_len];
+                        let first = &img[self.layout.mac_slot(mslot)];
                         self.mac.second_level(addr, first) == e.mac2
                     });
                     BlockView::Dirty {
@@ -1579,10 +1647,7 @@ impl ThothHost for MachineHost<'_> {
         match kind {
             MetadataKind::Counter => {
                 let (cb, _, _) = self.layout.ctr_location(index);
-                let image = {
-                    let groups = self.ctr_cache.peek(cb).expect("dirty implies resident");
-                    self.layout.ctr_geometry.pack(groups)
-                };
+                let image = self.ctr_cache.peek(cb).expect("dirty implies resident");
                 self.wpq
                     .insert(self.now, cb, Some(image), WriteCategory::CounterBlock, self.nvm);
                 self.ctr_cache.clean(cb);
@@ -1590,7 +1655,7 @@ impl ThothHost for MachineHost<'_> {
             }
             MetadataKind::Mac => {
                 let (mb, _) = self.layout.mac_location(index);
-                let image = self.mac_cache.peek(mb).expect("dirty implies resident").clone();
+                let image = self.mac_cache.peek(mb).expect("dirty implies resident");
                 self.wpq
                     .insert(self.now, mb, Some(image), WriteCategory::MacBlock, self.nvm);
                 self.mac_cache.clean(mb);
@@ -1601,22 +1666,17 @@ impl ThothHost for MachineHost<'_> {
     }
 
     fn write_pub_block(&mut self, addr: u64, image: &[u8]) {
-        self.wpq.insert(
-            self.now,
-            addr,
-            Some(image.to_vec()),
-            WriteCategory::PubBlock,
-            self.nvm,
-        );
+        self.wpq
+            .insert(self.now, addr, Some(image), WriteCategory::PubBlock, self.nvm);
         let now = self.now;
         self.emit(Event::PubAppend { addr, image, now });
     }
 
-    fn read_pub_block(&mut self, addr: u64) -> Vec<u8> {
+    fn read_pub_block(&mut self, addr: u64, read: &mut dyn FnMut(&[u8])) {
         let now = self.now;
         self.emit(Event::PubEvict { addr, now });
         let _ = self.nvm.time_access(self.now, addr, false);
-        self.nvm.read_block(addr)
+        read(self.nvm.block_image(addr).unwrap_or(self.zeros));
     }
 
     fn power_failed(&self) -> bool {
@@ -1857,11 +1917,18 @@ mod tests {
         // post-overflow increments; the eagerly persisted in-place copy
         // holds the state as of the overflow (minors reset to 0).
         let (cb, group, slot) = m.layout.ctr_location(m.layout.block_index(addr));
-        let (major, minor) = m.ctr_cache.peek(cb).expect("resident")[group].value_of(slot);
+        let geometry = m.layout.ctr_geometry;
+        let cached = m.ctr_cache.peek(cb).expect("resident");
+        let (major, minor) = geometry.value_of(cached, group, slot);
         assert_eq!(major, 1, "one overflow after 130 increments");
         assert_eq!(u64::from(minor), 130 - 128);
-        let inplace = m.layout.ctr_geometry.unpack(&m.nvm.read_block(cb));
+        let inplace = geometry.unpack(&m.nvm.read_block(cb));
         assert_eq!(inplace[group].major(), 1, "overflow persisted eagerly");
+        assert_eq!(
+            geometry.pack(&geometry.unpack(cached)),
+            cached.to_vec(),
+            "the cached image is what packing its counters gives"
+        );
         // After a crash the state must still verify.
         m.crash();
         assert!(m.recover().is_clean());
@@ -1995,12 +2062,13 @@ mod tests {
         let (cb, group, slot) = m.layout.ctr_location(index);
         // Force the dirty line out through the write-back path...
         let ev = m.ctr_cache.remove(cb).expect("resident");
-        let groups = ev.value.clone();
-        m.writeback_ctr(t, cb, &groups, ev.dirty);
+        let image = ev.value.clone();
+        m.writeback(t, ev, WriteCategory::CounterBlock);
         // ...and refetch before any drain could complete.
         m.ensure_ctr(t + 1, cb);
-        let seen = m.ctr_cache.peek(cb).expect("refetched")[group].value_of(slot);
-        assert_eq!(seen, groups[group].value_of(slot), "stale refetch");
+        let geometry = m.layout.ctr_geometry;
+        let seen = geometry.value_of(m.ctr_cache.peek(cb).expect("refetched"), group, slot);
+        assert_eq!(seen, geometry.value_of(&image, group, slot), "stale refetch");
         assert_eq!(seen.1, 1, "the store's increment must be visible");
     }
 

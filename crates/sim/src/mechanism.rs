@@ -33,8 +33,9 @@ use thoth_nvm::WriteCategory;
 use thoth_sim_engine::{Cycle, FastSet};
 
 /// Everything a mechanism may need about the store being covered.
-/// Computed once by the shared pipeline and handed over by value.
-pub(crate) struct StoreMeta {
+/// Computed once by the shared pipeline and lent to the mechanism. The
+/// post-increment counter block is the counter cache's line for `cb`.
+pub(crate) struct StoreMeta<'a> {
     /// Data block index.
     pub index: u64,
     /// Data block address.
@@ -52,14 +53,12 @@ pub(crate) struct StoreMeta {
     /// MAC-cache dirtiness sampled before this store's update.
     pub mac_was_dirty: bool,
     /// The fresh first-level MAC of the (new) ciphertext.
-    pub first_mac: Vec<u8>,
-    /// The counter block packed to its NVM image, post-increment.
-    pub packed_ctr: Vec<u8>,
+    pub first_mac: &'a [u8],
 }
 
 /// The re-encryption variant of [`StoreMeta`] (counter state was already
 /// persisted eagerly by the overflow handler).
-pub(crate) struct ReencryptMeta {
+pub(crate) struct ReencryptMeta<'a> {
     /// Data block index.
     pub index: u64,
     /// Data block address.
@@ -73,7 +72,7 @@ pub(crate) struct ReencryptMeta {
     /// MAC-cache dirtiness sampled before the image update.
     pub mac_was_dirty: bool,
     /// The fresh first-level MAC of the re-encrypted ciphertext.
-    pub first_mac: Vec<u8>,
+    pub first_mac: &'a [u8],
 }
 
 /// One metadata-persistence mechanism (see the module docs).
@@ -105,11 +104,11 @@ pub(crate) trait MetaMechanism: Sync {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech;
 
     /// Persist schedule for one overflow re-encryption's MAC update.
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: ReencryptMeta) -> MetaMech;
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech;
 
     /// Residual-energy work at the crash instant, before the WPQ's ADR
     /// flush. Default: nothing survives outside the ADR domain.
@@ -148,17 +147,11 @@ impl MetaMechanism for BaselineMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // Strict persistence: full counter + MAC blocks each write.
-        let ctr_img = meta.packed_ctr;
-        let mac_img = m.mac_cache.peek(meta.mb).expect("ensured").clone();
-        let a1 = m
-            .wpq
-            .insert(*t, meta.cb, Some(ctr_img), WriteCategory::CounterBlock, &mut m.nvm);
-        let a2 = m
-            .wpq
-            .insert(*t, meta.mb, Some(mac_img), WriteCategory::MacBlock, &mut m.nvm);
+        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
+        let a2 = m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
         // NVM is now (logically) current: caches stay clean.
         m.ctr_cache.clean(meta.cb);
         m.mac_cache.clean(meta.mb);
@@ -166,10 +159,8 @@ impl MetaMechanism for BaselineMech {
         MetaMech::InPlace
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: ReencryptMeta) -> MetaMech {
-        let mac_img = m.mac_cache.peek(meta.mb).expect("ensured").clone();
-        m.wpq
-            .insert(t, meta.mb, Some(mac_img), WriteCategory::MacBlock, &mut m.nvm);
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
+        m.persist_cached(t, meta.mb, WriteCategory::MacBlock);
         m.mac_cache.clean(meta.mb);
         MetaMech::InPlace
     }
@@ -188,11 +179,11 @@ impl MetaMechanism for ThothMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // Second-level MAC for the partial update.
         *t += m.config.hash_cycles;
-        let mac2 = m.mac.second_level(meta.addr, &meta.first_mac);
+        let mac2 = m.mac.second_level(meta.addr, meta.first_mac);
         m.ctr_cache
             .mark_dirty(meta.cb, Some(m.layout.ctr_subblock(meta.index) % 64));
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
@@ -212,15 +203,8 @@ impl MetaMechanism for ThothMech {
             && m.wpq.contains_coalescable(meta.cb)
             && m.wpq.contains_coalescable(meta.mb)
         {
-            let ctr_img = {
-                let groups = m.ctr_cache.peek(meta.cb).expect("ensured");
-                m.pack_ctr_block(groups)
-            };
-            let mac_img = m.mac_cache.peek(meta.mb).expect("ensured").clone();
-            m.wpq
-                .insert(*t, meta.cb, Some(ctr_img), WriteCategory::CounterBlock, &mut m.nvm);
-            m.wpq
-                .insert(*t, meta.mb, Some(mac_img), WriteCategory::MacBlock, &mut m.nvm);
+            m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
+            m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
             m.ctr_cache.clean(meta.cb);
             m.mac_cache.clean(meta.mb);
             m.note_shadow_clean(*t, meta.cb);
@@ -233,10 +217,10 @@ impl MetaMechanism for ThothMech {
         }
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: ReencryptMeta) -> MetaMech {
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
         m.note_shadow_dirty(t, meta.mb);
-        let mac2 = m.mac.second_level(meta.addr, &meta.first_mac);
+        let mac2 = m.mac.second_level(meta.addr, meta.first_mac);
         let pu = PartialUpdate {
             block_index: meta.index as u32,
             minor: meta.minor,
@@ -258,10 +242,11 @@ impl MetaMechanism for ThothMech {
         report.pub_blocks_scanned = scan.len() as u64;
         report.modeled_seconds = thoth_core::recovery::RecoveryCostModel::default()
             .pub_recovery_secs(scan.len() as u64, codec.entries_per_block() as u64);
+        let mut entries = Vec::with_capacity(codec.entries_per_block());
         for block_addr in scan {
             *t = m.nvm.time_access(*t, block_addr, false);
-            let entries = codec.decode(&m.nvm.read_block(block_addr));
-            for e in entries {
+            codec.decode_into(m.persisted(block_addr), &mut entries);
+            for e in &entries {
                 report.entries_examined += 1;
                 // Footnote 5's per-entry recipe: read ciphertext, counter
                 // and MAC blocks, two MAC levels, then the merge writes
@@ -274,7 +259,7 @@ impl MetaMechanism for ThothMech {
                 *t = (*t).max(m.nvm.time_access(*t, cb, false));
                 *t = (*t).max(m.nvm.time_access(*t, mb, false));
                 *t += 2 * m.config.hash_cycles;
-                if m.merge_entry(&e) {
+                if m.merge_entry(e) {
                     report.entries_merged += 1;
                     *t = (*t).max(m.nvm.time_access(*t, cb, true));
                     *t = (*t).max(m.nvm.time_access(*t, mb, true));
@@ -300,7 +285,7 @@ impl MetaMechanism for AnubisEccMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         _ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // Metadata rides along with data via ECC bits / MAC chip: caches
         // dirty, persisted only through natural eviction.
@@ -312,7 +297,7 @@ impl MetaMechanism for AnubisEccMech {
         MetaMech::EccRideAlong
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: ReencryptMeta) -> MetaMech {
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
         m.note_shadow_dirty(t, meta.mb);
         MetaMech::EccRideAlong
@@ -328,7 +313,7 @@ impl MetaMechanism for EadrMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // The entire hierarchy is persistent: the store is durable the
         // moment it executes; NVM traffic is eviction-driven.
@@ -339,7 +324,7 @@ impl MetaMechanism for EadrMech {
         MetaMech::EadrDomain
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: ReencryptMeta) -> MetaMech {
+    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
         MetaMech::EadrDomain
     }
@@ -347,23 +332,15 @@ impl MetaMechanism for EadrMech {
     fn crash_residual(&self, m: &mut SecureNvm) {
         // eADR: residual power flushes every dirty cache line to NVM
         // before the volatile state is lost.
-        let dirty_ctrs: Vec<(u64, Vec<u8>)> = m
-            .ctr_cache
-            .iter()
-            .filter(|(_, _, dirty, _)| *dirty)
-            .map(|(a, groups, _, _)| (a, m.pack_ctr_block(groups)))
-            .collect();
-        for (a, img) in dirty_ctrs {
-            m.nvm.write_block(a, &img, WriteCategory::CounterBlock);
+        for (a, img, dirty, _) in m.ctr_cache.iter() {
+            if dirty {
+                m.nvm.write_block(a, img, WriteCategory::CounterBlock);
+            }
         }
-        let dirty_macs: Vec<(u64, Vec<u8>)> = m
-            .mac_cache
-            .iter()
-            .filter(|(_, _, dirty, _)| *dirty)
-            .map(|(a, img, _, _)| (a, img.clone()))
-            .collect();
-        for (a, img) in dirty_macs {
-            m.nvm.write_block(a, &img, WriteCategory::MacBlock);
+        for (a, img, dirty, _) in m.mac_cache.iter() {
+            if dirty {
+                m.nvm.write_block(a, img, WriteCategory::MacBlock);
+            }
         }
     }
 }
@@ -381,20 +358,18 @@ impl MetaMechanism for PhoenixMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // Strict leaf-counter persistence; the MAC image stays lazy in
         // cache (reconstructed at boot, so losing it is safe).
-        let a1 = m
-            .wpq
-            .insert(*t, meta.cb, Some(meta.packed_ctr), WriteCategory::CounterBlock, &mut m.nvm);
+        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
         m.ctr_cache.clean(meta.cb);
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
         *ack = (*ack).max(a1);
         MetaMech::PhoenixLeaf
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: ReencryptMeta) -> MetaMech {
+    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
         // The overflow handler already persisted the counter block
         // eagerly; the refreshed MAC stays lazy like every other.
         m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
@@ -408,25 +383,18 @@ impl MetaMechanism for PhoenixMech {
         // costs a ciphertext read, a counter read (typically banked with
         // neighbours) and one MAC-engine pass; only stale MAC images are
         // written back.
-        let mac_len = m.layout.mac_len();
         let mut indices: Vec<u64> = m.data_versions.keys().copied().collect();
         indices.sort_unstable();
         let mut rebuilt: FastSet<u64> = FastSet::default();
         for index in indices {
             let addr = m.layout.block_addr(index);
-            let (cb, group, slot) = m.layout.ctr_location(index);
-            let (mb, mslot) = m.layout.mac_location(index);
+            let (cb, _, _) = m.layout.ctr_location(index);
             *t = (*t).max(m.nvm.time_access(*t, addr, false));
             *t = (*t).max(m.nvm.time_access(*t, cb, false));
-            let groups = m.layout.ctr_geometry.unpack(&m.nvm.read_block(cb));
-            let (major, minor) = groups[group].value_of(slot);
-            let ct = m.nvm.read_block(addr);
-            let first = m.mac.first_level(addr, major, minor, &ct);
+            let (major, minor) = m.persisted_counter(index);
+            m.persisted_first_mac(index, major, minor);
             *t += m.config.hash_cycles;
-            let mut img = m.nvm.read_block(mb);
-            if img[mslot * mac_len..(mslot + 1) * mac_len] != first[..] {
-                img[mslot * mac_len..(mslot + 1) * mac_len].copy_from_slice(&first);
-                m.nvm.write_block(mb, &img, WriteCategory::Recovery);
+            if let Some(mb) = m.restore_mac_slot(index) {
                 *t = (*t).max(m.nvm.time_access(*t, mb, true));
                 rebuilt.insert(mb);
             }
@@ -454,15 +422,10 @@ impl MetaMechanism for FreijMech {
         m: &mut SecureNvm,
         t: &mut Cycle,
         ack: &mut Cycle,
-        meta: StoreMeta,
+        meta: &StoreMeta<'_>,
     ) -> MetaMech {
-        let mac_img = m.mac_cache.peek(meta.mb).expect("ensured").clone();
-        let a1 = m
-            .wpq
-            .insert(*t, meta.cb, Some(meta.packed_ctr), WriteCategory::CounterBlock, &mut m.nvm);
-        let a2 = m
-            .wpq
-            .insert(*t, meta.mb, Some(mac_img), WriteCategory::MacBlock, &mut m.nvm);
+        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
+        let a2 = m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
         m.ctr_cache.clean(meta.cb);
         m.mac_cache.clean(meta.mb);
         *ack = (*ack).max(a1).max(a2);
@@ -473,10 +436,8 @@ impl MetaMechanism for FreijMech {
         }
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: ReencryptMeta) -> MetaMech {
-        let mac_img = m.mac_cache.peek(meta.mb).expect("ensured").clone();
-        m.wpq
-            .insert(t, meta.mb, Some(mac_img), WriteCategory::MacBlock, &mut m.nvm);
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
+        m.persist_cached(t, meta.mb, WriteCategory::MacBlock);
         m.mac_cache.clean(meta.mb);
         if self.strict {
             MetaMech::SubtreeStrict

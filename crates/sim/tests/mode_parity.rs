@@ -1,14 +1,14 @@
-//! Mode-parity regression: the metadata-persistence mechanism seam
-//! (`crates/sim/src/mechanism.rs`) must be an *observationally invisible*
-//! refactor for the four pre-existing modes. This test replays the exact
-//! quick headline matrix the perf digest gate pins (5 workloads ×
-//! {128, 256} B × 4 modes at scale 0.02, seed 0xC0FFEE) and folds the
-//! per-run digests the same way `thoth-experiments` does; the result must
-//! stay bit-identical to the golden digest through any mechanism change.
+//! Mode-parity regression: a change meant only for speed or structure
+//! must leave every mode's simulated behaviour bit-identical. These
+//! tests replay the quick headline matrix (5 workloads × {128, 256} B at
+//! scale 0.02, seed 0xC0FFEE) and fold the per-run digests the same way
+//! `thoth-experiments` does.
 //!
-//! The second test holds the *extension* mechanisms to the same
-//! reproducibility bar (self-parity), without pinning their digests —
-//! their schedules are allowed to evolve; the original four are not.
+//! All eight modes are pinned: the four paper modes to the digest the
+//! perf gate in `ci.sh` checks, the four extension mechanisms (eADR,
+//! Phoenix, Freij strict/lazy) to a digest of their own. A change that
+//! is *meant* to alter a schedule re-pins the affected digest here and
+//! says so, with the reason, in CHANGES.md.
 
 use std::collections::BTreeMap;
 
@@ -19,6 +19,10 @@ use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 /// gate and `CHANGES.md`): any drift here means an existing mode's
 /// behavior changed.
 const GOLDEN_QUICK_DIGEST: u64 = 0xaa9d_df0c_ed97_6c32;
+
+/// The pinned digest of the same quick matrix over the four extension
+/// modes (eadr, phoenix, freij-strict, freij-lazy).
+const EXTENSION_QUICK_DIGEST: u64 = 0x56ed_eaff_6050_61b1;
 
 /// Mirrors `ExpSettings::quick()` + `ExpSettings::workload` in
 /// `thoth-experiments`: scale 0.02, seed 0xC0FFEE, tx 128 B, and the
@@ -84,6 +88,22 @@ fn existing_modes_reproduce_the_golden_quick_matrix_digest() {
         fold_digest(&runs),
         GOLDEN_QUICK_DIGEST,
         "the mechanism seam changed an existing mode's observable behavior"
+    );
+}
+
+#[test]
+fn extension_modes_reproduce_their_pinned_quick_matrix_digest() {
+    let runs = run_matrix(&[
+        Mode::eadr(),
+        Mode::phoenix(),
+        Mode::freij_strict(),
+        Mode::freij_lazy(),
+    ]);
+    assert_eq!(runs.len(), WorkloadKind::ALL.len() * 2 * 4);
+    let digest = fold_digest(&runs);
+    assert_eq!(
+        digest, EXTENSION_QUICK_DIGEST,
+        "an extension mode's observable behavior changed (got {digest:#018x})"
     );
 }
 
