@@ -1,13 +1,15 @@
 //! Microbenchmarks of the substrates (ablation-style): AES, SipHash,
 //! two-level MACs, split-counter packing, Merkle-tree updates, the
-//! set-associative cache, and the PUB block codec.
+//! set-associative cache, the PUB block codec, and the Figure 3
+//! hypothetical-FIFO replay.
 
 use thoth_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
 use thoth_cache::{CacheConfig, SetAssocCache};
-use thoth_core::{PartialUpdate, PubBlockCodec};
+use thoth_core::analysis::{MetaUpdate, PubAnalysis};
+use thoth_core::{EvictionPolicy, PartialUpdate, PubBlockCodec};
 use thoth_crypto::counter::CounterBlock;
 use thoth_crypto::{Aes128, CtrMode, MacEngine, MacKey, SipHash24};
 use thoth_merkle::{BonsaiTree, MerkleConfig};
@@ -147,6 +149,50 @@ fn bench(c: &mut Criterion) {
         });
     });
 
+    group.finish();
+
+    // The Figure 3 engine: the hypothetical-FIFO replay over a seeded
+    // synthetic counter-update stream. Three of every four updates land
+    // in a 256-block hot set that fits the 64 KiB metadata cache, the
+    // rest in 4096 blocks that do not. Every FIFO size sees all four
+    // eviction outcomes, and the written-back share falls from 90% at 50
+    // entries to 0.2% at 20 000 — the figure's shape.
+    let mut state = 0x5EED_u64;
+    let stream: Vec<MetaUpdate> = (0..40_000u64)
+        .map(|value| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut r = state;
+            r = (r ^ (r >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            r = (r ^ (r >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            r ^= r >> 31;
+            let blocks = if r & 3 == 0 { 4096 } else { 256 };
+            MetaUpdate {
+                meta_block: (r >> 8) % blocks * 128,
+                subblock: ((r >> 40) % 32) as usize,
+                value,
+            }
+        })
+        .collect();
+    let mut group = c.benchmark_group("pub-analysis");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    for fifo in [50usize, 2_000, 20_000] {
+        group.bench_function(format!("replay-fifo{fifo}"), |b| {
+            b.iter(|| {
+                let mut a = PubAnalysis::new(
+                    CacheConfig::new(64 << 10, 4, 128),
+                    fifo,
+                    EvictionPolicy::Wtbc,
+                );
+                for u in &stream {
+                    a.record(*u);
+                }
+                black_box(a.breakdown())
+            });
+        });
+    }
     group.finish();
 }
 

@@ -89,21 +89,14 @@ impl SweepConfig {
         cfg
     }
 
-    /// Generates the trace for `kind` (mirrors the experiment runner's
-    /// quick-mode footprint shrink so sweeps stay fast).
+    /// Generates the trace for `kind` ([`WorkloadConfig::at_scale`]: the
+    /// experiment runner's configuration, quick-mode footprint shrink
+    /// included, so sweeps stay fast).
     #[must_use]
     pub fn trace(&self, kind: WorkloadKind) -> MultiCoreTrace {
-        let mut cfg = WorkloadConfig::paper_default(kind).scaled(self.scale);
+        let mut cfg = WorkloadConfig::at_scale(kind, self.scale);
         cfg.tx_size = self.tx_size;
         cfg.seed = self.seed;
-        if self.scale < 0.1 {
-            cfg.footprint = match kind {
-                WorkloadKind::Swap => 4,
-                WorkloadKind::Queue => 32,
-                _ => 10_000,
-            };
-            cfg.prepopulate = cfg.footprint / 2;
-        }
         spec::generate(cfg)
     }
 }

@@ -7,11 +7,11 @@
 //! reports speedup over the unmodified baseline plus the knob's most
 //! informative internal statistic.
 
-use crate::runner::{sim_config, simulate, ExpSettings, TraceCache};
+use crate::runner::{ExpSettings, TraceCache};
 use crate::tablefmt::Table;
 
 use thoth_core::EvictOutcome;
-use thoth_sim::{Mode, PcbArrangement};
+use thoth_sim::{run_trace, Mode, PcbArrangement, SimConfig};
 use thoth_workloads::WorkloadKind;
 
 /// Workload the single-knob sweeps run on (btree: mid-pack behaviour).
@@ -25,16 +25,16 @@ pub fn pub_size_sweep(cache: &mut TraceCache) -> Table {
         &["pub size", "speedup", "writes vs baseline", "written-back share"],
     );
     let trace = cache.get(SWEEP_WORKLOAD, 128);
-    let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
+    let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
     for (bytes, label) in [
         (256u64 << 10, "256 KB"),
         (1 << 20, "1 MB"),
         (8 << 20, "8 MB"),
         (32 << 20, "32 MB"),
     ] {
-        let mut cfg = sim_config(Mode::thoth_wtsc(), 128);
+        let mut cfg = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         cfg.pub_size_bytes = bytes;
-        let r = simulate(&cfg, &trace);
+        let r = run_trace(&cfg, &trace);
         let evictions: u64 = r.pub_evictions.values().sum();
         let wb = r.pub_outcome(EvictOutcome::WrittenBack);
         table.row(vec![
@@ -59,11 +59,11 @@ pub fn pub_threshold_sweep(cache: &mut TraceCache) -> Table {
         &["threshold", "speedup", "writes vs baseline"],
     );
     let trace = cache.get(SWEEP_WORKLOAD, 128);
-    let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
+    let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
     for pct in [50u8, 80, 95] {
-        let mut cfg = sim_config(Mode::thoth_wtsc(), 128);
+        let mut cfg = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         cfg.pub_threshold_pct = pct;
-        let r = simulate(&cfg, &trace);
+        let r = run_trace(&cfg, &trace);
         table.row(vec![
             format!("{pct}%"),
             format!("{:.3}", r.speedup_over(&base)),
@@ -82,11 +82,11 @@ pub fn pcb_size_sweep(cache: &mut TraceCache) -> Table {
         &["pcb entries", "wpq entries", "speedup", "pcb merge rate"],
     );
     let trace = cache.get(SWEEP_WORKLOAD, 128);
-    let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
+    let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
     for pcb in [1usize, 4, 8, 16] {
-        let mut cfg = sim_config(Mode::thoth_wtsc(), 128);
+        let mut cfg = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         cfg.pcb_entries = pcb;
-        let r = simulate(&cfg, &trace);
+        let r = run_trace(&cfg, &trace);
         table.row(vec![
             pcb.to_string(),
             (64 - pcb).to_string(),
@@ -106,11 +106,11 @@ pub fn arrangement_compare(cache: &mut TraceCache) -> Table {
     );
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
-        let before = simulate(&sim_config(Mode::thoth_wtsc(), 128), &trace);
-        let mut after_cfg = sim_config(Mode::thoth_wtsc(), 128);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+        let before = run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
+        let mut after_cfg = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         after_cfg.pcb_arrangement = PcbArrangement::AfterWpq;
-        let after = simulate(&after_cfg, &trace);
+        let after = run_trace(&after_cfg, &trace);
         table.row(vec![
             kind.name().to_owned(),
             format!("{:.3}", before.speedup_over(&base)),
@@ -132,9 +132,9 @@ pub fn eadr_compare(cache: &mut TraceCache) -> Table {
     );
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
-        let thoth = simulate(&sim_config(Mode::thoth_wtsc(), 128), &trace);
-        let eadr = simulate(&sim_config(Mode::eadr(), 128), &trace);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+        let thoth = run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
+        let eadr = run_trace(&SimConfig::paper_default(Mode::eadr(), 128), &trace);
         table.row(vec![
             kind.name().to_owned(),
             format!("{:.3}", thoth.speedup_over(&base)),
@@ -167,9 +167,9 @@ pub fn mechanism_compare(cache: &mut TraceCache) -> Table {
     ];
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
         for mode in modes {
-            let r = simulate(&sim_config(mode, 128), &trace);
+            let r = run_trace(&SimConfig::paper_default(mode, 128), &trace);
             table.row(vec![
                 kind.name().to_owned(),
                 mode.label().to_owned(),
@@ -193,8 +193,8 @@ pub fn ops_mix_sweep(settings: ExpSettings) -> Table {
         let mut wl = settings.workload(WorkloadKind::Hashmap, 128);
         wl.delete_per_mille = per_mille;
         let trace = thoth_workloads::spec::generate(wl);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
-        let thoth = simulate(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+        let thoth = run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
         table.row(vec![
             format!("{:.0}%", f64::from(per_mille) / 10.0),
             format!("{:.3}", thoth.speedup_over(&base)),
@@ -213,9 +213,9 @@ pub fn extension_workloads(cache: &mut TraceCache) -> Table {
     );
     for kind in [WorkloadKind::Queue] {
         let trace = cache.get(kind, 128);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
         for mode in [Mode::thoth_wtsc(), Mode::eadr()] {
-            let r = simulate(&sim_config(mode, 128), &trace);
+            let r = run_trace(&SimConfig::paper_default(mode, 128), &trace);
             table.row(vec![
                 kind.name().to_owned(),
                 mode.label().to_owned(),

@@ -7,10 +7,10 @@
 //! strictly on every write.
 
 use crate::gmean;
-use crate::runner::{sim_config, simulate, ExpSettings, TraceCache};
+use crate::runner::{ExpSettings, TraceCache};
 use crate::tablefmt::Table;
 
-use thoth_sim::Mode;
+use thoth_sim::{run_trace, Mode, SimConfig};
 use thoth_workloads::WorkloadKind;
 
 /// The paper's (counter cache, MAC cache) size points, in bytes.
@@ -43,14 +43,14 @@ pub fn run(settings: ExpSettings) -> Vec<Table> {
             let trace = cache.get(kind, 128);
             let mut vals = Vec::new();
             for (i, &(ctr_bytes, mac_bytes)) in CACHE_POINTS.iter().enumerate() {
-                let mut base_cfg = sim_config(Mode::baseline(), block);
+                let mut base_cfg = SimConfig::paper_default(Mode::baseline(), block);
                 base_cfg.ctr_cache_bytes = ctr_bytes;
                 base_cfg.mac_cache_bytes = mac_bytes;
-                let mut thoth_cfg = sim_config(Mode::thoth_wtsc(), block);
+                let mut thoth_cfg = SimConfig::paper_default(Mode::thoth_wtsc(), block);
                 thoth_cfg.ctr_cache_bytes = ctr_bytes;
                 thoth_cfg.mac_cache_bytes = mac_bytes;
-                let base = simulate(&base_cfg, &trace);
-                let thoth = simulate(&thoth_cfg, &trace);
+                let base = run_trace(&base_cfg, &trace);
+                let thoth = run_trace(&thoth_cfg, &trace);
                 let s = thoth.speedup_over(&base);
                 cols[i].push(s);
                 vals.push(s);

@@ -307,8 +307,7 @@ mod tests {
             (Mode::phoenix(), Ok(())),
         ];
         let j = to_json(&cfg, &sweeps, &selftests);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
         assert!(j.contains("\"thoth-wtsc\": true"));
         assert!(j.contains("\"phoenix\": true"));
         assert!(j.contains("\"workload\": \"swap\""));

@@ -271,14 +271,10 @@ fn case_count(quick: bool) -> usize {
     }
 }
 
-/// Runs the fuzz sweep (or, with `trace`, replays one `SEED:ANCHOR`
-/// case), writes `results/fuzz.json`, and reports the verdict.
-///
-/// # Panics
-///
-/// Panics on a malformed `--trace` recipe.
+/// Runs the fuzz sweep (or, with `trace`, replays one case parsed by
+/// [`parse_recipe`]), writes `results/fuzz.json`, and reports the verdict.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool, trace: Option<&str>) -> FuzzOutcome {
+pub fn run(settings: ExpSettings, quick: bool, trace: Option<(u64, u64, Mode)>) -> FuzzOutcome {
     let sweep_sim = SweepConfig::default();
     let sim = sweep_sim.sim_config();
     let stats: [MixStats; 3] = [
@@ -498,28 +494,23 @@ pub fn run(settings: ExpSettings, quick: bool, trace: Option<&str>) -> FuzzOutco
     }
 }
 
-/// Replays one `SEED:ANCHOR[:MODE]` case verbosely (the printed repro
-/// recipe; MODE defaults to thoth-wtsc).
-fn replay_trace(stats: &[MixStats; 3], recipe: &str) -> FuzzOutcome {
+/// Parses a `SEED:ANCHOR[:MODE]` repro recipe (the one a minimized
+/// disagreement prints; MODE defaults to thoth-wtsc). `None` when a part
+/// is missing or malformed.
+#[must_use]
+pub fn parse_recipe(recipe: &str) -> Option<(u64, u64, Mode)> {
     let mut parts = recipe.splitn(3, ':');
-    let seed: u64 = parts
-        .next()
-        .expect("--trace takes SEED:ANCHOR[:MODE]")
-        .trim()
-        .parse()
-        .expect("--trace SEED is a u64");
-    let anchor: u64 = parts
-        .next()
-        .expect("--trace takes SEED:ANCHOR[:MODE]")
-        .trim()
-        .parse()
-        .expect("--trace ANCHOR is a u64");
-    let mode = parts.next().map_or(Mode::thoth_wtsc(), |label| {
-        *Mode::ALL
-            .iter()
-            .find(|m| m.label() == label.trim())
-            .expect("--trace MODE is a known mode label")
-    });
+    let seed = parts.next()?.trim().parse().ok()?;
+    let anchor = parts.next()?.trim().parse().ok()?;
+    let mode = match parts.next() {
+        Some(label) => *Mode::ALL.iter().find(|m| m.label() == label.trim())?,
+        None => Mode::thoth_wtsc(),
+    };
+    Some((seed, anchor, mode))
+}
+
+/// Replays one recipe's case verbosely.
+fn replay_trace(stats: &[MixStats; 3], (seed, anchor, mode): (u64, u64, Mode)) -> FuzzOutcome {
     let sim = SweepConfig::default().with_mode(mode).sim_config();
     let (mix, nth, v, _) = run_case(&sim, stats, seed, Some(anchor));
     let mut t = Table::new(
@@ -747,8 +738,7 @@ mod tests {
             "42:0",
             false,
         );
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
         assert!(j.contains("\"mix\": \"ycsb-b\""));
         assert!(j.contains("\"mode\": \"phoenix\""));
         assert!(j.contains("\"disagreements\": [\"1:0\"]"));

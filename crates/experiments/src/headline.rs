@@ -10,11 +10,11 @@
 //! * **§V-F** — Thoth's overhead relative to the hypothetical ideal where
 //!   ECC bits still exist (Anubis with co-located metadata).
 
-use crate::runner::{run_jobs, sim_config, ExpSettings, Job, TraceCache};
+use crate::runner::{run_jobs, ExpSettings, Job, TraceCache};
 use crate::tablefmt::Table;
 use crate::{amean, gmean};
 
-use thoth_sim::{Mode, SimReport};
+use thoth_sim::{Mode, SimConfig, SimReport};
 use thoth_workloads::WorkloadKind;
 
 use std::collections::BTreeMap;
@@ -40,7 +40,7 @@ pub fn matrix_jobs(cache: &mut TraceCache) -> Vec<Job<(String, usize, String)>> 
             ] {
                 jobs.push(Job {
                     key: (kind.name().to_owned(), block, mode.label().to_owned()),
-                    config: sim_config(mode, block),
+                    config: SimConfig::paper_default(mode, block),
                     trace: trace.clone(),
                 });
             }

@@ -5,10 +5,10 @@
 //! this experiment additionally reports wear *concentration* (hottest
 //! block, mean writes per touched block) per mode.
 
-use crate::runner::{sim_config, simulate, ExpSettings, TraceCache};
+use crate::runner::{ExpSettings, TraceCache};
 use crate::tablefmt::Table;
 
-use thoth_sim::Mode;
+use thoth_sim::{run_trace, Mode, SimConfig};
 use thoth_workloads::WorkloadKind;
 
 /// Runs the lifetime comparison and renders the table.
@@ -29,8 +29,8 @@ pub fn run(settings: ExpSettings) -> Vec<Table> {
     );
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = simulate(&sim_config(Mode::baseline(), 128), &trace);
-        let thoth = simulate(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let base = run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+        let thoth = run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
         let gain = if thoth.writes_total() == 0 {
             f64::INFINITY
         } else {

@@ -29,7 +29,7 @@ fn main() {
     let mut quick = false;
     let mut point: Option<String> = None;
     let mut point_mode = thoth_sim::Mode::thoth_wtsc();
-    let mut trace: Option<String> = None;
+    let mut trace: Option<(u64, u64, thoth_sim::Mode)> = None;
     let mut trajectory: Vec<f64> = Vec::new();
     let mut expect_digest: Option<u64> = None;
 
@@ -37,8 +37,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                settings.scale = v.parse().expect("--scale takes a float");
+                settings.scale = flag_value(&mut args, "--scale", parse_scale);
                 scale_given = true;
             }
             "--quick" => {
@@ -46,10 +45,10 @@ fn main() {
                 quick = true;
             }
             "--point" => {
-                point = Some(args.next().expect("--point needs WORKLOAD:SITE:N"));
+                point = Some(flag_value(&mut args, "--point", |v| Some(v.to_owned())));
             }
             "--mode" => {
-                let v = args.next().expect("--mode needs a mode label");
+                let v = flag_value(&mut args, "--mode", |v| Some(v.to_owned()));
                 point_mode = *thoth_sim::Mode::ALL
                     .iter()
                     .find(|m| m.label() == v)
@@ -62,27 +61,26 @@ fn main() {
                     });
             }
             "--trace" => {
-                trace = Some(args.next().expect("--trace needs SEED:ANCHOR"));
+                trace = Some(flag_value(&mut args, "--trace", fuzz::parse_recipe));
             }
             "--trajectory" => {
-                let v = args.next().expect("--trajectory needs S1,S2,...");
-                trajectory = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--trajectory takes floats"))
-                    .collect();
+                trajectory = flag_value(&mut args, "--trajectory", |v| {
+                    v.split(',').map(|s| parse_scale(s.trim())).collect()
+                });
             }
             "--expect-digest" => {
-                let v = args.next().expect("--expect-digest needs a hex digest");
-                let hex = v.trim_start_matches("0x");
-                expect_digest =
-                    Some(u64::from_str_radix(hex, 16).expect("--expect-digest takes hex"));
+                expect_digest = Some(flag_value(&mut args, "--expect-digest", |v| {
+                    u64::from_str_radix(v.trim_start_matches("0x"), 16).ok()
+                }));
             }
             "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                settings.seed = v.parse().expect("--seed takes a u64");
+                settings.seed = flag_value(&mut args, "--seed", |v| match v.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => v.parse().ok(),
+                });
             }
             "--csv" => {
-                csv_dir = Some(PathBuf::from(args.next().expect("--csv needs a dir")));
+                csv_dir = Some(flag_value(&mut args, "--csv", |v| Some(PathBuf::from(v))));
             }
             "--help" | "-h" => {
                 println!("{HELP}");
@@ -95,7 +93,10 @@ fn main() {
         wanted.push("all".to_owned());
     }
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("--csv {}: {e}", dir.display());
+            std::process::exit(2);
+        }
     }
 
     let emit = |tables: Vec<Table>, slug: &str| {
@@ -170,7 +171,7 @@ fn main() {
                 }
             }
             "fuzz" => {
-                let out = fuzz::run(settings, quick || !scale_given, trace.as_deref());
+                let out = fuzz::run(settings, quick || !scale_given, trace);
                 emit(out.tables, "fuzz");
                 if !out.ok {
                     eprintln!("fuzz: FAILED (observer disagreement or blind selftest, see above)");
@@ -227,6 +228,29 @@ fn main() {
     }
 }
 
+/// Takes the value of `flag` off `args` and parses it. A missing or
+/// malformed value prints the usage and exits 2, as an unknown experiment
+/// name does.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let value = args.next();
+    value.as_deref().and_then(parse).unwrap_or_else(|| {
+        match &value {
+            Some(v) => eprintln!("{flag}: cannot use {v:?}\n{HELP}"),
+            None => eprintln!("{flag} needs a value\n{HELP}"),
+        }
+        std::process::exit(2);
+    })
+}
+
+/// A transaction-count scale factor: finite and positive.
+fn parse_scale(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+}
+
 const HELP: &str = "\
 thoth-experiments — regenerate the tables and figures of the Thoth paper
 
@@ -270,7 +294,7 @@ EXPERIMENTS:
 OPTIONS:
   --scale F  transaction-count scale factor (default 0.25)
   --quick    tiny smoke-test scale
-  --seed N   workload RNG seed (default 0xC0FFEE)
+  --seed N   workload RNG seed, decimal or 0x-hex (default 0xC0FFEE)
   --csv DIR  also write each table as CSV into DIR
   --point WORKLOAD:SITE:N
              (crashtest only) replay one crash point, e.g.

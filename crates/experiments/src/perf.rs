@@ -293,8 +293,7 @@ mod tests {
         assert!(j.contains("\"matrix_digest\": \"0x00000000deadbeef\""));
         assert!(j.contains("\"persists_per_sec\": 200.0"));
         assert!(j.contains("\"trajectory\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
     }
 
     #[test]
@@ -306,8 +305,7 @@ mod tests {
         assert!(j.contains("\"scale\": 0.02, \"matrix_digest\": \"0x000000000000aaaa\""));
         assert!(j.contains("\"scale\": 0.5, \"matrix_digest\": \"0x000000000000bbbb\""));
         assert!(j.contains("\"persist_ops\": 100"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   workload, and each cross-core race variant (unfenced counter,
 //!   swapped drain order, relaxed steal, cover overlap) is planted in a
 //!   designated workload via the pilot-run alignment
-//!   ([`thoth_psan::seed_variant`]). The sanitizer must produce a
+//!   ([`thoth_psan::seed_variant_under`]). The sanitizer must produce a
 //!   finding of the expected class at exactly the planted site (core,
 //!   op index, block address). A miss or a wrong-site detection fails
 //!   the experiment.
@@ -29,8 +29,8 @@ use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 
 use thoth_psan::{
-    analyze_clean_under, analyze_variant_with_events, detection, expected_class, race_manifested,
-    seed_variant_under, BLOCK_BYTES,
+    analyze, detection, expected_class, race_manifested, seed_variant_under, workload_config,
+    BLOCK_BYTES,
 };
 use thoth_sim::Mode;
 use thoth_workloads::{spec, SeededBug, WorkloadKind};
@@ -169,7 +169,7 @@ fn plant(
         });
         return;
     };
-    let (run, events) = analyze_variant_with_events(&variant, mode);
+    let (run, events) = analyze(&variant.trace, &variant.classes, mode);
     let detected = detection(&run, &variant).is_some();
     rows.push(CorpusRow {
         kind,
@@ -196,18 +196,19 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
 
     // The paper's five workloads plus the multi-tenant service core, so
     // the open-loop subsystem ships with ordering-sanitizer coverage —
-    // each under all four persistence mechanisms.
+    // each under every persisting mechanism.
     let swept: Vec<WorkloadKind> = WorkloadKind::ALL
         .into_iter()
         .chain([WorkloadKind::Service])
         .collect();
     for &kind in &swept {
+        let clean = spec::generate_annotated(workload_config(kind, scale));
         for mode in modes() {
             eprintln!(
                 "[thoth-experiments] psan analyzing clean {kind} under {}...",
                 mode.label()
             );
-            let run = analyze_clean_under(kind, scale, mode);
+            let (run, _) = analyze(&clean.trace, &clean.classes, mode);
             clean_rows.push(CleanRow {
                 kind,
                 mode,
@@ -228,7 +229,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
     // event sequence numbers shift with the persist schedule), the
     // whole matrix repeated under each corpus mechanism.
     for kind in WorkloadKind::ALL {
-        let annotated = spec::generate_annotated(thoth_psan::workload_config(kind, scale));
+        let annotated = spec::generate_annotated(workload_config(kind, scale));
         for mode in corpus_modes() {
             eprintln!(
                 "[thoth-experiments] psan planting corpus in {kind} under {}...",
@@ -459,8 +460,7 @@ mod tests {
             findings: 1,
         }];
         let j = to_json(ExpSettings::quick(), true, &clean, &corpus, true);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
         assert!(j.contains("\"ok\": true"));
         assert!(j.contains("\"mode\": \"baseline\""));
         assert!(j.contains("\"expected_class\": \"durability\""));
@@ -472,12 +472,11 @@ mod tests {
         // dropped flush in the swap workload and catch it — under both
         // the historical default mechanism and the Phoenix extension.
         let scale = thoth_psan::DEFAULT_SCALE;
-        let annotated =
-            spec::generate_annotated(thoth_psan::workload_config(WorkloadKind::Swap, scale));
+        let annotated = spec::generate_annotated(workload_config(WorkloadKind::Swap, scale));
         for mode in [Mode::thoth_wtsc(), Mode::phoenix()] {
             let v = seed_variant_under(&annotated, SeededBug::DroppedFlush, 1, mode)
                 .expect("swap exposes dropped-flush sites");
-            let run = thoth_psan::analyze_variant_under(&v, mode);
+            let (run, _) = analyze(&v.trace, &v.classes, mode);
             assert!(detection(&run, &v).is_some(), "missed under {}", mode.label());
         }
     }

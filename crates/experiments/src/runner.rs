@@ -5,8 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use thoth_sim::{Mode, SimConfig, SimReport};
-use thoth_telemetry::ProgressSink;
+use thoth_sim::{run_trace, Mode, SimConfig, SimReport};
 use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
 /// Global experiment settings.
@@ -42,19 +41,9 @@ impl ExpSettings {
     /// The workload configuration for `kind` at transaction size `tx_size`.
     #[must_use]
     pub fn workload(&self, kind: WorkloadKind, tx_size: usize) -> WorkloadConfig {
-        let mut cfg = WorkloadConfig::paper_default(kind).scaled(self.scale);
+        let mut cfg = WorkloadConfig::at_scale(kind, self.scale);
         cfg.tx_size = tx_size;
         cfg.seed = self.seed;
-        if self.scale < 0.1 {
-            // Quick mode: shrink the pre-population proportionally so
-            // trace generation stays fast.
-            cfg.footprint = match kind {
-                WorkloadKind::Swap => 4,
-                WorkloadKind::Queue => 32,
-                _ => 10_000,
-            };
-            cfg.prepopulate = cfg.footprint / 2;
-        }
         cfg
     }
 }
@@ -92,12 +81,6 @@ impl TraceCache {
             .or_insert_with(|| Arc::new(spec::generate(settings.workload(kind, tx_size))))
             .clone()
     }
-}
-
-/// Runs one simulation; a thin wrapper kept for symmetric call sites.
-#[must_use]
-pub fn simulate(config: &SimConfig, trace: &MultiCoreTrace) -> SimReport {
-    thoth_sim::run_trace(config, trace)
 }
 
 /// One unit of work for [`run_jobs`]: a keyed simulation.
@@ -165,8 +148,7 @@ impl CostClock {
 /// upper bound on makespan — the expensive jobs start while every worker
 /// still has company, so the schedule's tail is at most one cheap job
 /// long. Reordering only changes wall-clock, never results (each
-/// simulation is independent and results return in submission order);
-/// the move count feeds the `jobs_lpt_reordered` telemetry counter.
+/// simulation is independent and results return in submission order).
 ///
 /// Each completed job logs one progress line (key + estimated and actual
 /// wall-clock) to stderr so long sweeps are observable.
@@ -182,8 +164,6 @@ pub fn run_jobs<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<(K, SimRepo
     let mut order: Vec<(usize, Job<K>)> = jobs.into_iter().enumerate().collect();
     // Stable sort, descending cost: equal-cost jobs keep submission order.
     order.sort_by_key(|(_, job)| std::cmp::Reverse(job_cost(job)));
-    let moved = order.iter().enumerate().filter(|(slot, (i, _))| slot != i).count();
-    thoth_telemetry::progress::note_jobs_lpt_reordered(moved as u64);
     let queue: Mutex<VecDeque<(usize, Job<K>)>> = Mutex::new(order.into());
     let clock: Mutex<CostClock> = Mutex::new(CostClock::default());
     let done = AtomicUsize::new(0);
@@ -200,16 +180,11 @@ pub fn run_jobs<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<(K, SimRepo
                 let cost = job_cost(&job);
                 let estimate = clock.lock().expect("clock lock").estimate(cost);
                 let started = Instant::now();
-                let report = simulate(&job.config, &job.trace);
+                let report = run_trace(&job.config, &job.trace);
                 let elapsed = started.elapsed();
                 clock.lock().expect("clock lock").absorb(cost, elapsed);
-                log_job_done(
-                    done.fetch_add(1, Ordering::Relaxed) + 1,
-                    n,
-                    &job.key,
-                    elapsed,
-                    estimate,
-                );
+                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                eprintln!("{}", progress_line(finished, n, &job.key, elapsed, estimate));
                 result_tx.send((i, (job.key, report))).expect("results open");
             });
         }
@@ -238,33 +213,33 @@ pub fn run_jobs_sequential<K: Send + std::fmt::Debug>(jobs: Vec<Job<K>>) -> Vec<
             let cost = job_cost(&j);
             let estimate = clock.estimate(cost);
             let started = Instant::now();
-            let report = simulate(&j.config, &j.trace);
+            let report = run_trace(&j.config, &j.trace);
             let elapsed = started.elapsed();
             clock.absorb(cost, elapsed);
-            log_job_done(i + 1, n, &j.key, elapsed, estimate);
+            eprintln!("{}", progress_line(i + 1, n, &j.key, elapsed, estimate));
             (j.key, report)
         })
         .collect()
 }
 
-/// One progress line per finished simulation, routed through the
-/// telemetry [`ProgressSink`] (stderr, so table output on stdout stays
-/// machine-readable; tests swap in the capture variant).
-fn log_job_done<K: std::fmt::Debug>(
+/// The progress line for job `done` of `total`, printed to stderr once
+/// per finished simulation (stdout stays machine-readable tables).
+/// `estimate` is the [`CostClock`] prediction for the job (`None` before
+/// the batch's first completion calibrates it); printing it next to the
+/// actual wall time makes cost-model drift visible in the progress
+/// stream itself.
+fn progress_line<K: std::fmt::Debug>(
     done: usize,
     total: usize,
     key: &K,
     elapsed: std::time::Duration,
     estimate: Option<std::time::Duration>,
-) {
-    ProgressSink::Stderr.job_done(done, total, key, elapsed, estimate);
-}
-
-/// Builds a `SimConfig` for a mode and block size with the experiment
-/// defaults (Table I).
-#[must_use]
-pub fn sim_config(mode: Mode, block_bytes: usize) -> SimConfig {
-    SimConfig::paper_default(mode, block_bytes)
+) -> String {
+    let est = match estimate {
+        Some(e) => format!("est {e:.2?}"),
+        None => "est n/a".to_owned(),
+    };
+    format!("[thoth-experiments] job {done}/{total} {key:?} finished in {elapsed:.2?} ({est})")
 }
 
 #[cfg(test)]
@@ -294,7 +269,7 @@ mod tests {
         let trace = cache.get(WorkloadKind::Btree, 128);
         let job = |mode: Mode| Job {
             key: mode.label(),
-            config: sim_config(mode, 128),
+            config: SimConfig::paper_default(mode, 128),
             trace: trace.clone(),
         };
         let base = job_cost(&job(Mode::baseline()));
@@ -307,10 +282,37 @@ mod tests {
         assert_ne!(long_ops, short_ops, "distinct traces for the ranking test");
         let longer = Job {
             key: "long",
-            config: sim_config(Mode::baseline(), 128),
+            config: SimConfig::paper_default(Mode::baseline(), 128),
             trace: if long_ops > short_ops { long } else { trace },
         };
         assert!(job_cost(&longer) >= base);
+    }
+
+    #[test]
+    fn progress_line_names_the_job_and_its_wall_time() {
+        let line = progress_line(
+            2,
+            10,
+            &("btree", 64),
+            std::time::Duration::from_millis(1500),
+            None,
+        );
+        assert!(line.starts_with("[thoth-experiments] job 2/10 (\"btree\", 64) finished in "));
+        assert!(line.contains("1.50s"));
+        assert!(line.contains("(est n/a)"), "uncalibrated jobs say so: {line}");
+    }
+
+    #[test]
+    fn progress_line_prints_the_estimate_next_to_the_actual() {
+        let line = progress_line(
+            3,
+            10,
+            &"swap",
+            std::time::Duration::from_millis(250),
+            Some(std::time::Duration::from_millis(230)),
+        );
+        assert!(line.contains("finished in 250"));
+        assert!(line.contains("(est 230"), "estimate printed: {line}");
     }
 
     #[test]

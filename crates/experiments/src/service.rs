@@ -416,15 +416,13 @@ mod tests {
         let spec = ServiceSpec::default_spec();
         let mixes = vec![(MixKind::B, 50, vec![point("baseline", 90.0, 180.0, 270.0)])];
         let j = to_json(ExpSettings::quick(), true, &spec, &rows, &mixes, true);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        thoth_telemetry::json::validate(&j).expect("valid JSON");
         assert!(j.contains("\"ok\": true"));
         assert!(j.contains("\"mix\": \"ycsb-a\""));
         assert!(j.contains("\"mix\": \"ycsb-b\""));
         assert!(j.contains("\"mutate_per_mille\": 50"));
         let b = to_bench_json(&spec, &rows);
-        assert_eq!(b.matches('{').count(), b.matches('}').count());
-        assert_eq!(b.matches('[').count(), b.matches(']').count());
+        thoth_telemetry::json::validate(&b).expect("valid JSON");
         assert!(b.contains("\"trajectory\""));
         assert!(b.contains("\"p999\": 300.0"));
     }

@@ -16,10 +16,10 @@
 //!
 //! The binary exits non-zero if any point fails neutrality or validation.
 
-use crate::runner::{sim_config, ExpSettings, TraceCache};
+use crate::runner::{ExpSettings, TraceCache};
 use crate::tablefmt::Table;
 
-use thoth_sim::{Mode, SecureNvm, TelemetryConfig};
+use thoth_sim::{Mode, SecureNvm, SimConfig, TelemetryConfig};
 use thoth_telemetry::json;
 use thoth_workloads::WorkloadKind;
 
@@ -70,7 +70,7 @@ pub fn run(settings: ExpSettings) -> TelemetryOutcome {
         for mode in [Mode::baseline(), Mode::thoth_wtsc()] {
             let label = mode.label();
             eprintln!("[thoth-experiments] telemetry {}/{label}...", kind.name());
-            let config = sim_config(mode, 128);
+            let config = SimConfig::paper_default(mode, 128);
 
             let plain = thoth_sim::run_trace(&config, &trace);
             let mut machine = SecureNvm::new(config);

@@ -11,11 +11,11 @@
 //!   with transaction size: consecutive updates to the same counter/MAC
 //!   are further apart than the PCB window).
 
-use crate::runner::{run_jobs, sim_config, ExpSettings, Job, TraceCache};
+use crate::runner::{run_jobs, ExpSettings, Job, TraceCache};
 use crate::tablefmt::Table;
 use crate::{amean, gmean};
 
-use thoth_sim::{Mode, SimReport};
+use thoth_sim::{Mode, SimConfig, SimReport};
 use thoth_workloads::WorkloadKind;
 
 use std::collections::BTreeMap;
@@ -38,7 +38,7 @@ pub fn run_matrix(cache: &mut TraceCache, tx_sizes: &[usize]) -> TxSweepRuns {
                 for mode in [Mode::baseline(), Mode::thoth_wtsc()] {
                     jobs.push(Job {
                         key: (kind.name().to_owned(), block, tx, mode.label().to_owned()),
-                        config: sim_config(mode, block),
+                        config: SimConfig::paper_default(mode, block),
                         trace: trace.clone(),
                     });
                 }

@@ -1,13 +1,17 @@
 //! The determinism contract behind every optimization in this repo:
 //!
 //! 1. the parallel job runner produces byte-identical reports to a strict
-//!    sequential replay of the same jobs, and
+//!    sequential replay of the same jobs,
 //! 2. the quick-mode headline matrix digests to a pinned golden value,
 //!    captured before the hot-path optimizations landed — so "faster" can
-//!    never silently become "different".
+//!    never silently become "different", and
+//! 3. an instrumented run records the simulated machine only, never the
+//!    process around it.
 
 use thoth_experiments::headline::{matrix_digest, matrix_jobs, HeadlineRuns};
 use thoth_experiments::runner::{run_jobs, run_jobs_sequential, ExpSettings, TraceCache};
+use thoth_sim::{Mode, SecureNvm, SimConfig, TelemetryConfig};
+use thoth_workloads::WorkloadKind;
 
 /// Golden digest of the quick-settings headline matrix (5 workloads ×
 /// {128, 256} B × 4 modes at `ExpSettings::quick()`), captured on the
@@ -57,4 +61,22 @@ fn quick_headline_matches_golden_snapshot() {
          simulated behaviour was intentionally changed, re-pin \
          GOLDEN_QUICK_DIGEST and say why in the commit message."
     );
+}
+
+/// Telemetry counters depend on the trace and the machine alone: a batch
+/// the job runner schedules in between (longest-first, so it reorders
+/// jobs on any host with two or more CPUs) leaves them unchanged.
+#[test]
+fn telemetry_counters_do_not_see_the_job_runner() {
+    let mut cache = TraceCache::new(ExpSettings::quick());
+    let trace = cache.get(WorkloadKind::Btree, 128);
+    let counters_csv = || {
+        let mut machine = SecureNvm::new(SimConfig::paper_default(Mode::thoth_wtsc(), 128));
+        let (_, telemetry) = machine.run_telemetry(&trace, &TelemetryConfig::counters_only());
+        telemetry.registry.counters_csv()
+    };
+    let before = counters_csv();
+    let runs: HeadlineRuns = run_jobs(matrix_jobs(&mut cache)).into_iter().collect();
+    assert!(!runs.is_empty());
+    assert_eq!(before, counters_csv(), "a job batch leaked into the counters");
 }

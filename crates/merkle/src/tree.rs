@@ -441,8 +441,10 @@ impl BonsaiTree {
     /// Verifies that leaf `index` currently holds `leaf_hash` *and* that
     /// the stored path up to the root is internally consistent.
     ///
-    /// Used by recovery: after merging PUB updates into counter blocks and
-    /// rebuilding, the root must match the processor's persistent root.
+    /// A point check of one leaf against the tree as it stands. Recovery
+    /// does not use it: it rebuilds the tree from the persisted counter
+    /// blocks ([`Self::from_leaves`]) and compares that root with the
+    /// processor's persistent root.
     #[must_use]
     pub fn verify_leaf(&self, index: u64, leaf_hash: u64) -> bool {
         debug_assert!(self.pending.is_empty(), "verify with deferred updates");

@@ -7,7 +7,7 @@ use thoth_sim::{
     FunctionalMode, Mode, PersistEvent, PersistEventKind, SecureNvm, SimConfig, SimReport, NO_CTX,
 };
 use thoth_workloads::{
-    corpus, spec, AnnotatedTrace, BugSite, MultiCoreTrace, OpClass, RaceAlignment, SeededBug,
+    corpus, AnnotatedTrace, BugSite, MultiCoreTrace, OpClass, RaceAlignment, SeededBug,
     SeededVariant, WorkloadConfig, WorkloadKind,
 };
 
@@ -27,17 +27,10 @@ pub struct PsanRun {
     pub report: PsanReport,
 }
 
-/// The simulator configuration sanitizer runs use: Thoth/WTSC, fast
+/// The simulator configuration sanitizer runs use under `mode`: fast
 /// functional mode (the checker needs event structure, not real bytes),
 /// a small PUB so eviction traffic appears, and no PUB prefill (prefill
 /// bypasses the instrumented append path).
-#[must_use]
-pub fn sim_config() -> SimConfig {
-    sim_config_for(Mode::thoth_wtsc())
-}
-
-/// [`sim_config`] under an arbitrary metadata-persistence mode — the
-/// multi-mode clean sweep runs every workload under every mode.
 #[must_use]
 pub fn sim_config_for(mode: Mode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode, BLOCK_BYTES);
@@ -53,60 +46,18 @@ pub fn workload_config(kind: WorkloadKind, scale: f64) -> WorkloadConfig {
     WorkloadConfig::paper_default(kind).scaled(scale)
 }
 
-/// Runs `trace` through the instrumented simulator and checks the event
-/// stream against the trace's per-op `classes`.
+/// Runs `trace` through the instrumented simulator under `mode` and
+/// checks the event stream against the trace's per-op `classes`. The raw
+/// event stream comes back too, so callers can establish schedule-level
+/// ground truth (see [`race_manifested`]).
 #[must_use]
-pub fn analyze(trace: &MultiCoreTrace, classes: &[Vec<OpClass>]) -> PsanRun {
-    analyze_under(trace, classes, sim_config())
-}
-
-/// [`analyze`] with an explicit simulator configuration.
-#[must_use]
-pub fn analyze_under(trace: &MultiCoreTrace, classes: &[Vec<OpClass>], cfg: SimConfig) -> PsanRun {
-    let mut machine = SecureNvm::new(cfg);
-    let (sim, events) = machine.run_psan(trace);
+pub fn analyze(
+    trace: &MultiCoreTrace,
+    classes: &[Vec<OpClass>],
+    mode: Mode,
+) -> (PsanRun, Vec<PersistEvent>) {
+    let (sim, events) = SecureNvm::new(sim_config_for(mode)).run_psan(trace);
     let report = check_events(&events, classes, BLOCK_BYTES as u64);
-    PsanRun { sim, report }
-}
-
-/// Generates and analyzes the unmodified `kind` workload at `scale`.
-#[must_use]
-pub fn analyze_clean(kind: WorkloadKind, scale: f64) -> PsanRun {
-    let a = spec::generate_annotated(workload_config(kind, scale));
-    analyze(&a.trace, &a.classes)
-}
-
-/// Generates and analyzes the unmodified `kind` workload at `scale`
-/// under `mode` — the clean sweep must be silent for every mechanism,
-/// not just Thoth/WTSC.
-#[must_use]
-pub fn analyze_clean_under(kind: WorkloadKind, scale: f64, mode: Mode) -> PsanRun {
-    let a = spec::generate_annotated(workload_config(kind, scale));
-    analyze_under(&a.trace, &a.classes, sim_config_for(mode))
-}
-
-/// Analyzes a seeded-bug variant.
-#[must_use]
-pub fn analyze_variant(v: &SeededVariant) -> PsanRun {
-    analyze(&v.trace, &v.classes)
-}
-
-/// [`analyze_variant`] under an arbitrary metadata-persistence mode —
-/// the seeded-bug corpus must be caught under every mechanism, since
-/// the planted bugs are program-level, not mechanism-level.
-#[must_use]
-pub fn analyze_variant_under(v: &SeededVariant, mode: Mode) -> PsanRun {
-    analyze_under(&v.trace, &v.classes, sim_config_for(mode))
-}
-
-/// [`analyze_variant_under`], also returning the raw event stream so
-/// the caller can establish schedule-level ground truth (see
-/// [`race_manifested`]).
-#[must_use]
-pub fn analyze_variant_with_events(v: &SeededVariant, mode: Mode) -> (PsanRun, Vec<PersistEvent>) {
-    let mut machine = SecureNvm::new(sim_config_for(mode));
-    let (sim, events) = machine.run_psan(&v.trace);
-    let report = check_events(&events, &v.classes, BLOCK_BYTES as u64);
     (PsanRun { sim, report }, events)
 }
 
@@ -150,18 +101,12 @@ pub fn race_manifested(events: &[PersistEvent], site_addr: u64) -> bool {
 }
 
 /// Builds the execution-order alignment table the cross-core corpus
-/// bugs need, from a pilot instrumented run of the clean trace: for
-/// each `(core, op)`, the sequence number of its first persist event
-/// (`u64::MAX` for ops that emitted none).
-#[must_use]
-pub fn alignment_for(trace: &MultiCoreTrace) -> RaceAlignment {
-    alignment_for_under(trace, Mode::thoth_wtsc())
-}
-
-/// [`alignment_for`] under an arbitrary mode. Event sequence numbers
-/// are mechanism-dependent (each mode emits a different metadata persist
-/// schedule), so cross-core plantings need a pilot run under the same
-/// mode the variant will be analyzed under.
+/// bugs need, from a pilot instrumented run of the clean trace under
+/// `mode`: for each `(core, op)`, the sequence number of its first
+/// persist event (`u64::MAX` for ops that emitted none). Event sequence
+/// numbers are mechanism-dependent (each mode emits a different metadata
+/// persist schedule), so cross-core plantings need a pilot run under the
+/// same mode the variant will be analyzed under.
 #[must_use]
 pub fn alignment_for_under(trace: &MultiCoreTrace, mode: Mode) -> RaceAlignment {
     let mut machine = SecureNvm::new(sim_config_for(mode));
@@ -183,17 +128,11 @@ pub fn alignment_for_under(trace: &MultiCoreTrace, mode: Mode) -> RaceAlignment 
     RaceAlignment { first_seq }
 }
 
-/// Seeds `bug` into `annotated`, running an alignment pilot first when
-/// the bug plants a racing op on a second core. Prefer this over
-/// [`thoth_workloads::corpus::seed_bug`] whenever the variant will be
-/// replayed through the simulator.
-#[must_use]
-pub fn seed_variant(annotated: &AnnotatedTrace, bug: SeededBug, seed: u64) -> Option<SeededVariant> {
-    seed_variant_under(annotated, bug, seed, Mode::thoth_wtsc())
-}
-
-/// [`seed_variant`] with the alignment pilot run under `mode`, for
-/// variants that will be analyzed via [`analyze_variant_under`].
+/// Seeds `bug` into `annotated`, running an alignment pilot under `mode`
+/// first when the bug plants a racing op on a second core. Prefer this
+/// over [`thoth_workloads::corpus::seed_bug`] whenever the variant will
+/// be replayed through the simulator (by [`analyze`] under the same
+/// `mode`).
 #[must_use]
 pub fn seed_variant_under(
     annotated: &AnnotatedTrace,

@@ -46,11 +46,9 @@ pub mod hb;
 
 pub use checker::{check_events, PsanReport, PsanStats};
 pub use driver::{
-    acceptable_classes, alignment_for, alignment_for_under, analyze, analyze_clean,
-    analyze_clean_under, analyze_under, analyze_variant, analyze_variant_under,
-    analyze_variant_with_events, detection, expected_class, finding_matches_site, race_manifested,
-    seed_variant, seed_variant_under, sim_config, sim_config_for, workload_config, PsanRun,
-    BLOCK_BYTES, DEFAULT_SCALE,
+    acceptable_classes, alignment_for_under, analyze, detection, expected_class,
+    finding_matches_site, race_manifested, seed_variant_under, sim_config_for, workload_config,
+    PsanRun, BLOCK_BYTES, DEFAULT_SCALE,
 };
 pub use finding::{Finding, FindingClass};
 pub use hb::{ClockOrd, HbEngine, VClock};

@@ -2,20 +2,26 @@
 //! clean, and every seeded-bug variant is caught with exact attribution.
 
 use thoth_psan::{
-    analyze_clean, analyze_clean_under, analyze_variant, detection, expected_class, seed_variant,
-    FindingClass, DEFAULT_SCALE,
+    analyze, detection, expected_class, seed_variant_under, workload_config, FindingClass,
+    PsanRun, DEFAULT_SCALE,
 };
 use thoth_sim::Mode;
-use thoth_workloads::{spec, SeededBug, WorkloadConfig, WorkloadKind};
+use thoth_workloads::{spec, AnnotatedTrace, SeededBug, WorkloadKind};
 
-fn annotated(kind: WorkloadKind) -> thoth_workloads::AnnotatedTrace {
-    spec::generate_annotated(WorkloadConfig::paper_default(kind).scaled(DEFAULT_SCALE))
+fn annotated(kind: WorkloadKind) -> AnnotatedTrace {
+    spec::generate_annotated(workload_config(kind, DEFAULT_SCALE))
+}
+
+/// The unmodified `kind` workload, analyzed under `mode`.
+fn analyze_clean(kind: WorkloadKind, mode: Mode) -> PsanRun {
+    let a = annotated(kind);
+    analyze(&a.trace, &a.classes, mode).0
 }
 
 #[test]
 fn clean_workloads_have_no_durability_or_ordering_findings() {
     for kind in WorkloadKind::ALL {
-        let run = analyze_clean(kind, DEFAULT_SCALE);
+        let run = analyze_clean(kind, Mode::thoth_wtsc());
         let errors: Vec<_> = run
             .report
             .findings
@@ -47,7 +53,7 @@ fn every_seeded_bug_is_caught_at_its_planted_site() {
         let a = annotated(kind);
         for bug in SeededBug::ALL {
             for seed in [1u64, 2] {
-                let Some(v) = seed_variant(&a, bug, seed) else {
+                let Some(v) = seed_variant_under(&a, bug, seed, Mode::thoth_wtsc()) else {
                     // Swap is log-free: no swapped-log-data site exists.
                     assert_eq!(
                         (kind, bug),
@@ -56,7 +62,7 @@ fn every_seeded_bug_is_caught_at_its_planted_site() {
                     );
                     continue;
                 };
-                let run = analyze_variant(&v);
+                let (run, _) = analyze(&v.trace, &v.classes, Mode::thoth_wtsc());
                 let hit = detection(&run, &v);
                 assert!(
                     hit.is_some(),
@@ -84,8 +90,8 @@ fn seeded_variants_do_not_drown_the_signal() {
     // endpoint pair reports), so those only need a bounded total.
     let a = annotated(WorkloadKind::Btree);
     for bug in SeededBug::ALL {
-        let v = seed_variant(&a, bug, 5).expect("site");
-        let run = analyze_variant(&v);
+        let v = seed_variant_under(&a, bug, 5, Mode::thoth_wtsc()).expect("site");
+        let (run, _) = analyze(&v.trace, &v.classes, Mode::thoth_wtsc());
         let errors = run
             .report
             .findings
@@ -123,7 +129,7 @@ fn clean_sweep_is_silent_under_every_mechanism() {
     ];
     for kind in WorkloadKind::ALL.into_iter().chain([WorkloadKind::Service]) {
         for mode in modes {
-            let run = analyze_clean_under(kind, DEFAULT_SCALE, mode);
+            let run = analyze_clean(kind, mode);
             assert!(
                 run.report.findings.is_empty(),
                 "{kind} under {}: {:?}",

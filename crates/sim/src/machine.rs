@@ -77,10 +77,6 @@ pub struct SecureNvm {
     /// Blocks holding relaxed-store data not yet written back (volatile
     /// dirty lines awaiting a `Flush`).
     relaxed_pending: FastSet<u64>,
-    /// How many warm-start clones separate this machine from a cold
-    /// [`Self::new`] (0 for cold machines, 1 for [`WarmBoot`] clones) —
-    /// harvested as the `warm_starts` telemetry counter.
-    pub(crate) warm_starts: u64,
     /// Buffers the store and recovery paths reuse instead of allocating.
     scratch: Scratch,
 }
@@ -157,8 +153,6 @@ pub struct WarmBoot {
     cores: Vec<CoreState>,
     boundary: Cycle,
     snap: Snapshot,
-    /// Measured runs served (the `warm_starts` harness counter).
-    starts: std::cell::Cell<u64>,
 }
 
 impl WarmBoot {
@@ -167,17 +161,10 @@ impl WarmBoot {
     /// — the core cursors index into it.
     #[must_use]
     pub fn run(&self, trace: &MultiCoreTrace) -> SimReport {
-        self.starts.set(self.starts.get() + 1);
         let mut machine = self.machine.clone_warm();
         let mut cores = self.cores.clone();
         let snap = self.snap.clone();
         machine.run_measured(trace, &mut cores, self.boundary, &snap)
-    }
-
-    /// How many measured runs this snapshot has served.
-    #[must_use]
-    pub fn starts(&self) -> u64 {
-        self.starts.get()
     }
 }
 
@@ -252,7 +239,6 @@ impl SecureNvm {
             transactions: 0,
             tap: None,
             relaxed_pending: FastSet::default(),
-            warm_starts: 0,
             scratch: Scratch::new(&layout),
             config,
         }
@@ -782,7 +768,6 @@ impl SecureNvm {
             cores,
             boundary,
             snap,
-            starts: std::cell::Cell::new(0),
         }
     }
 
@@ -810,7 +795,6 @@ impl SecureNvm {
             transactions: self.transactions,
             tap: None,
             relaxed_pending: self.relaxed_pending.clone(),
-            warm_starts: self.warm_starts + 1,
             scratch: self.scratch.clone(),
         }
     }
@@ -1422,16 +1406,6 @@ impl SecureNvm {
         // The machine is alive again.
         self.wpq.power_restore();
         report
-    }
-
-    /// Diagnostic: snapshots every counter-cache line as
-    /// `(addr, packed image, dirty, dirty_mask)`.
-    #[doc(hidden)]
-    pub fn debug_ctr_cache_snapshot(&self) -> Vec<(u64, Vec<u8>, bool, u64)> {
-        self.ctr_cache
-            .iter()
-            .map(|(a, image, d, m)| (a, image.to_vec(), d, m))
-            .collect()
     }
 
     /// Counter-block leaves whose persisted NVM image hashes differently

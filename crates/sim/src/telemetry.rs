@@ -60,8 +60,6 @@ pub(crate) struct MachineTelemetry {
     aes_hw_blocks: CounterId,
     hash_batch_runs: CounterId,
     sip_simd_rows: CounterId,
-    warm_starts: CounterId,
-    jobs_lpt_reordered: CounterId,
     core_lanes: Vec<u32>,
     mc_lane: u32,
     pub_lane: u32,
@@ -92,8 +90,6 @@ impl MachineTelemetry {
         let aes_hw_blocks = sink.registry.counter("aes_hw_blocks");
         let hash_batch_runs = sink.registry.counter("hash_batch_runs");
         let sip_simd_rows = sink.registry.counter("sip_simd_rows");
-        let warm_starts = sink.registry.counter("warm_starts");
-        let jobs_lpt_reordered = sink.registry.counter("jobs_lpt_reordered");
         let (core_lanes, mc_lane, pub_lane) = match sink.tracer.as_mut() {
             Some(t) => {
                 let lanes: Vec<u32> = (0..cores)
@@ -118,8 +114,6 @@ impl MachineTelemetry {
             aes_hw_blocks,
             hash_batch_runs,
             sip_simd_rows,
-            warm_starts,
-            jobs_lpt_reordered,
             core_lanes,
             mc_lane,
             pub_lane,
@@ -245,11 +239,10 @@ impl MachineTelemetry {
 
     /// Ends the session: absorbs the probes and harvests the substrate
     /// throughput counters — AES blocks encrypted by the hardware
-    /// backend, batched hash-kernel invocations (merkle + MAC), SipHash
-    /// rows that went through the multi-lane SIMD kernel, warm-start
-    /// generations of the machine, and jobs the harness's LPT scheduler
-    /// reordered. These are read once from the engines rather than
-    /// recorded per event — the hot paths stay telemetry-free.
+    /// backend, batched hash-kernel invocations (merkle + MAC), and
+    /// SipHash rows that went through the multi-lane SIMD kernel. These
+    /// are read once from the engines rather than recorded per event —
+    /// the hot paths stay telemetry-free.
     pub fn harvest(mut self, m: &mut SecureNvm) -> TelemetryReport {
         if let Some(p) = m.wpq.take_probe() {
             self.sink.absorb_probe(&p);
@@ -267,9 +260,6 @@ impl MachineTelemetry {
         registry.add(self.aes_hw_blocks, m.ctr_mode.hw_blocks());
         registry.add(self.hash_batch_runs, m.tree.batch_runs() + m.mac.batch_runs());
         registry.add(self.sip_simd_rows, m.tree.simd_rows() + m.mac.simd_rows());
-        registry.add(self.warm_starts, m.warm_starts);
-        let lpt = thoth_telemetry::progress::jobs_lpt_reordered();
-        registry.add(self.jobs_lpt_reordered, lpt);
         self.sink.finish()
     }
 }

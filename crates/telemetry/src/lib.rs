@@ -16,26 +16,25 @@
 //!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto,
 //! * [`QueueProbe`] — an embeddable occupancy recorder component crates
 //!   (`thoth-memctrl`, `thoth-core`, `thoth-nvm`) hold as
-//!   `Option<QueueProbe>`: disabled runs pay one branch, nothing else,
-//! * [`progress::ProgressSink`] — the structured progress channel the
-//!   experiment runner logs through instead of printing directly.
+//!   `Option<QueueProbe>`: disabled runs pay one branch, nothing else.
 //!
 //! Everything is off by default ([`TelemetryConfig::default`]); the
 //! simulator's differential test (`telemetry_neutrality`) proves that
-//! instrumented and plain runs produce bit-identical reports.
+//! instrumented and plain runs produce bit-identical reports. The crate
+//! records the simulated machine only: the experiment harness's progress
+//! lines and job scheduling stay in the harness, so a run's artifacts
+//! depend on its trace and configuration alone.
 
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod probe;
-pub mod progress;
 pub mod registry;
 pub mod report;
 pub mod timeline;
 pub mod tracer;
 
 pub use probe::QueueProbe;
-pub use progress::ProgressSink;
 pub use registry::{CounterId, Hist, HistId, Registry};
 pub use report::{ProbeSummary, TelemetryReport, TelemetrySink};
 pub use timeline::Timeline;

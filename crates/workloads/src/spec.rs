@@ -147,6 +147,24 @@ impl WorkloadConfig {
         self.txs_per_core = ((self.txs_per_core as f64 * f) as usize).max(1);
         self
     }
+
+    /// The paper default for `kind` with transaction counts scaled by
+    /// `scale` — the configuration the experiment harness and the crash
+    /// sweeps generate from. Below scale 0.1 (quick runs) the footprint
+    /// and pre-population shrink too, so trace generation stays fast.
+    #[must_use]
+    pub fn at_scale(kind: WorkloadKind, scale: f64) -> Self {
+        let mut cfg = WorkloadConfig::paper_default(kind).scaled(scale);
+        if scale < 0.1 {
+            cfg.footprint = match kind {
+                WorkloadKind::Swap => 4,
+                WorkloadKind::Queue => 32,
+                _ => 10_000,
+            };
+            cfg.prepopulate = cfg.footprint / 2;
+        }
+        cfg
+    }
 }
 
 /// Base heap address for core `i`: cores are ≈1 GiB apart so their data

@@ -2,9 +2,9 @@
 //! live in EXPERIMENTS.md; these tests pin the *shapes* so regressions
 //! that would invalidate the reproduction fail CI).
 
-use thoth_repro::experiments::runner::{sim_config, ExpSettings, TraceCache};
+use thoth_repro::experiments::runner::{ExpSettings, TraceCache};
 use thoth_repro::experiments::{fig3, gmean};
-use thoth_repro::sim::Mode;
+use thoth_repro::sim::{Mode, SimConfig};
 use thoth_repro::workloads::WorkloadKind;
 
 #[test]
@@ -33,8 +33,10 @@ fn claim_thoth_beats_baseline_on_average() {
     let mut ratios = Vec::new();
     for kind in WorkloadKind::ALL {
         let trace = cache.get(kind, 128);
-        let base = thoth_repro::sim::run_trace(&sim_config(Mode::baseline(), 128), &trace);
-        let thoth = thoth_repro::sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let base =
+            thoth_repro::sim::run_trace(&SimConfig::paper_default(Mode::baseline(), 128), &trace);
+        let thoth =
+            thoth_repro::sim::run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
         speedups.push(thoth.speedup_over(&base));
         ratios.push(thoth.write_ratio_vs(&base));
     }
@@ -55,10 +57,10 @@ fn claim_smaller_wpq_amplifies_thoth() {
     let mut cache = TraceCache::new(settings);
     let trace = cache.get(WorkloadKind::Btree, 128);
     let speedup_at = |wpq: usize| {
-        let mut b = sim_config(Mode::baseline(), 128);
+        let mut b = SimConfig::paper_default(Mode::baseline(), 128);
         b.wpq_entries = wpq;
         b.pcb_entries = (wpq / 8).max(1);
-        let mut t = sim_config(Mode::thoth_wtsc(), 128);
+        let mut t = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
         t.wpq_entries = wpq;
         t.pcb_entries = (wpq / 8).max(1);
         let base = thoth_repro::sim::run_trace(&b, &trace);
@@ -81,7 +83,8 @@ fn claim_pcb_merge_rate_falls_with_tx_size() {
     let mut cache = TraceCache::new(settings);
     let rate_at = |tx: usize, cache: &mut TraceCache| {
         let trace = cache.get(WorkloadKind::Btree, tx);
-        let r = thoth_repro::sim::run_trace(&sim_config(Mode::thoth_wtsc(), 128), &trace);
+        let r =
+            thoth_repro::sim::run_trace(&SimConfig::paper_default(Mode::thoth_wtsc(), 128), &trace);
         r.pcb_merge_fraction()
     };
     let small = rate_at(128, &mut cache);
