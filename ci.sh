@@ -16,6 +16,11 @@ cargo test -q --locked
 echo "== clippy (deny warnings) =="
 cargo clippy --all-targets --locked -- -D warnings
 
+echo "== perfbench type-check (the benchmark builds against this tree's API) =="
+# perfbench is its own workspace; its Cargo.lock and target/ are
+# gitignored, so this stage writes no tracked file.
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
+
 echo "== thoth-lint (repo invariants) =="
 cargo run -q --release --locked -p thoth-lint
 

@@ -51,7 +51,8 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless `capacity_bytes` is a positive multiple of
-    /// `ways * block_bytes`.
+    /// `ways * block_bytes` and both the block size and the set count are
+    /// powers of two (probes align and index with a shift and a mask).
     #[must_use]
     pub fn new(capacity_bytes: usize, ways: usize, block_bytes: usize) -> Self {
         assert!(capacity_bytes > 0 && ways > 0 && block_bytes > 0);
@@ -60,11 +61,16 @@ impl CacheConfig {
             0,
             "capacity must be a whole number of sets"
         );
-        CacheConfig {
+        let config = CacheConfig {
             capacity_bytes,
             ways,
             block_bytes,
-        }
+        };
+        assert!(
+            block_bytes.is_power_of_two() && config.num_sets().is_power_of_two(),
+            "block size and set count must be powers of two"
+        );
+        config
     }
 
     /// Number of sets.
@@ -146,11 +152,12 @@ pub struct SetAssocCache<V> {
     fill: Vec<u32>,
     tick: u64,
     stats: CacheStats,
-    /// `(log2(block_bytes), num_sets - 1)` when both are powers of two —
-    /// the usual geometry. Lets every probe replace its two hardware
-    /// divisions with a shift and a mask, which matters because the
-    /// simulator's hot paths take tens of cache probes per simulated op.
-    pow2: Option<(u32, u64)>,
+    /// `log2(block_bytes)` and `num_sets - 1`: every probe aligns and
+    /// indexes with a shift and a mask, never a division, which matters
+    /// because the simulator's hot paths take tens of cache probes per
+    /// simulated op.
+    shift: u32,
+    set_mask: u64,
 }
 
 impl<V> SetAssocCache<V> {
@@ -165,13 +172,6 @@ impl<V> SetAssocCache<V> {
             u32::try_from(config.num_lines()).is_ok(),
             "line indices must fit in 32 bits"
         );
-        let pow2 = (config.block_bytes.is_power_of_two() && config.num_sets().is_power_of_two())
-            .then(|| {
-                (
-                    config.block_bytes.trailing_zeros(),
-                    config.num_sets() as u64 - 1,
-                )
-            });
         SetAssocCache {
             config,
             lines: Vec::new(),
@@ -179,7 +179,8 @@ impl<V> SetAssocCache<V> {
             fill: vec![0; config.num_sets()],
             tick: 0,
             stats: CacheStats::default(),
-            pow2,
+            shift: config.block_bytes.trailing_zeros(),
+            set_mask: config.num_sets() as u64 - 1,
         }
     }
 
@@ -196,20 +197,11 @@ impl<V> SetAssocCache<V> {
     }
 
     fn align(&self, addr: u64) -> u64 {
-        match self.pow2 {
-            Some((shift, _)) => addr >> shift << shift,
-            None => addr - addr % self.config.block_bytes as u64,
-        }
+        addr >> self.shift << self.shift
     }
 
     fn set_index(&self, block_addr: u64) -> usize {
-        match self.pow2 {
-            Some((shift, mask)) => ((block_addr >> shift) & mask) as usize,
-            None => {
-                ((block_addr / self.config.block_bytes as u64) % self.config.num_sets() as u64)
-                    as usize
-            }
-        }
+        ((block_addr >> self.shift) & self.set_mask) as usize
     }
 
     fn bump(&mut self) -> u64 {
@@ -487,6 +479,12 @@ mod tests {
     #[should_panic(expected = "whole number of sets")]
     fn bad_config_panics() {
         let _ = CacheConfig::new(1000, 3, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_sets_panic() {
+        let _ = CacheConfig::new(3 * 2 * 64, 2, 64); // 3 sets
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::entry::{PartialUpdate, PubBlockCodec};
 use crate::pcb::{Pcb, PcbInsert, PcbStats};
 use crate::policy::{BlockView, EvictOutcome, EvictionPolicy, MetadataKind};
-use crate::pub_buffer::{PubBuffer, PubConfig, PubStats};
+use crate::pub_buffer::{PubBuffer, PubConfig};
 
 use std::collections::BTreeMap;
 use thoth_telemetry::QueueProbe;
@@ -147,12 +147,6 @@ impl ThothEngine {
     #[must_use]
     pub fn pcb_stats(&self) -> PcbStats {
         self.pcb.stats()
-    }
-
-    /// PUB occupancy statistics.
-    #[must_use]
-    pub fn pub_stats(&self) -> PubStats {
-        self.pub_buf.stats()
     }
 
     /// Ground-truth eviction outcome counts (the Figure 3 breakdown).

@@ -41,15 +41,6 @@ impl PubConfig {
     }
 }
 
-/// PUB occupancy events.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PubStats {
-    /// Packed blocks appended.
-    pub blocks_appended: u64,
-    /// Victim blocks evicted (each then decoded and policy-filtered).
-    pub blocks_evicted: u64,
-}
-
 /// The circular FIFO partial-updates buffer.
 ///
 /// # Example
@@ -79,7 +70,6 @@ pub struct PubBuffer {
     head: u64,
     /// Number of valid blocks; the *end* register is `(head + len) % cap`.
     len: u64,
-    stats: PubStats,
 }
 
 impl PubBuffer {
@@ -104,7 +94,6 @@ impl PubBuffer {
             codec: PubBlockCodec::new(config.block_bytes),
             head: 0,
             len: 0,
-            stats: PubStats::default(),
         }
     }
 
@@ -118,12 +107,6 @@ impl PubBuffer {
     #[must_use]
     pub fn codec(&self) -> PubBlockCodec {
         self.codec
-    }
-
-    /// Statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> PubStats {
-        self.stats
     }
 
     /// Capacity in blocks.
@@ -208,7 +191,6 @@ impl PubBuffer {
             "PUB overflow: eviction did not keep up"
         );
         self.len += 1;
-        self.stats.blocks_appended += 1;
     }
 
     /// The NVM address of the oldest block without consuming it. Eviction
@@ -233,7 +215,6 @@ impl PubBuffer {
         let addr = self.addr_of(self.head);
         self.head = (self.head + 1) % self.capacity_blocks();
         self.len -= 1;
-        self.stats.blocks_evicted += 1;
         Some(addr)
     }
 
@@ -312,16 +293,6 @@ mod tests {
             pb.scan_oldest_to_youngest(),
             vec![0x10_100, 0x10_180, 0x10_000]
         );
-    }
-
-    #[test]
-    fn stats_track_appends_and_evictions() {
-        let mut pb = small(4, 100);
-        pb.allocate_tail();
-        pb.allocate_tail();
-        pb.pop_oldest();
-        assert_eq!(pb.stats().blocks_appended, 2);
-        assert_eq!(pb.stats().blocks_evicted, 1);
     }
 
     #[test]

@@ -125,8 +125,11 @@ pub fn audit_recovery(
             report.version_disagreements += 1;
         }
     }
-    report.version_disagreements +=
-        shadow.blocks().filter(|&(b, _)| !written.iter().any(|&(wb, _)| wb == b)).count() as u64;
+    // `written` is sorted by block: one binary search per shadow block.
+    report.version_disagreements += shadow
+        .blocks()
+        .filter(|&(b, _)| written.binary_search_by_key(&b, |&(wb, _)| wb).is_err())
+        .count() as u64;
 
     // Per-block authentication and content equality, from persisted bytes
     // only.

@@ -14,7 +14,7 @@ use crate::runner::{run_jobs, ExpSettings, Job, TraceCache};
 use crate::tablefmt::Table;
 use crate::{amean, gmean};
 
-use thoth_sim::{Mode, SimConfig, SimReport};
+use thoth_sim::{Fnv1a, Mode, SimConfig, SimReport};
 use thoth_workloads::WorkloadKind;
 
 use std::collections::BTreeMap;
@@ -61,19 +61,14 @@ pub fn run_matrix(cache: &mut TraceCache) -> HeadlineRuns {
 /// hot-path optimizations are held to (see `tests/determinism.rs`).
 #[must_use]
 pub fn matrix_digest(runs: &HeadlineRuns) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     for ((workload, block, mode), report) in runs {
-        mix(workload.as_bytes());
-        mix(&(*block as u64).to_le_bytes());
-        mix(mode.as_bytes());
-        mix(&report.digest().to_le_bytes());
+        h.bytes(workload.as_bytes());
+        h.u64(*block as u64);
+        h.bytes(mode.as_bytes());
+        h.u64(report.digest());
     }
-    h
+    h.finish()
 }
 
 /// Figure 8: speedups over the per-block-size baseline.

@@ -14,12 +14,50 @@ use std::fmt;
 /// diagnostic can carry "expected vs. actual" without hauling block images.
 #[must_use]
 pub fn byte_digest(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// 64-bit FNV-1a accumulator over a canonical little-endian encoding: the
+/// one hash behind every pinned digest ([`byte_digest`],
+/// [`crate::SimReport::digest`], the headline matrix digest, the
+/// instrumentation stream pins). Kept here so the digests' byte-level
+/// definition is independent of any hash-map hasher the simulator uses.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds raw bytes.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a string, length-prefixed so `("ab","c")` and `("a","bc")`
+    /// digest apart.
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    /// Folds a `u64` as its little-endian bytes.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The digest so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A counter-block leaf whose persisted NVM image hashes differently from

@@ -37,7 +37,7 @@ pub mod telemetry;
 
 pub use config::{FunctionalMode, Mode, PcbArrangement, SimConfig};
 pub use crash::{CrashPlan, CrashSiteCounts, CrashSiteKind, LoggedOp};
-pub use diagnostics::{byte_digest, CrashDiagnostics, LeafMismatch, MacMismatch};
+pub use diagnostics::{byte_digest, CrashDiagnostics, Fnv1a, LeafMismatch, MacMismatch};
 pub use layout::MemoryLayout;
 pub use machine::{SecureNvm, WarmBoot};
 pub use psan_events::{MetaMech, PersistEvent, PersistEventKind, NO_CTX};

@@ -61,8 +61,9 @@ pub struct SecureNvm {
     /// on-chip persistent root register.
     pub(crate) tree: BonsaiTree,
     shadow: ShadowTracker,
-    /// The paper's mechanism (Thoth modes only).
-    pub(crate) thoth: Option<ThothEngine>,
+    /// The paper's mechanism (Thoth modes only). Boxed: each PCB insert
+    /// moves it out for the call (see [`EngineHost`]).
+    pub(crate) thoth: Option<Box<ThothEngine>>,
     /// Per-data-block logical write version (the "application data").
     pub(crate) data_versions: FastMap<u64, u64>,
     /// Ring of warm-up partial updates used to pre-fill the PUB.
@@ -191,7 +192,7 @@ impl SecureNvm {
         let layout = MemoryLayout::new(config.block_bytes);
         let meta_block = config.block_bytes;
         let thoth = match config.mode {
-            Mode::Thoth(policy) => Some(ThothEngine::new(
+            Mode::Thoth(policy) => Some(Box::new(ThothEngine::new(
                 policy,
                 config.pcb_entries,
                 PubConfig {
@@ -200,7 +201,7 @@ impl SecureNvm {
                     block_bytes: config.block_bytes,
                     evict_threshold_pct: config.pub_threshold_pct,
                 },
-            )),
+            ))),
             _ => None,
         };
         let wpq_cfg = WpqConfig::with_capacity(config.effective_wpq_entries());
@@ -339,22 +340,64 @@ impl SecureNvm {
         Some(mb)
     }
 
-    /// Puts the cached image of metadata block `addr` (the counter cache
-    /// for [`WriteCategory::CounterBlock`], else the MAC cache) into the
-    /// WPQ; returns the persist ACK.
-    pub(crate) fn persist_cached(&mut self, now: Cycle, addr: u64, category: WriteCategory) -> Cycle {
-        let cache = if category == WriteCategory::CounterBlock {
-            &self.ctr_cache
-        } else {
-            &self.mac_cache
-        };
-        let image = cache.peek(addr).expect("persisted metadata is resident");
-        self.wpq.insert(now, addr, Some(image), category, &mut self.nvm)
-    }
-
     // ------------------------------------------------------------------
     // Metadata cache management
     // ------------------------------------------------------------------
+
+    /// The cache holding metadata blocks of `category`: the counter cache
+    /// for [`WriteCategory::CounterBlock`], else the MAC cache.
+    fn meta_cache_mut(&mut self, category: WriteCategory) -> &mut SetAssocCache<Box<[u8]>> {
+        if category == WriteCategory::CounterBlock {
+            &mut self.ctr_cache
+        } else {
+            &mut self.mac_cache
+        }
+    }
+
+    /// Persists metadata blocks in place: puts each block's cached image
+    /// into the WPQ in order, then cleans the lines, then retires their
+    /// shadow entries (a shadow-table write thus enters the WPQ after
+    /// every image). Returns the latest persist ACK. Besides the natural
+    /// write-back of an evicted dirty line, this is the only way a
+    /// metadata block reaches the WPQ.
+    pub(crate) fn persist_meta(&mut self, now: Cycle, blocks: &[(u64, WriteCategory)]) -> Cycle {
+        let mut ack = Cycle::ZERO;
+        for &(addr, category) in blocks {
+            let cache = if category == WriteCategory::CounterBlock {
+                &self.ctr_cache
+            } else {
+                &self.mac_cache
+            };
+            let image = cache.peek(addr).expect("persisted metadata is resident");
+            let a = self
+                .wpq
+                .insert(now, addr, Some(image), category, &mut self.nvm);
+            ack = ack.max(a);
+        }
+        for &(addr, category) in blocks {
+            self.meta_cache_mut(category).clean(addr);
+        }
+        for &(addr, _) in blocks {
+            self.note_shadow_clean(now, addr);
+        }
+        ack
+    }
+
+    /// Marks metadata block `addr`'s line dirty in sub-block `sub_block`
+    /// (mod 64) and notes it in the shadow table.
+    pub(crate) fn dirty_meta(
+        &mut self,
+        now: Cycle,
+        addr: u64,
+        category: WriteCategory,
+        sub_block: usize,
+    ) {
+        self.meta_cache_mut(category)
+            .mark_dirty(addr, Some(sub_block % 64));
+        if mechanism_of(self.config.mode).shadow_tracked() && self.shadow.note_dirty(addr) {
+            self.emit_shadow_write(now);
+        }
+    }
 
     /// Ensures a counter block is cached; returns added latency.
     ///
@@ -411,22 +454,11 @@ impl SecureNvm {
         self.scratch.line = Some(ev.value);
     }
 
-    pub(crate) fn note_shadow_dirty(&mut self, now: Cycle, addr: u64) {
-        if !mechanism_of(self.config.mode).shadow_tracked() {
-            // Strict persistence keeps NVM consistent; eADR's caches are
-            // themselves persistent; Phoenix reconstructs at boot.
-            return;
-        }
-        if self.shadow.note_dirty(addr) {
-            self.emit_shadow_write(now);
-        }
-    }
-
-    pub(crate) fn note_shadow_clean(&mut self, now: Cycle, addr: u64) {
-        if !mechanism_of(self.config.mode).shadow_tracked() {
-            return;
-        }
-        if self.shadow.note_clean(addr) {
+    /// Retires `addr`'s shadow-table entry. Untracked mechanisms keep no
+    /// shadow table: strict persistence keeps NVM consistent, eADR's
+    /// caches are themselves persistent, Phoenix reconstructs at boot.
+    fn note_shadow_clean(&mut self, now: Cycle, addr: u64) {
+        if mechanism_of(self.config.mode).shadow_tracked() && self.shadow.note_clean(addr) {
             self.emit_shadow_write(now);
         }
     }
@@ -506,41 +538,30 @@ impl SecureNvm {
         // subtrees stream every updated path node through the WPQ with
         // the store (pipelined, so no extra serial hash); lazy subtrees
         // touch path nodes in the MT cache and let dirty evictions become
-        // TreeNode writes.
+        // TreeNode writes. Strict MT-cache lines are never dirty, so
+        // their evictions write nothing back.
+        let strict_tree = mechanism.strict_tree_path();
         let mut tree_ack = Cycle::ZERO;
-        if mechanism.strict_tree_path() {
-            let mut node_index = leaf;
-            for level in 0..tree_levels {
-                let naddr = self.layout.tree_node_addr(level, node_index);
-                if self.mt_cache.lookup(naddr).is_none() {
-                    self.mt_cache.insert(naddr, ());
+        let mut node_index = leaf;
+        for level in 0..tree_levels {
+            let naddr = self.layout.tree_node_addr(level, node_index);
+            if self.mt_cache.lookup(naddr).is_none() {
+                if let Some(ev) = self.mt_cache.insert(naddr, ()) {
+                    if ev.dirty {
+                        self.wpq
+                            .insert(t, ev.addr, None, WriteCategory::TreeNode, &mut self.nvm);
+                    }
                 }
+            }
+            if strict_tree {
                 let a = self
                     .wpq
                     .insert(t, naddr, None, WriteCategory::TreeNode, &mut self.nvm);
                 tree_ack = tree_ack.max(a);
-                node_index /= arity;
-            }
-        } else {
-            let mut node_index = leaf;
-            for level in 0..tree_levels {
-                let naddr = self.layout.tree_node_addr(level, node_index);
-                if self.mt_cache.lookup(naddr).is_none() {
-                    if let Some(ev) = self.mt_cache.insert(naddr, ()) {
-                        if ev.dirty {
-                            self.wpq.insert(
-                                t,
-                                ev.addr,
-                                None,
-                                WriteCategory::TreeNode,
-                                &mut self.nvm,
-                            );
-                        }
-                    }
-                }
+            } else {
                 self.mt_cache.mark_dirty(naddr, None);
-                node_index /= arity;
             }
+            node_index /= arity;
         }
 
         // Persist, per the mechanism's schedule.
@@ -586,35 +607,9 @@ impl SecureNvm {
             let i = (pu.block_index as usize * 31 + pu.minor as usize) % PREFILL_POOL;
             self.prefill_pool[i] = pu;
         }
-        let Self {
-            thoth,
-            layout,
-            nvm,
-            wpq,
-            ctr_cache,
-            mac_cache,
-            mac,
-            shadow,
-            config,
-            tap,
-            scratch,
-            ..
-        } = self;
-        let mut host = MachineHost {
-            now,
-            layout,
-            block_bytes: config.block_bytes,
-            shadow_tracking: mechanism_of(config.mode).shadow_tracked(),
-            nvm,
-            wpq,
-            ctr_cache,
-            mac_cache,
-            mac,
-            shadow,
-            tap: tap.as_deref_mut(),
-            zeros: &scratch.zeros,
-        };
-        thoth.as_mut().expect("Thoth mode").insert(pu, &mut host);
+        let mut engine = self.thoth.take().expect("Thoth mode");
+        engine.insert(pu, &mut EngineHost { m: self, now });
+        self.thoth = Some(engine);
         now
     }
 
@@ -622,9 +617,7 @@ impl SecureNvm {
     /// re-encrypt every written block of the overflowed page.
     fn handle_overflow(&mut self, now: Cycle, cb: u64, trigger_index: u64) -> Cycle {
         // Eager counter-block persist.
-        let mut ack = self.persist_cached(now, cb, WriteCategory::CounterBlock);
-        self.ctr_cache.clean(cb);
-        self.note_shadow_clean(now, cb);
+        let mut ack = self.persist_meta(now, &[(cb, WriteCategory::CounterBlock)]);
 
         // Re-encrypt the page of the triggering block.
         let bpp = self.layout.ctr_geometry.blocks_per_page as u64;
@@ -1157,15 +1150,13 @@ impl SecureNvm {
 
     fn snapshot(&mut self) -> Snapshot {
         self.nvm.reset_stats();
+        let engine = self.thoth.as_deref();
         Snapshot {
             wpq: self.wpq.stats(),
-            pcb: self.thoth.as_ref().map(ThothEngine::pcb_stats).unwrap_or_default(),
-            outcomes: self
-                .thoth
-                .as_ref()
-                .map(|t| t.outcomes().clone())
-                .unwrap_or_default(),
-            policy_persists: self.thoth.as_ref().map_or(0, ThothEngine::policy_persists),
+            pcb: engine.map(ThothEngine::pcb_stats).unwrap_or_default(),
+            outcomes: engine.map(|t| t.outcomes().clone()).unwrap_or_default(),
+            policy_persists: engine.map_or(0, ThothEngine::policy_persists),
+            pcb_wpq_bypass: self.pcb_wpq_bypass,
             transactions: self.transactions,
             ctr_stats: self.ctr_cache.stats(),
             mac_stats: self.mac_cache.stats(),
@@ -1175,7 +1166,8 @@ impl SecureNvm {
 
     fn build_report(&mut self, snap: &Snapshot, cycles: u64) -> SimReport {
         let wpq = self.wpq.stats();
-        let pcb = self.thoth.as_ref().map(ThothEngine::pcb_stats).unwrap_or_default();
+        let engine = self.thoth.as_deref();
+        let pcb = engine.map(ThothEngine::pcb_stats).unwrap_or_default();
         let mut writes = BTreeMap::new();
         for cat in WriteCategory::ALL {
             let n = self.nvm.writes_in(cat);
@@ -1184,7 +1176,7 @@ impl SecureNvm {
             }
         }
         let mut pub_evictions = BTreeMap::new();
-        if let Some(engine) = &self.thoth {
+        if let Some(engine) = engine {
             for (k, v) in engine.outcomes() {
                 let delta = v - snap.outcomes.get(k).copied().unwrap_or(0);
                 if delta > 0 {
@@ -1215,9 +1207,9 @@ impl SecureNvm {
             pcb_merged: pcb.merged - snap.pcb.merged,
             pcb_emitted: pcb.emitted_blocks - snap.pcb.emitted_blocks,
             pub_evictions,
-            pub_policy_persists: self.thoth.as_ref().map_or(0, ThothEngine::policy_persists)
+            pub_policy_persists: engine.map_or(0, ThothEngine::policy_persists)
                 - snap.policy_persists,
-            pcb_wpq_bypass: self.pcb_wpq_bypass,
+            pcb_wpq_bypass: self.pcb_wpq_bypass - snap.pcb_wpq_bypass,
             ctr_cache_hit_rate: rate(self.ctr_cache.stats(), snap.ctr_stats),
             mac_cache_hit_rate: rate(self.mac_cache.stats(), snap.mac_stats),
             llc_hit_rate: rate(self.llc.stats(), snap.llc_stats),
@@ -1531,60 +1523,30 @@ impl SecureNvm {
     }
 }
 
-/// The simulator's implementation of the Thoth engine's host interface:
-/// metadata views come from the secure metadata caches, persists go
-/// through the WPQ, PUB blocks live in the NVM device.
-struct MachineHost<'a> {
+/// The Thoth engine's host: the machine itself at cycle `now`. Metadata
+/// views come from the secure metadata caches, persists go through
+/// [`SecureNvm::persist_meta`], PUB blocks live in the NVM device.
+struct EngineHost<'a> {
+    m: &'a mut SecureNvm,
     now: Cycle,
-    layout: &'a MemoryLayout,
-    block_bytes: usize,
-    shadow_tracking: bool,
-    nvm: &'a mut NvmDevice,
-    wpq: &'a mut Wpq,
-    ctr_cache: &'a mut SetAssocCache<Box<[u8]>>,
-    mac_cache: &'a mut SetAssocCache<Box<[u8]>>,
-    mac: &'a MacEngine,
-    shadow: &'a mut ShadowTracker,
-    tap: Option<&'a mut Tap>,
-    /// The image of a never-written block.
-    zeros: &'a [u8],
 }
 
-impl MachineHost<'_> {
-    fn emit(&mut self, event: Event<'_>) {
-        if let Some(tap) = self.tap.as_deref_mut() {
-            tap.emit(event);
-        }
-    }
-
-    fn note_shadow_clean(&mut self, addr: u64) {
-        if self.shadow_tracking && self.shadow.note_clean(addr) {
-            let per_block = (self.block_bytes / 8) as u64;
-            let n = self.shadow.updates();
-            if n.is_multiple_of(per_block) {
-                let saddr = self.layout.shadow_addr(n);
-                self.wpq
-                    .insert(self.now, saddr, None, WriteCategory::Shadow, self.nvm);
-            }
-        }
-    }
-}
-
-impl ThothHost for MachineHost<'_> {
+impl ThothHost for EngineHost<'_> {
     fn metadata_view(&mut self, kind: MetadataKind, e: &PartialUpdate) -> BlockView {
+        let m = &*self.m;
         let index = u64::from(e.block_index);
         match kind {
             MetadataKind::Counter => {
-                let (cb, group, slot) = self.layout.ctr_location(index);
-                if !self.ctr_cache.contains(cb) {
+                let (cb, group, slot) = m.layout.ctr_location(index);
+                if !m.ctr_cache.contains(cb) {
                     BlockView::NotPresent
-                } else if !self.ctr_cache.is_dirty(cb) {
+                } else if !m.ctr_cache.is_dirty(cb) {
                     BlockView::Clean
                 } else {
-                    let sub = self.layout.ctr_subblock(index) % 64;
-                    let subblock_dirty = self.ctr_cache.dirty_mask(cb) & (1 << sub) != 0;
-                    let geometry = self.layout.ctr_geometry;
-                    let value_matches = self
+                    let sub = m.layout.ctr_subblock(index) % 64;
+                    let subblock_dirty = m.ctr_cache.dirty_mask(cb) & (1 << sub) != 0;
+                    let geometry = m.layout.ctr_geometry;
+                    let value_matches = m
                         .ctr_cache
                         .peek(cb)
                         .is_some_and(|img| geometry.minor(img, group, slot) == e.minor);
@@ -1595,17 +1557,17 @@ impl ThothHost for MachineHost<'_> {
                 }
             }
             MetadataKind::Mac => {
-                let (mb, mslot) = self.layout.mac_location(index);
-                if !self.mac_cache.contains(mb) {
+                let (mb, mslot) = m.layout.mac_location(index);
+                if !m.mac_cache.contains(mb) {
                     BlockView::NotPresent
-                } else if !self.mac_cache.is_dirty(mb) {
+                } else if !m.mac_cache.is_dirty(mb) {
                     BlockView::Clean
                 } else {
-                    let subblock_dirty = self.mac_cache.dirty_mask(mb) & (1 << (mslot % 64)) != 0;
-                    let addr = self.layout.block_addr(index);
-                    let value_matches = self.mac_cache.peek(mb).is_some_and(|img| {
-                        let first = &img[self.layout.mac_slot(mslot)];
-                        self.mac.second_level(addr, first) == e.mac2
+                    let subblock_dirty = m.mac_cache.dirty_mask(mb) & (1 << (mslot % 64)) != 0;
+                    let addr = m.layout.block_addr(index);
+                    let value_matches = m.mac_cache.peek(mb).is_some_and(|img| {
+                        let first = &img[m.layout.mac_slot(mslot)];
+                        m.mac.second_level(addr, first) == e.mac2
                     });
                     BlockView::Dirty {
                         subblock_dirty,
@@ -1617,44 +1579,36 @@ impl ThothHost for MachineHost<'_> {
     }
 
     fn persist_metadata(&mut self, kind: MetadataKind, e: &PartialUpdate) {
-        let index = u64::from(e.block_index);
-        match kind {
-            MetadataKind::Counter => {
-                let (cb, _, _) = self.layout.ctr_location(index);
-                let image = self.ctr_cache.peek(cb).expect("dirty implies resident");
-                self.wpq
-                    .insert(self.now, cb, Some(image), WriteCategory::CounterBlock, self.nvm);
-                self.ctr_cache.clean(cb);
-                self.note_shadow_clean(cb);
-            }
-            MetadataKind::Mac => {
-                let (mb, _) = self.layout.mac_location(index);
-                let image = self.mac_cache.peek(mb).expect("dirty implies resident");
-                self.wpq
-                    .insert(self.now, mb, Some(image), WriteCategory::MacBlock, self.nvm);
-                self.mac_cache.clean(mb);
-                self.note_shadow_clean(mb);
-            }
-        }
-        self.emit(Event::MetaPersist);
+        let (index, layout) = (u64::from(e.block_index), self.m.layout);
+        let block = match kind {
+            MetadataKind::Counter => (layout.ctr_location(index).0, WriteCategory::CounterBlock),
+            MetadataKind::Mac => (layout.mac_location(index).0, WriteCategory::MacBlock),
+        };
+        self.m.persist_meta(self.now, &[block]);
+        self.m.emit(Event::MetaPersist);
     }
 
     fn write_pub_block(&mut self, addr: u64, image: &[u8]) {
-        self.wpq
-            .insert(self.now, addr, Some(image), WriteCategory::PubBlock, self.nvm);
         let now = self.now;
-        self.emit(Event::PubAppend { addr, image, now });
+        self.m.wpq.insert(
+            now,
+            addr,
+            Some(image),
+            WriteCategory::PubBlock,
+            &mut self.m.nvm,
+        );
+        self.m.emit(Event::PubAppend { addr, image, now });
     }
 
     fn read_pub_block(&mut self, addr: u64, read: &mut dyn FnMut(&[u8])) {
         let now = self.now;
-        self.emit(Event::PubEvict { addr, now });
-        let _ = self.nvm.time_access(self.now, addr, false);
-        read(self.nvm.block_image(addr).unwrap_or(self.zeros));
+        self.m.emit(Event::PubEvict { addr, now });
+        let _ = self.m.nvm.time_access(now, addr, false);
+        read(self.m.persisted(addr));
     }
 
     fn power_failed(&self) -> bool {
-        self.tap.as_ref().is_some_and(|t| t.fired)
+        self.m.tap.as_ref().is_some_and(|t| t.fired)
     }
 }
 
@@ -1665,6 +1619,7 @@ struct Snapshot {
     pcb: PcbStats,
     outcomes: BTreeMap<EvictOutcome, u64>,
     policy_persists: u64,
+    pcb_wpq_bypass: u64,
     transactions: u64,
     ctr_stats: CacheStats,
     mac_stats: CacheStats,
@@ -2059,6 +2014,20 @@ mod tests {
         base_cfg.pub_size_bytes = 64 << 10;
         let base = SecureNvm::new(base_cfg).run(&trace);
         assert!(r.writes_total() <= base.writes_total());
+    }
+
+    #[test]
+    fn warm_up_wpq_bypasses_are_not_reported() {
+        // PCB-after-WPQ merges during warm-up belong to no measured phase:
+        // a run without measured transactions reports none.
+        let mut wl = WorkloadConfig::paper_default(WorkloadKind::Btree).scaled(0.02);
+        wl.warmup_txs_per_core = 400;
+        wl.txs_per_core = 0;
+        let mut cfg = small_config(Mode::thoth_wtsc());
+        cfg.pcb_arrangement = crate::PcbArrangement::AfterWpq;
+        let r = SecureNvm::new(cfg).run(&spec::generate(wl));
+        assert_eq!((r.pcb_inserts, r.wpq_inserts), (0, 0));
+        assert_eq!(r.pcb_wpq_bypass, 0);
     }
 
     #[test]

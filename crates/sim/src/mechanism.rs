@@ -19,9 +19,11 @@
 //! mechanism-agnostic: it runs the shared pipeline (counter fetch +
 //! increment, encryption, first-level MAC, eager logical-tree update,
 //! data write) and delegates everything metadata-durability-related
-//! through this trait. Implementations are stateless unit structs, so
+//! through this trait. Implementations are stateless statics, so
 //! dispatch is a `&'static dyn` lookup with no per-machine storage and
-//! no borrow entanglement with the machine's own fields.
+//! no borrow entanglement with the machine's own fields. They persist
+//! and dirty metadata only through [`SecureNvm::persist_meta`] and
+//! [`SecureNvm::dirty_meta`].
 
 use crate::config::{Mode, PcbArrangement};
 use crate::machine::SecureNvm;
@@ -123,23 +125,52 @@ pub(crate) trait MetaMechanism: Sync {
 /// Resolves a mode to its (stateless, static) mechanism.
 pub(crate) fn mechanism_of(mode: Mode) -> &'static dyn MetaMechanism {
     match mode {
-        Mode::Baseline => &BaselineMech,
+        Mode::Baseline => &BASELINE,
         Mode::Thoth(_) => &ThothMech,
         Mode::AnubisEcc => &AnubisEccMech,
         Mode::Eadr => &EadrMech,
         Mode::Phoenix => &PhoenixMech,
-        Mode::FreijStrict => &FreijMech { strict: true },
-        Mode::FreijLazy => &FreijMech { strict: false },
+        Mode::FreijStrict => &FREIJ_STRICT,
+        Mode::FreijLazy => &FREIJ_LAZY,
     }
 }
 
-/// Strict persistence of counter + MAC blocks per data write (the
-/// paper's baseline: Anubis adapted to emerging interfaces).
-struct BaselineMech;
+/// In-place persistence of the counter and MAC blocks with every data
+/// write. The paper's baseline (Anubis adapted to emerging interfaces)
+/// charges an extra last-level hash and persists the tree path lazily;
+/// Freij et al.'s streamlined BMT updates absorb that hash in the
+/// pipelined update and persist the updated tree path either strictly
+/// (streamed through the WPQ) or lazily (MT-cache eviction).
+struct InPlaceMech {
+    extra_hash: bool,
+    strict_tree: bool,
+    /// The psan cover edge of every covered data persist.
+    cover: MetaMech,
+}
 
-impl MetaMechanism for BaselineMech {
+static BASELINE: InPlaceMech = InPlaceMech {
+    extra_hash: true,
+    strict_tree: false,
+    cover: MetaMech::InPlace,
+};
+static FREIJ_STRICT: InPlaceMech = InPlaceMech {
+    extra_hash: false,
+    strict_tree: true,
+    cover: MetaMech::SubtreeStrict,
+};
+static FREIJ_LAZY: InPlaceMech = InPlaceMech {
+    extra_hash: false,
+    strict_tree: false,
+    cover: MetaMech::SubtreeLazy,
+};
+
+impl MetaMechanism for InPlaceMech {
     fn extra_store_hash(&self) -> bool {
-        true
+        self.extra_hash
+    }
+
+    fn strict_tree_path(&self) -> bool {
+        self.strict_tree
     }
 
     fn persist_store(
@@ -149,20 +180,19 @@ impl MetaMechanism for BaselineMech {
         ack: &mut Cycle,
         meta: &StoreMeta<'_>,
     ) -> MetaMech {
-        // Strict persistence: full counter + MAC blocks each write.
-        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
-        let a2 = m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
-        // NVM is now (logically) current: caches stay clean.
-        m.ctr_cache.clean(meta.cb);
-        m.mac_cache.clean(meta.mb);
-        *ack = (*ack).max(a1).max(a2);
-        MetaMech::InPlace
+        // Full counter + MAC blocks each write; NVM is now (logically)
+        // current, so the caches stay clean.
+        let blocks = [
+            (meta.cb, WriteCategory::CounterBlock),
+            (meta.mb, WriteCategory::MacBlock),
+        ];
+        *ack = (*ack).max(m.persist_meta(*t, &blocks));
+        self.cover
     }
 
     fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
-        m.persist_cached(t, meta.mb, WriteCategory::MacBlock);
-        m.mac_cache.clean(meta.mb);
-        MetaMech::InPlace
+        m.persist_meta(t, &[(meta.mb, WriteCategory::MacBlock)]);
+        self.cover
     }
 }
 
@@ -184,11 +214,9 @@ impl MetaMechanism for ThothMech {
         // Second-level MAC for the partial update.
         *t += m.config.hash_cycles;
         let mac2 = m.mac.second_level(meta.addr, meta.first_mac);
-        m.ctr_cache
-            .mark_dirty(meta.cb, Some(m.layout.ctr_subblock(meta.index) % 64));
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
-        m.note_shadow_dirty(*t, meta.cb);
-        m.note_shadow_dirty(*t, meta.mb);
+        let sub = m.layout.ctr_subblock(meta.index);
+        m.dirty_meta(*t, meta.cb, WriteCategory::CounterBlock, sub);
+        m.dirty_meta(*t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         let pu = PartialUpdate {
             block_index: meta.index as u32,
             minor: meta.minor,
@@ -203,12 +231,11 @@ impl MetaMechanism for ThothMech {
             && m.wpq.contains_coalescable(meta.cb)
             && m.wpq.contains_coalescable(meta.mb)
         {
-            m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
-            m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
-            m.ctr_cache.clean(meta.cb);
-            m.mac_cache.clean(meta.mb);
-            m.note_shadow_clean(*t, meta.cb);
-            m.note_shadow_clean(*t, meta.mb);
+            let blocks = [
+                (meta.cb, WriteCategory::CounterBlock),
+                (meta.mb, WriteCategory::MacBlock),
+            ];
+            m.persist_meta(*t, &blocks);
             m.pcb_wpq_bypass += 1;
             MetaMech::WpqMerge
         } else {
@@ -218,8 +245,7 @@ impl MetaMechanism for ThothMech {
     }
 
     fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
-        m.note_shadow_dirty(t, meta.mb);
+        m.dirty_meta(t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         let mac2 = m.mac.second_level(meta.addr, meta.first_mac);
         let pu = PartialUpdate {
             block_index: meta.index as u32,
@@ -289,17 +315,14 @@ impl MetaMechanism for AnubisEccMech {
     ) -> MetaMech {
         // Metadata rides along with data via ECC bits / MAC chip: caches
         // dirty, persisted only through natural eviction.
-        m.ctr_cache
-            .mark_dirty(meta.cb, Some(m.layout.ctr_subblock(meta.index) % 64));
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
-        m.note_shadow_dirty(*t, meta.cb);
-        m.note_shadow_dirty(*t, meta.mb);
+        let sub = m.layout.ctr_subblock(meta.index);
+        m.dirty_meta(*t, meta.cb, WriteCategory::CounterBlock, sub);
+        m.dirty_meta(*t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         MetaMech::EccRideAlong
     }
 
     fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
-        m.note_shadow_dirty(t, meta.mb);
+        m.dirty_meta(t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         MetaMech::EccRideAlong
     }
 }
@@ -317,15 +340,15 @@ impl MetaMechanism for EadrMech {
     ) -> MetaMech {
         // The entire hierarchy is persistent: the store is durable the
         // moment it executes; NVM traffic is eviction-driven.
-        m.ctr_cache
-            .mark_dirty(meta.cb, Some(m.layout.ctr_subblock(meta.index) % 64));
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
+        let sub = m.layout.ctr_subblock(meta.index);
+        m.dirty_meta(*t, meta.cb, WriteCategory::CounterBlock, sub);
+        m.dirty_meta(*t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         *ack = *t;
         MetaMech::EadrDomain
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
+        m.dirty_meta(t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         MetaMech::EadrDomain
     }
 
@@ -362,17 +385,15 @@ impl MetaMechanism for PhoenixMech {
     ) -> MetaMech {
         // Strict leaf-counter persistence; the MAC image stays lazy in
         // cache (reconstructed at boot, so losing it is safe).
-        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
-        m.ctr_cache.clean(meta.cb);
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
-        *ack = (*ack).max(a1);
+        *ack = (*ack).max(m.persist_meta(*t, &[(meta.cb, WriteCategory::CounterBlock)]));
+        m.dirty_meta(*t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         MetaMech::PhoenixLeaf
     }
 
-    fn persist_reencrypt(&self, m: &mut SecureNvm, _t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
+    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
         // The overflow handler already persisted the counter block
         // eagerly; the refreshed MAC stays lazy like every other.
-        m.mac_cache.mark_dirty(meta.mb, Some(meta.mslot % 64));
+        m.dirty_meta(t, meta.mb, WriteCategory::MacBlock, meta.mslot);
         MetaMech::PhoenixLeaf
     }
 
@@ -400,49 +421,5 @@ impl MetaMechanism for PhoenixMech {
             }
         }
         report.mac_blocks_recovered = rebuilt.len() as u64;
-    }
-}
-
-/// Freij et al.'s streamlined BMT updates: counter + MAC persist in
-/// place (as in the baseline, minus the extra last-level hash — the
-/// pipelined update absorbs it), while the updated tree path persists
-/// either strictly (streamed through the WPQ) or lazily (MT-cache
-/// eviction), per `strict`.
-struct FreijMech {
-    strict: bool,
-}
-
-impl MetaMechanism for FreijMech {
-    fn strict_tree_path(&self) -> bool {
-        self.strict
-    }
-
-    fn persist_store(
-        &self,
-        m: &mut SecureNvm,
-        t: &mut Cycle,
-        ack: &mut Cycle,
-        meta: &StoreMeta<'_>,
-    ) -> MetaMech {
-        let a1 = m.persist_cached(*t, meta.cb, WriteCategory::CounterBlock);
-        let a2 = m.persist_cached(*t, meta.mb, WriteCategory::MacBlock);
-        m.ctr_cache.clean(meta.cb);
-        m.mac_cache.clean(meta.mb);
-        *ack = (*ack).max(a1).max(a2);
-        if self.strict {
-            MetaMech::SubtreeStrict
-        } else {
-            MetaMech::SubtreeLazy
-        }
-    }
-
-    fn persist_reencrypt(&self, m: &mut SecureNvm, t: Cycle, meta: &ReencryptMeta<'_>) -> MetaMech {
-        m.persist_cached(t, meta.mb, WriteCategory::MacBlock);
-        m.mac_cache.clean(meta.mb);
-        if self.strict {
-            MetaMech::SubtreeStrict
-        } else {
-            MetaMech::SubtreeLazy
-        }
     }
 }

@@ -1,5 +1,7 @@
 //! Run reports: the numbers every figure and table are built from.
 
+use crate::diagnostics::Fnv1a;
+
 use std::collections::BTreeMap;
 use thoth_core::EvictOutcome;
 use thoth_nvm::WriteCategory;
@@ -120,7 +122,7 @@ impl SimReport {
     /// compare whole report matrices cheaply.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.str(&self.mode);
         for v in [
             self.total_cycles,
@@ -159,37 +161,6 @@ impl SimReport {
             h.u64(f.to_bits());
         }
         h.finish()
-    }
-}
-
-/// Minimal FNV-1a accumulator backing [`SimReport::digest`]. Kept local so
-/// the digest's byte-level definition is pinned here, independent of any
-/// hash-map hasher the simulator uses internally.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Length-prefixed so `("ab","c")` and `("a","bc")` digest apart.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

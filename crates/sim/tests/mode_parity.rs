@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use thoth_sim::{run_trace, Mode, SimConfig, SimReport};
+use thoth_sim::{run_trace, Fnv1a, Mode, SimConfig, SimReport};
 use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
 /// The pinned digest of the quick headline matrix (see `ci.sh`'s perf
@@ -43,19 +43,14 @@ fn quick_trace(kind: WorkloadKind) -> MultiCoreTrace {
 /// Mirrors `headline::matrix_digest`: FNV-fold every run's digest under
 /// its key, in `BTreeMap` order.
 fn fold_digest(runs: &BTreeMap<(String, usize, String), SimReport>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     for ((workload, block, mode), report) in runs {
-        mix(workload.as_bytes());
-        mix(&(*block as u64).to_le_bytes());
-        mix(mode.as_bytes());
-        mix(&report.digest().to_le_bytes());
+        h.bytes(workload.as_bytes());
+        h.u64(*block as u64);
+        h.bytes(mode.as_bytes());
+        h.u64(report.digest());
     }
-    h
+    h.finish()
 }
 
 fn run_matrix(modes: &[Mode]) -> BTreeMap<(String, usize, String), SimReport> {

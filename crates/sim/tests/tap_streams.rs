@@ -17,7 +17,7 @@
 //! On a mismatch the test prints the whole recomputed table.
 
 use thoth_sim::{
-    CrashPlan, CrashSiteKind, FunctionalMode, LoggedOp, Mode, PersistEventKind, SecureNvm,
+    CrashPlan, CrashSiteKind, Fnv1a, FunctionalMode, LoggedOp, Mode, PersistEventKind, SecureNvm,
     SimConfig,
 };
 use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
@@ -100,28 +100,9 @@ fn trace_for(kind: WorkloadKind) -> MultiCoreTrace {
     spec::generate(cfg)
 }
 
-/// 64-bit FNV-1a over little-endian field encodings.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 fn psan_digest(config: &SimConfig, trace: &MultiCoreTrace) -> (u64, usize) {
     let (_, events) = SecureNvm::new(config.clone()).run_psan(trace);
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for e in &events {
         h.u64(e.seq);
         h.u64(u64::from(e.core));
@@ -171,7 +152,7 @@ fn psan_digest(config: &SimConfig, trace: &MultiCoreTrace) -> (u64, usize) {
             }
         }
     }
-    (h.0, events.len())
+    (h.finish(), events.len())
 }
 
 fn op_log_digest(config: &SimConfig, trace: &MultiCoreTrace) -> (u64, bool) {
@@ -179,7 +160,7 @@ fn op_log_digest(config: &SimConfig, trace: &MultiCoreTrace) -> (u64, bool) {
     config.functional = FunctionalMode::Full;
     let mut m = SecureNvm::new(config);
     let fired = m.run_to_crash(trace, PLAN);
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for op in m.take_op_log() {
         match op {
             LoggedOp::Store { core, block } => {
@@ -193,7 +174,7 @@ fn op_log_digest(config: &SimConfig, trace: &MultiCoreTrace) -> (u64, bool) {
             }
         }
     }
-    (h.0, fired)
+    (h.finish(), fired)
 }
 
 fn site_counts(config: &SimConfig, trace: &MultiCoreTrace) -> [u64; 4] {

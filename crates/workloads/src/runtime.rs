@@ -186,7 +186,6 @@ pub struct TxRuntime {
     /// would capture an intermediate value, which is both wasted write
     /// bandwidth and an undo-replay hazard).
     logged_ranges: Vec<(u64, u64)>,
-    undo_dedup: bool,
     tracing: bool,
     stats: RuntimeStats,
 }
@@ -214,18 +213,9 @@ impl TxRuntime {
             in_tx: false,
             stores_in_tx: 0,
             logged_ranges: Vec::new(),
-            undo_dedup: true,
             tracing: true,
             stats: RuntimeStats::default(),
         }
-    }
-
-    /// Enables or disables per-transaction undo-log dedup (on by default).
-    /// With dedup off, every [`Self::write`] appends an undo entry even if
-    /// the same range was already logged in the open transaction — the
-    /// covered-log-append smell `thoth-psan` flags.
-    pub fn set_undo_dedup(&mut self, on: bool) {
-        self.undo_dedup = on;
     }
 
     /// Enables or disables trace recording. With tracing off, heap
@@ -342,8 +332,9 @@ impl TxRuntime {
 
     /// Transactionally writes `bytes` at `addr`: the old contents are
     /// undo-logged first (write-ahead), then the data is stored. A range
-    /// already logged by this transaction is not re-logged (see
-    /// [`Self::set_undo_dedup`]).
+    /// already logged by this transaction is not re-logged: re-logging
+    /// would capture an intermediate value (the covered-log-append smell
+    /// `thoth-psan` flags).
     ///
     /// # Panics
     ///
@@ -351,11 +342,10 @@ impl TxRuntime {
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
         assert!(self.in_tx, "transactional write outside a transaction");
         let len = bytes.len() as u64;
-        let covered = self.undo_dedup
-            && self
-                .logged_ranges
-                .iter()
-                .any(|&(a, l)| a <= addr && addr + len <= a + l);
+        let covered = self
+            .logged_ranges
+            .iter()
+            .any(|&(a, l)| a <= addr && addr + len <= a + l);
         if !covered {
             self.log_append(addr, bytes.len());
             self.logged_ranges.push((addr, len));
@@ -530,8 +520,8 @@ mod tests {
 
     #[test]
     fn undo_dedup_skips_covered_ranges() {
-        // Default (dedup on): a range already logged in the open
-        // transaction is not logged again.
+        // A range already logged in the open transaction is not logged
+        // again.
         let mut rt = TxRuntime::new(0);
         let p = rt.alloc(8);
         rt.begin();
@@ -542,20 +532,6 @@ mod tests {
         rt.write_u64(p, 3);
         rt.commit();
         assert_eq!(rt.stats().log_appends, 1, "second write is covered");
-
-        // Dedup off: the covered-log-append smell returns (what the
-        // sanitizer flags).
-        let mut rt = TxRuntime::new(0);
-        rt.set_undo_dedup(false);
-        let p = rt.alloc(8);
-        rt.begin();
-        rt.write_new_u64(p, 1);
-        rt.commit();
-        rt.begin();
-        rt.write_u64(p, 2);
-        rt.write_u64(p, 3);
-        rt.commit();
-        assert_eq!(rt.stats().log_appends, 2);
     }
 
     #[test]

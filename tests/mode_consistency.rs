@@ -65,9 +65,10 @@ fn recovery_is_clean_at_256_byte_blocks() {
     }
 }
 
-/// Each extension mechanism's recovery procedure (Phoenix rebuilds the
-/// first-level MAC region; freij-lazy replays dirty tree nodes) must
-/// also verify off the 128 B paper geometry.
+/// Each extension mechanism's recovery (Phoenix rebuilds the first-level
+/// MAC region; the Freij modes rely on the tree rebuild from the
+/// persisted counters that every mechanism shares) must also verify off
+/// the 128 B paper geometry.
 #[test]
 fn extension_mechanisms_recover_cleanly_at_256_byte_blocks() {
     for mode in [Mode::phoenix(), Mode::freij_strict(), Mode::freij_lazy()] {
