@@ -13,6 +13,8 @@
 //! per-sample mean, minimum and throughput. Results go to stdout as
 //! aligned text; no files are written.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints reports")]
+
 use std::hint::black_box as bb;
 use std::time::{Duration, Instant};
 

@@ -1,6 +1,8 @@
 //! Property tests: the set-associative cache against a reference model
 //! (deterministic thoth-testkit cases).
 
+#![allow(clippy::disallowed_types, reason = "std maps are the reference models")]
+
 use std::collections::HashMap;
 use thoth_cache::{CacheConfig, SetAssocCache};
 use thoth_testkit::{check, Gen};

@@ -283,6 +283,7 @@ impl ThothEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "std maps model the host")]
 mod tests {
     use super::*;
     use std::collections::HashMap;

@@ -2,6 +2,8 @@
 //! uniqueness/merging, and codec round-trips at both block sizes
 //! (deterministic thoth-testkit cases).
 
+#![allow(clippy::disallowed_types, reason = "std maps are the reference models")]
+
 use std::collections::HashMap;
 use thoth_core::{PartialUpdate, Pcb, PcbInsert, PubBlockCodec, PubBuffer, PubConfig};
 use thoth_testkit::{check, Gen};

@@ -4,6 +4,8 @@
 //! the *newest* values in force — including when a crash lands between the
 //! two appends and the second copy arrives via the PCB's crash padding.
 
+#![allow(clippy::disallowed_types, reason = "std maps are the reference models")]
+
 use thoth_core::{
     EvictionPolicy, PartialUpdate, PubBuffer, PubConfig, ThothEngine, ThothHost,
 };

@@ -97,6 +97,7 @@ pub enum AesBackend {
 /// `thoth_soft_aes` escape hatch is off; runtime dispatch still checks
 /// CPUID before ever calling in.
 #[cfg(all(target_arch = "x86_64", not(thoth_soft_aes)))]
+#[allow(unsafe_code, reason = "AES-NI intrinsics")]
 mod hw {
     use std::arch::x86_64::{
         __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setzero_si128,
@@ -273,6 +274,7 @@ impl Aes128 {
     pub fn encrypt_block(&self, plaintext: &[u8; 16]) -> [u8; 16] {
         match self.backend {
             #[cfg(all(target_arch = "x86_64", not(thoth_soft_aes)))]
+            #[allow(unsafe_code, reason = "calls the AES-NI kernel")]
             AesBackend::HwAesNi => {
                 let mut blocks = [*plaintext];
                 // SAFETY: `backend` is `HwAesNi` only when `detect_backend`
@@ -292,6 +294,7 @@ impl Aes128 {
     pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
         match self.backend {
             #[cfg(all(target_arch = "x86_64", not(thoth_soft_aes)))]
+            #[allow(unsafe_code, reason = "calls the AES-NI kernel")]
             AesBackend::HwAesNi => {
                 // SAFETY: as in `encrypt_block` — runtime-detected.
                 unsafe { hw::encrypt_blocks(&self.round_keys, blocks) };

@@ -455,6 +455,7 @@ impl CounterBlock {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "a std set checks uniqueness")]
 mod tests {
     use super::*;
 

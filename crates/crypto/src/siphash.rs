@@ -63,6 +63,7 @@ pub enum SipBackend {
 /// `thoth_soft_sip` escape hatch is off; runtime dispatch still checks
 /// CPUID before ever calling in.
 #[cfg(all(target_arch = "x86_64", not(thoth_soft_sip)))]
+#[allow(unsafe_code, reason = "AVX2 intrinsics")]
 mod simd {
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x,
@@ -344,6 +345,7 @@ impl SipHash24 {
                 let lanes: &[[u64; W]; BATCH_LANES] = g.try_into().expect("exact chunk");
                 // SAFETY: the backend is `SimdAvx2` only when
                 // `detect_backend` saw the `avx2` feature at runtime.
+                #[allow(unsafe_code, reason = "calls the AVX2 kernel")]
                 t.copy_from_slice(&unsafe { simd::hash_rows(self.init_state(), lanes, last) });
             }
             for (row, t) in groups.remainder().iter().zip(tags.into_remainder()) {

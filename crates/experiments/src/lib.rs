@@ -26,6 +26,8 @@
 //! the binary's output can be diffed against `EXPERIMENTS.md`.
 
 #![warn(missing_docs)]
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints tables")]
+#![allow(clippy::disallowed_types, reason = "harness code, off the replay path")]
 
 pub mod ablation;
 pub mod cachesweep;

@@ -12,6 +12,8 @@
 //! --csv DIR   also write each table as CSV into DIR
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints tables")]
+
 use thoth_experiments::runner::ExpSettings;
 use thoth_experiments::tablefmt::Table;
 use thoth_experiments::{

@@ -1,6 +1,8 @@
 //! Property tests: WPQ durability, coalescing and forwarding under
 //! random insert streams (deterministic thoth-testkit cases).
 
+#![allow(clippy::disallowed_types, reason = "std maps are the reference models")]
+
 use std::collections::HashMap;
 use thoth_memctrl::{Wpq, WpqConfig};
 use thoth_nvm::{NvmConfig, NvmDevice, WriteCategory};

@@ -13,7 +13,8 @@
 //! behaviour (as opposed to wall-clock) must not change, which the
 //! determinism golden test pins.
 
-use std::collections::{HashMap, HashSet}; // thoth-lint: allow(std-hash) — this is the wrapper
+#[allow(clippy::disallowed_types, reason = "this is the wrapper")]
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative folding hasher (FxHash construction). Not DoS-resistant
@@ -76,12 +77,15 @@ impl Hasher for FxStyleHasher {
 }
 
 /// `HashMap` with the deterministic multiplicative hasher.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxStyleHasher>>; // thoth-lint: allow(std-hash)
+#[allow(clippy::disallowed_types, reason = "this is the wrapper")]
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxStyleHasher>>;
 
 /// `HashSet` with the deterministic multiplicative hasher.
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FxStyleHasher>>; // thoth-lint: allow(std-hash)
+#[allow(clippy::disallowed_types, reason = "this is the wrapper")]
+pub type FastSet<T> = HashSet<T, BuildHasherDefault<FxStyleHasher>>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "std sets measure the hash spread")]
 mod tests {
     use super::*;
 

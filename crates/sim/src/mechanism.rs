@@ -294,7 +294,6 @@ impl MetaMechanism for ThothMech {
                 }
             }
         }
-        report.ctr_blocks_recovered = m.nvm.writes_in(WriteCategory::Recovery);
     }
 }
 

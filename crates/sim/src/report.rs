@@ -175,8 +175,6 @@ pub struct RecoveryReport {
     pub entries_merged: u64,
     /// Entries skipped as stale (did not match the persisted ciphertext).
     pub entries_stale: u64,
-    /// Counter blocks rewritten during recovery.
-    pub ctr_blocks_recovered: u64,
     /// MAC blocks rewritten during recovery.
     pub mac_blocks_recovered: u64,
     /// Did the rebuilt integrity-tree root match the processor's root?

@@ -13,6 +13,8 @@
 //! construction and warm-up, so the difference is the measured replay
 //! (plus the report).
 
+#![allow(unsafe_code, reason = "a counting GlobalAlloc is an unsafe impl")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -9,7 +9,7 @@
 //!
 //! * [`Registry`] — typed counters and log2-bucketed histograms with a
 //!   dense, `&'static str`-keyed registry (no std hashing — this crate is
-//!   on the hot path when enabled and is lint-listed as a hot crate),
+//!   on the hot path when enabled),
 //! * [`Timeline`] — epoch-sampled series (occupancies, fill fractions,
 //!   per-mechanism persist bytes) emitted as CSV,
 //! * [`SpanTracer`] — a span/instant/async event tracer exporting Chrome
@@ -40,42 +40,32 @@ pub use report::{ProbeSummary, TelemetryReport, TelemetrySink};
 pub use timeline::Timeline;
 pub use tracer::{Span, SpanKind, SpanTracer};
 
+/// Timeline sampling period in core cycles.
+pub const EPOCH_CYCLES: u64 = 10_000;
+
+/// Hard cap on recorded trace events; once reached, further events are
+/// counted as dropped instead of stored (bounded memory).
+pub const TRACE_CAP: usize = 200_000;
+
 /// What the instrumentation layer records. Off by default; every hook in
 /// the simulator checks its sink before doing any work, so a disabled run
 /// is byte-identical to an uninstrumented one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Master switch. `false` means no sink is installed at all.
     pub enabled: bool,
-    /// Timeline sampling period in core cycles.
-    pub epoch_cycles: u64,
     /// Record the span tracer (per-core op spans, WPQ residency arrows,
     /// PUB append/evict instants).
     pub trace: bool,
-    /// Hard cap on recorded trace events; once reached, further events
-    /// are counted as dropped instead of stored (bounded memory).
-    pub trace_cap: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            epoch_cycles: 10_000,
-            trace: false,
-            trace_cap: 200_000,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// Everything on, at the default epoch.
+    /// Everything on.
     #[must_use]
     pub fn full() -> Self {
         TelemetryConfig {
             enabled: true,
             trace: true,
-            ..TelemetryConfig::default()
         }
     }
 
@@ -84,7 +74,7 @@ impl TelemetryConfig {
     pub fn counters_only() -> Self {
         TelemetryConfig {
             enabled: true,
-            ..TelemetryConfig::default()
+            trace: false,
         }
     }
 }
@@ -98,7 +88,6 @@ mod tests {
         let c = TelemetryConfig::default();
         assert!(!c.enabled);
         assert!(!c.trace);
-        assert!(c.epoch_cycles > 0);
     }
 
     #[test]

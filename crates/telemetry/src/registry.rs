@@ -2,9 +2,10 @@
 //!
 //! Names are `&'static str`; lookup is a linear scan over a small `Vec`,
 //! which is both allocation-free after warm-up and faster than hashing
-//! for the dozen-odd stats a run registers (and it keeps std `HashMap`
-//! out of a hot crate, per `thoth-lint`). IDs are dense indices; the hot
-//! path is `add`/`observe` by ID — one bounds-checked array access.
+//! for the dozen-odd stats a run registers (and it keeps std `HashMap`,
+//! a clippy `disallowed_types` entry, out of the crate). IDs are dense
+//! indices; the hot path is `add`/`observe` by ID — one bounds-checked
+//! array access.
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

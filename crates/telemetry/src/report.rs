@@ -10,7 +10,7 @@
 use crate::registry::Registry;
 use crate::timeline::Timeline;
 use crate::tracer::SpanTracer;
-use crate::{QueueProbe, TelemetryConfig};
+use crate::{QueueProbe, TelemetryConfig, EPOCH_CYCLES, TRACE_CAP};
 
 /// End-of-run summary of one [`QueueProbe`].
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +30,6 @@ pub struct ProbeSummary {
 /// The mutable recording state for one instrumented run.
 #[derive(Debug)]
 pub struct TelemetrySink {
-    config: TelemetryConfig,
     /// Counters and histograms.
     pub registry: Registry,
     /// Epoch-sampled series.
@@ -46,19 +45,12 @@ impl TelemetrySink {
     #[must_use]
     pub fn new(config: TelemetryConfig, columns: &[&'static str]) -> Self {
         TelemetrySink {
-            config,
             registry: Registry::new(),
             timeline: Timeline::new(columns),
-            tracer: config.trace.then(|| SpanTracer::new(config.trace_cap)),
+            tracer: config.trace.then(|| SpanTracer::new(TRACE_CAP)),
             next_sample: 0,
             probes: Vec::new(),
         }
-    }
-
-    /// The configuration this sink was created with.
-    #[must_use]
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
     }
 
     /// `true` when a timeline sample is due at `now`.
@@ -70,9 +62,8 @@ impl TelemetrySink {
     /// Advances the sampling deadline past `now` (call after pushing the
     /// row for this epoch).
     pub fn advance_epoch(&mut self, now: u64) {
-        let epoch = self.config.epoch_cycles.max(1);
         while self.next_sample <= now {
-            self.next_sample += epoch;
+            self.next_sample += EPOCH_CYCLES;
         }
     }
 
@@ -175,19 +166,14 @@ mod tests {
 
     #[test]
     fn epoch_advancing() {
-        let config = TelemetryConfig {
-            enabled: true,
-            epoch_cycles: 100,
-            ..TelemetryConfig::default()
-        };
-        let mut sink = TelemetrySink::new(config, &["x"]);
+        let mut sink = TelemetrySink::new(TelemetryConfig::counters_only(), &["x"]);
         assert!(sink.sample_due(0));
         sink.advance_epoch(0);
-        assert!(!sink.sample_due(99));
-        assert!(sink.sample_due(100));
-        sink.advance_epoch(357);
-        assert!(!sink.sample_due(399));
-        assert!(sink.sample_due(400));
+        assert!(!sink.sample_due(EPOCH_CYCLES - 1));
+        assert!(sink.sample_due(EPOCH_CYCLES));
+        sink.advance_epoch(3 * EPOCH_CYCLES + 57);
+        assert!(!sink.sample_due(4 * EPOCH_CYCLES - 1));
+        assert!(sink.sample_due(4 * EPOCH_CYCLES));
     }
 
     #[test]

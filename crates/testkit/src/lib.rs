@@ -21,6 +21,8 @@
 //! });
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints seeds")]
+
 /// Deterministic generator used by all property tests (SplitMix64 core —
 /// a distinct algorithm from the simulator's own RNG, so tests do not
 /// accidentally depend on the engine they are testing).

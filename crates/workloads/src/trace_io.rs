@@ -90,8 +90,10 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for malformed
-/// input: unknown directives, missing or non-numeric operands, ops
-/// before the first `core` directive, or out-of-order core numbering.
+/// input: unknown directives, missing or non-numeric operands, a length
+/// wider than 32 bits or a range past the end of the 64-bit address
+/// space, ops before the first `core` directive, or out-of-order core
+/// numbering.
 pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
     let mut trace = MultiCoreTrace::default();
     let mut current: Option<usize> = None;
@@ -159,7 +161,18 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                         message: format!("{op} needs a length"),
                     })?,
                     line,
-                )? as u32;
+                )?;
+                let len = u32::try_from(len).map_err(|_| ParseError {
+                    line,
+                    message: format!("length {len} does not fit in 32 bits"),
+                })?;
+                // A zero-length op still touches the block at `addr`.
+                if addr.checked_add(u64::from(len.max(1))).is_none() {
+                    return Err(ParseError {
+                        line,
+                        message: format!("{op} {addr:#x} {len} runs past the address space"),
+                    });
+                }
                 expect_end(toks)?;
                 let core = current.ok_or(ParseError {
                     line,
@@ -279,6 +292,8 @@ C
             ("core 0\nW 0x10", "needs a length"),
             ("bogus", "unknown directive"),
             ("core 0\nC extra", "trailing"),
+            ("core 0\nW 0x0 4294967296", "32 bits"),
+            ("core 0\nW 0xffffffffffffffff 64", "past the address space"),
         ] {
             let err = from_text(text).expect_err(text);
             assert!(
@@ -288,6 +303,56 @@ C
         }
         let err = from_text("core 0\nW 0x10 8\nW bad 8").unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    #[test]
+    fn roundtrips_every_workload_and_survives_mutations() {
+        let texts: Vec<String> = WorkloadKind::EXTENDED
+            .into_iter()
+            .map(|kind| {
+                let mut cfg = WorkloadConfig::at_scale(kind, 0.002);
+                cfg.cores = 2;
+                let trace = spec::generate(cfg);
+                let text = to_text(&trace);
+                let back = from_text(&text).expect("exported text parses");
+                assert_eq!(back.cores, trace.cores, "{kind}");
+                assert_eq!(
+                    back.warmup_txs_per_core, trace.warmup_txs_per_core,
+                    "{kind}"
+                );
+                text
+            })
+            .collect();
+        // One seeded single-line mutation per case: the parser returns
+        // `Ok` or `Err`, never panics.
+        thoth_testkit::check(512, |g| {
+            let text = &texts[g.below(texts.len() as u64) as usize];
+            let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+            let i = g.below(lines.len() as u64) as usize;
+            match g.below(4) {
+                0 => {
+                    let mut toks: Vec<&str> = lines[i].split_whitespace().collect();
+                    toks.remove(g.below(toks.len() as u64) as usize);
+                    lines[i] = toks.join(" ");
+                }
+                1 => {
+                    let cut = g.below(lines[i].len() as u64 + 1) as usize;
+                    lines[i].truncate(cut);
+                }
+                2 => {
+                    let moved = lines.remove(g.below(lines.len() as u64) as usize);
+                    lines.insert(i, moved);
+                }
+                _ => {
+                    const SUBSTITUTES: [char; 10] =
+                        ['0', '9', 'f', 'x', 'W', 'C', '#', ' ', '-', 'é'];
+                    let at = g.below(lines[i].len() as u64) as usize;
+                    let sub = SUBSTITUTES[g.below(SUBSTITUTES.len() as u64) as usize];
+                    lines[i].replace_range(at..=at, sub.encode_utf8(&mut [0; 4]));
+                }
+            }
+            let _ = from_text(&lines.join("\n"));
+        });
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints results")]
+
 use thoth_repro::sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
 use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
 

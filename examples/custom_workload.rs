@@ -10,6 +10,8 @@
 //! cargo run --release --example custom_workload
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints results")]
+
 use thoth_repro::sim::{run_trace, Mode, SimConfig};
 use thoth_repro::sim_engine::DetRng;
 use thoth_repro::workloads::{MultiCoreTrace, TxRuntime};

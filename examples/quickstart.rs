@@ -6,6 +6,8 @@
 //! # e.g.  cargo run --release --example quickstart hashmap 0.25
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints results")]
+
 use thoth_repro::sim::{run_trace, Mode, SimConfig};
 use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
 

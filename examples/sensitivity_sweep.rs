@@ -5,6 +5,8 @@
 //! cargo run --release --example sensitivity_sweep
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints results")]
+
 use thoth_repro::sim::{run_trace, Mode, SimConfig};
 use thoth_repro::workloads::{spec, WorkloadConfig, WorkloadKind};
 

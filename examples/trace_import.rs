@@ -6,6 +6,8 @@
 //! cargo run --release --example trace_import [trace.txt]
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints results")]
+
 use thoth_repro::sim::{run_trace, Mode, SimConfig};
 use thoth_repro::workloads::trace_io;
 
@@ -32,7 +34,13 @@ C
 
 fn main() {
     let text = match std::env::args().nth(1) {
-        Some(path) => std::fs::read_to_string(&path).expect("read trace file"),
+        Some(path) => match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) => {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(1);
+            }
+        },
         None => {
             println!("(no trace file given; using the built-in demo trace)\n");
             DEMO.to_owned()
