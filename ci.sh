@@ -36,6 +36,9 @@ cargo test -q --locked
 stage "clippy (deny warnings)"
 cargo clippy --all-targets --locked -- -D warnings
 
+stage "rustdoc (deny warnings: broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked
+
 stage "perfbench type-check (the benchmark builds against this tree's API)"
 # perfbench is its own workspace; its Cargo.lock and target/ are
 # gitignored, so this stage writes no tracked file.

@@ -9,56 +9,32 @@
 //! paper's cost model — footnote 5 prices step (2)+(3), which dominates,
 //! and arrives at ≈7 s for a full 64 MB PUB.
 
-use thoth_sim_engine::Frequency;
+use thoth_crypto::HASH_CYCLES;
+use thoth_nvm::{READ_NS, WRITE_NS};
+use thoth_sim_engine::CYCLES_PER_NS;
 
-/// Per-operation costs used by the recovery-time estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryCostModel {
-    /// NVM read latency in nanoseconds (150 in Table I).
-    pub read_ns: u64,
-    /// NVM write latency in nanoseconds (500 in Table I).
-    pub write_ns: u64,
-    /// One MAC/hash computation in cycles (40 in Table I).
-    pub hash_cycles: u64,
-    /// Core clock for cycle→time conversion.
-    pub frequency: Frequency,
+/// Estimated nanoseconds to process one PUB *entry*: read its MAC block,
+/// ciphertext and counter block (3 reads), compute two MAC levels, and
+/// write back the updated counter and MAC blocks (2 writes). Matches
+/// footnote 5's recipe.
+#[must_use]
+pub fn per_entry_ns() -> u64 {
+    let hash_ns = 2 * HASH_CYCLES / CYCLES_PER_NS;
+    3 * READ_NS + 2 * WRITE_NS + hash_ns
 }
 
-impl Default for RecoveryCostModel {
-    fn default() -> Self {
-        RecoveryCostModel {
-            read_ns: 150,
-            write_ns: 500,
-            hash_cycles: 40,
-            frequency: Frequency::ghz(4),
-        }
-    }
+/// Estimated nanoseconds to recover a PUB of `blocks` packed blocks with
+/// `entries_per_block` entries each: one read per PUB block plus the
+/// per-entry work.
+#[must_use]
+pub fn pub_recovery_ns(blocks: u64, entries_per_block: u64) -> u64 {
+    blocks * READ_NS + blocks * entries_per_block * per_entry_ns()
 }
 
-impl RecoveryCostModel {
-    /// Estimated nanoseconds to process one PUB *entry*: read its MAC
-    /// block, ciphertext and counter block (3 reads), compute two MAC
-    /// levels, and write back the updated counter and MAC blocks
-    /// (2 writes). Matches footnote 5's recipe.
-    #[must_use]
-    pub fn per_entry_ns(&self) -> u64 {
-        let hash_ns = self.frequency.cycles_to_ns(2 * self.hash_cycles);
-        3 * self.read_ns + 2 * self.write_ns + hash_ns
-    }
-
-    /// Estimated nanoseconds to recover a PUB of `blocks` packed blocks
-    /// with `entries_per_block` entries each: one read per PUB block plus
-    /// the per-entry work.
-    #[must_use]
-    pub fn pub_recovery_ns(&self, blocks: u64, entries_per_block: u64) -> u64 {
-        blocks * self.read_ns + blocks * entries_per_block * self.per_entry_ns()
-    }
-
-    /// The same, in seconds.
-    #[must_use]
-    pub fn pub_recovery_secs(&self, blocks: u64, entries_per_block: u64) -> f64 {
-        self.pub_recovery_ns(blocks, entries_per_block) as f64 * 1e-9
-    }
+/// The same, in seconds.
+#[must_use]
+pub fn pub_recovery_secs(blocks: u64, entries_per_block: u64) -> f64 {
+    pub_recovery_ns(blocks, entries_per_block) as f64 * 1e-9
 }
 
 #[cfg(test)]
@@ -67,16 +43,14 @@ mod tests {
 
     #[test]
     fn per_entry_cost_matches_footnote_recipe() {
-        let m = RecoveryCostModel::default();
         // 3*150 + 2*500 + 2*40cy@4GHz(=20ns) = 450 + 1000 + 20 = 1470 ns.
-        assert_eq!(m.per_entry_ns(), 1470);
+        assert_eq!(per_entry_ns(), 1470);
     }
 
     #[test]
     fn full_64mb_pub_is_roughly_seven_seconds() {
         // 64 MB / 128 B = 524 288 blocks x 9 entries.
-        let m = RecoveryCostModel::default();
-        let secs = m.pub_recovery_secs((64 << 20) / 128, 9);
+        let secs = pub_recovery_secs((64 << 20) / 128, 9);
         assert!(
             (5.0..10.0).contains(&secs),
             "expected ≈7 s (paper, Section IV-D), got {secs:.2} s"
@@ -85,25 +59,22 @@ mod tests {
 
     #[test]
     fn scales_linearly_with_blocks() {
-        let m = RecoveryCostModel::default();
-        let one = m.pub_recovery_ns(1000, 9);
-        let two = m.pub_recovery_ns(2000, 9);
+        let one = pub_recovery_ns(1000, 9);
+        let two = pub_recovery_ns(2000, 9);
         assert_eq!(two, 2 * one);
     }
 
     #[test]
     fn empty_pub_recovers_instantly() {
-        let m = RecoveryCostModel::default();
-        assert_eq!(m.pub_recovery_ns(0, 9), 0);
+        assert_eq!(pub_recovery_ns(0, 9), 0);
     }
 
     #[test]
     fn larger_blocks_amortize_the_block_read() {
-        let m = RecoveryCostModel::default();
         // Same number of entries, packed into fewer 256 B blocks.
         let entries = 19u64 * 9 * 100;
-        let ns_128 = m.pub_recovery_ns(entries / 9, 9);
-        let ns_256 = m.pub_recovery_ns(entries / 19, 19);
+        let ns_128 = pub_recovery_ns(entries / 9, 9);
+        let ns_256 = pub_recovery_ns(entries / 19, 19);
         assert!(ns_256 < ns_128);
     }
 }

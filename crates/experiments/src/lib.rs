@@ -12,8 +12,8 @@
 //! | Figure 10 | [`txsweep`] | speedup vs transaction size |
 //! | Table II | [`txsweep`] | % of writes that are ciphertext |
 //! | Table III | [`txsweep`] | % of partial updates merged in the PCB |
-//! | Figure 11 | [`cachesweep`] | speedup vs metadata cache size |
-//! | Figure 12 | [`wpqsweep`] | speedup vs WPQ size |
+//! | Figure 11 | [`cachesweep`] via [`sensitivity`] | speedup vs metadata cache size |
+//! | Figure 12 | [`wpqsweep`] via [`sensitivity`] | speedup vs WPQ size |
 //! | §IV-D | [`recovery`] | crash-recovery correctness + time model |
 //! | §IV-D | [`crashtest`] | crash-injection sweep + recovery audit |
 //! | (extensions) | [`ablation`] | PUB/PCB knobs, PCB arrangement, eADR |
@@ -40,6 +40,7 @@ pub mod perf;
 pub mod psan;
 pub mod recovery;
 pub mod runner;
+pub mod sensitivity;
 pub mod service;
 pub mod tablefmt;
 pub mod telemetry;

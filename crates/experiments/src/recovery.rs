@@ -12,7 +12,7 @@
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 
-use thoth_core::recovery::RecoveryCostModel;
+use thoth_core::recovery::pub_recovery_secs;
 use thoth_sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
 use thoth_workloads::{spec, WorkloadKind};
 
@@ -64,7 +64,6 @@ pub fn run(settings: ExpSettings) -> Vec<Table> {
         "Recovery-time model (Section IV-D footnote 5)",
         &["PUB size", "block", "entries", "modeled seconds"],
     );
-    let cost = RecoveryCostModel::default();
     for (size, label) in [(8u64 << 20, "8 MB"), (64 << 20, "64 MB")] {
         for (block, epb) in [(128u64, 9u64), (256, 19)] {
             let blocks = size / block;
@@ -72,7 +71,7 @@ pub fn run(settings: ExpSettings) -> Vec<Table> {
                 label.to_owned(),
                 format!("{block} B"),
                 (blocks * epb).to_string(),
-                format!("{:.2}", cost.pub_recovery_secs(blocks, epb)),
+                format!("{:.2}", pub_recovery_secs(blocks, epb)),
             ]);
         }
     }

@@ -4,7 +4,8 @@
 //! runs the simulation twice: once plain, once with the full telemetry
 //! config (counters + timeline + tracer). It then:
 //!
-//! * asserts **neutrality** — both runs' [`SimReport::digest`]s are
+//! * asserts **neutrality** — both runs'
+//!   [`SimReport::digest`](thoth_sim::SimReport::digest)s are
 //!   bit-identical, so observation never perturbed the machine,
 //! * writes the instrumented run's artifacts under `results/telemetry/`
 //!   (`<workload>-<mode>-{timeline,counters,hists,queues}.csv` and

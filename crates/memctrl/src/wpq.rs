@@ -103,10 +103,10 @@ pub struct WpqStats {
 ///
 /// ```
 /// use thoth_memctrl::{Wpq, WpqConfig};
-/// use thoth_nvm::{NvmConfig, NvmDevice, WriteCategory};
+/// use thoth_nvm::{NvmDevice, WriteCategory};
 /// use thoth_sim_engine::Cycle;
 ///
-/// let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+/// let mut nvm = NvmDevice::new(128);
 /// let mut wpq = Wpq::new(WpqConfig::with_capacity(64));
 ///
 /// // A persist is ACKed the moment the WPQ accepts it:
@@ -510,10 +510,9 @@ impl Wpq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thoth_nvm::NvmConfig;
 
     fn nvm() -> NvmDevice {
-        NvmDevice::new(NvmConfig::table_i(128))
+        NvmDevice::new(128)
     }
 
     fn block(v: u8) -> Option<&'static [u8]> {

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 use thoth_memctrl::{Wpq, WpqConfig};
-use thoth_nvm::{NvmConfig, NvmDevice, WriteCategory};
+use thoth_nvm::{NvmDevice, WriteCategory};
 use thoth_sim_engine::Cycle;
 use thoth_testkit::{check, Gen};
 
@@ -20,7 +20,7 @@ fn drain_all_persists_newest_values() {
     check(64, |g| {
         let writes = arb_writes(g);
         let cap = g.range_usize(2, 16);
-        let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+        let mut nvm = NvmDevice::new(128);
         let mut wpq = Wpq::new(WpqConfig::with_capacity(cap));
         let mut last: HashMap<u64, u8> = HashMap::new();
         let mut t = Cycle(0);
@@ -43,7 +43,7 @@ fn drain_all_persists_newest_values() {
 fn crash_flush_persists_newest_values() {
     check(64, |g| {
         let writes = arb_writes(g);
-        let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+        let mut nvm = NvmDevice::new(128);
         let mut wpq = Wpq::new(WpqConfig::with_capacity(8));
         let mut last: HashMap<u64, u8> = HashMap::new();
         let mut t = Cycle(0);
@@ -65,7 +65,7 @@ fn crash_flush_persists_newest_values() {
 fn forward_or_device_always_has_newest() {
     check(64, |g| {
         let writes = arb_writes(g);
-        let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+        let mut nvm = NvmDevice::new(128);
         let mut wpq = Wpq::new(WpqConfig::with_capacity(8));
         let mut t = Cycle(0);
         for (slot, v) in writes {
@@ -86,7 +86,7 @@ fn occupancy_bounded_and_acks_monotonic() {
     check(64, |g| {
         let writes = arb_writes(g);
         let cap = g.range_usize(1, 12);
-        let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+        let mut nvm = NvmDevice::new(128);
         let mut wpq = Wpq::new(WpqConfig::with_capacity(cap));
         let mut t = Cycle(0);
         for (slot, v) in writes {

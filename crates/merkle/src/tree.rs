@@ -135,7 +135,8 @@ impl BonsaiTree {
     ///
     /// # Panics
     ///
-    /// Panics if the arity exceeds [`MAX_ARITY`].
+    /// Panics if the arity exceeds 8, the capacity of a node's inline
+    /// children array.
     #[must_use]
     pub fn new(config: MerkleConfig, key: u64) -> Self {
         assert!(

@@ -2,57 +2,21 @@
 
 use crate::category::WriteCategory;
 use crate::wear::WearTracker;
-use thoth_sim_engine::{Cycle, FastMap, Frequency};
+use thoth_sim_engine::{Cycle, FastMap, CYCLES_PER_NS};
 use thoth_telemetry::QueueProbe;
 
-/// Static configuration of the NVM device (paper Table I defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NvmConfig {
-    /// Total capacity in bytes (32 GB in the paper).
-    pub capacity_bytes: u64,
-    /// Access granularity in bytes (64, 128 or 256).
-    pub block_bytes: usize,
-    /// Number of independently timed banks.
-    pub num_banks: usize,
-    /// Read latency in nanoseconds (150 in the paper).
-    pub read_ns: u64,
-    /// Write latency in nanoseconds (500 in the paper).
-    pub write_ns: u64,
-    /// Core clock used to convert latencies into cycles.
-    pub frequency: Frequency,
-}
-
-impl NvmConfig {
-    /// The paper's Table I configuration with the given block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is zero or not a power of two.
-    #[must_use]
-    pub fn table_i(block_bytes: usize) -> Self {
-        assert!(block_bytes.is_power_of_two(), "block size must be a power of two");
-        NvmConfig {
-            capacity_bytes: 32 << 30,
-            block_bytes,
-            num_banks: 16,
-            read_ns: 150,
-            write_ns: 500,
-            frequency: Frequency::ghz(4),
-        }
-    }
-
-    /// Read latency in cycles.
-    #[must_use]
-    pub fn read_cycles(&self) -> u64 {
-        self.frequency.ns_to_cycles(self.read_ns)
-    }
-
-    /// Write latency in cycles.
-    #[must_use]
-    pub fn write_cycles(&self) -> u64 {
-        self.frequency.ns_to_cycles(self.write_ns)
-    }
-}
+/// Device capacity in bytes (Table I: 32 GB).
+pub const CAPACITY_BYTES: u64 = 32 << 30;
+/// Independently timed banks.
+pub const NUM_BANKS: usize = 16;
+/// Read latency in nanoseconds (Table I: 150 ns).
+pub const READ_NS: u64 = 150;
+/// Write latency in nanoseconds (Table I: 500 ns).
+pub const WRITE_NS: u64 = 500;
+/// Read latency in core cycles.
+pub const READ_CYCLES: u64 = READ_NS * CYCLES_PER_NS;
+/// Write latency in core cycles.
+pub const WRITE_CYCLES: u64 = WRITE_NS * CYCLES_PER_NS;
 
 /// Block slots per image chunk of the store. Small enough that a
 /// half-used chunk wastes little; large enough that the PUB prefill's
@@ -67,10 +31,10 @@ const CHUNK_BLOCKS: usize = 256;
 /// # Example
 ///
 /// ```
-/// use thoth_nvm::{NvmConfig, NvmDevice, WriteCategory};
+/// use thoth_nvm::{NvmDevice, WriteCategory};
 /// use thoth_sim_engine::Cycle;
 ///
-/// let mut nvm = NvmDevice::new(NvmConfig::table_i(128));
+/// let mut nvm = NvmDevice::new(128);
 /// nvm.write_block(0x1000, &[7u8; 128], WriteCategory::Data);
 /// assert_eq!(nvm.read_block(0x1000)[0], 7);
 /// assert_eq!(nvm.writes_in(WriteCategory::Data), 1);
@@ -83,7 +47,8 @@ const CHUNK_BLOCKS: usize = 256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
-    config: NvmConfig,
+    /// Access granularity in bytes (64, 128 or 256).
+    block_bytes: usize,
     /// Sparse block index: block-aligned address -> slot in [`Self::chunks`].
     blocks: FastMap<u64, u32>,
     /// Block images, [`CHUNK_BLOCKS`] slots per chunk. A block keeps its
@@ -105,14 +70,19 @@ pub struct NvmDevice {
 }
 
 impl NvmDevice {
-    /// Creates an empty (all-zero) device.
+    /// Creates an empty (all-zero) device accessed in `block_bytes` blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bytes` is zero or not a power of two.
     #[must_use]
-    pub fn new(config: NvmConfig) -> Self {
+    pub fn new(block_bytes: usize) -> Self {
+        assert!(block_bytes.is_power_of_two(), "block size must be a power of two");
         NvmDevice {
-            config,
+            block_bytes,
             blocks: FastMap::default(),
             chunks: Vec::new(),
-            bank_busy_until: vec![Cycle::ZERO; config.num_banks],
+            bank_busy_until: vec![Cycle::ZERO; NUM_BANKS],
             wear: WearTracker::new(),
             writes_by_cat: [0; WriteCategory::ALL.len()],
             timed_reads: 0,
@@ -120,29 +90,21 @@ impl NvmDevice {
         }
     }
 
-    /// The device configuration.
-    #[must_use]
-    pub fn config(&self) -> NvmConfig {
-        self.config
-    }
-
     fn align(&self, addr: u64) -> u64 {
-        addr - addr % self.config.block_bytes as u64
+        addr - addr % self.block_bytes as u64
     }
 
     fn check_range(&self, addr: u64) {
         assert!(
-            addr < self.config.capacity_bytes,
-            "address {addr:#x} beyond NVM capacity {:#x}",
-            self.config.capacity_bytes
+            addr < CAPACITY_BYTES,
+            "address {addr:#x} beyond NVM capacity {CAPACITY_BYTES:#x}"
         );
     }
 
     /// The bank servicing `addr` (low block-address bits).
     #[must_use]
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((self.align(addr) / self.config.block_bytes as u64) % self.config.num_banks as u64)
-            as usize
+        ((self.align(addr) / self.block_bytes as u64) % NUM_BANKS as u64) as usize
     }
 
     // ---- functional interface -------------------------------------------
@@ -151,7 +113,7 @@ impl NvmDevice {
     #[must_use]
     pub fn read_block(&self, addr: u64) -> Vec<u8> {
         self.block_image(addr)
-            .map_or_else(|| vec![0; self.config.block_bytes], <[u8]>::to_vec)
+            .map_or_else(|| vec![0; self.block_bytes], <[u8]>::to_vec)
     }
 
     /// Borrowing read of the block containing `addr`, or `None` for a
@@ -166,7 +128,7 @@ impl NvmDevice {
     }
 
     fn slot(&self, slot: u32) -> &[u8] {
-        let bs = self.config.block_bytes;
+        let bs = self.block_bytes;
         let at = slot as usize % CHUNK_BLOCKS * bs;
         &self.chunks[slot as usize / CHUNK_BLOCKS][at..at + bs]
     }
@@ -174,7 +136,7 @@ impl NvmDevice {
     /// The image of `block` (block-aligned) for writing, giving a
     /// never-written block a fresh all-zero slot.
     fn slot_mut(&mut self, block: u64) -> &mut [u8] {
-        let bs = self.config.block_bytes;
+        let bs = self.block_bytes;
         let next = self.blocks.len();
         let slot = *self.blocks.entry(block).or_insert_with(|| {
             u32::try_from(next).expect("NVM store holds at most 2^32 blocks")
@@ -197,7 +159,7 @@ impl NvmDevice {
         self.check_range(addr);
         assert_eq!(
             data.len(),
-            self.config.block_bytes,
+            self.block_bytes,
             "write must be one full block"
         );
         let block = self.align(addr);
@@ -227,11 +189,11 @@ impl NvmDevice {
         self.check_range(addr);
         assert_eq!(
             data.len(),
-            self.config.block_bytes,
+            self.block_bytes,
             "torn write must start from one full block"
         );
         assert!(
-            prefix_bytes <= self.config.block_bytes,
+            prefix_bytes <= self.block_bytes,
             "torn prefix exceeds the block"
         );
         assert!(
@@ -257,7 +219,7 @@ impl NvmDevice {
         self.check_range(addr);
         assert_eq!(
             data.len(),
-            self.config.block_bytes,
+            self.block_bytes,
             "install must be one full block"
         );
         let block = self.align(addr);
@@ -288,13 +250,13 @@ impl NvmDevice {
     #[must_use]
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
-        let bs = self.config.block_bytes as u64;
+        let bs = self.block_bytes as u64;
         let mut cur = addr;
         while out.len() < len {
             let block = self.align(cur);
             let offset = (cur - block) as usize;
             let img = self.read_block(cur);
-            let take = (len - out.len()).min(self.config.block_bytes - offset);
+            let take = (len - out.len()).min(self.block_bytes - offset);
             out.extend_from_slice(&img[offset..offset + take]);
             cur = block + bs;
         }
@@ -338,11 +300,7 @@ impl NvmDevice {
     pub fn time_access(&mut self, now: Cycle, addr: u64, is_write: bool) -> Cycle {
         self.check_range(addr);
         let bank = self.bank_of(addr);
-        let latency = if is_write {
-            self.config.write_cycles()
-        } else {
-            self.config.read_cycles()
-        };
+        let latency = if is_write { WRITE_CYCLES } else { READ_CYCLES };
         let start = now.max(self.bank_busy_until[bank]);
         let done = start + latency;
         self.bank_busy_until[bank] = done;
@@ -424,15 +382,14 @@ mod tests {
     use super::*;
 
     fn dev() -> NvmDevice {
-        NvmDevice::new(NvmConfig::table_i(128))
+        NvmDevice::new(128)
     }
 
     #[test]
     fn table_i_latencies() {
-        let c = NvmConfig::table_i(128);
-        assert_eq!(c.read_cycles(), 600);
-        assert_eq!(c.write_cycles(), 2000);
-        assert_eq!(c.capacity_bytes, 32 << 30);
+        assert_eq!(READ_CYCLES, 600);
+        assert_eq!(WRITE_CYCLES, 2000);
+        assert_eq!(CAPACITY_BYTES, 32 << 30);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Simulation time: cycles and clock-frequency conversions.
+//! Simulation time: cycles at the fixed core clock.
 //!
 //! All timing in the Thoth reproduction is expressed in processor cycles at
-//! a fixed clock frequency (4 GHz in the paper's Table I). Device latencies
-//! specified in nanoseconds (e.g. the PCM's 150 ns read / 500 ns write) are
-//! converted to cycles through [`Frequency`].
+//! the paper's 4 GHz clock (Table I), [`CYCLES_PER_NS`] cycles per
+//! nanosecond.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -68,81 +67,16 @@ impl fmt::Display for Cycle {
     }
 }
 
-/// A clock frequency, used to convert wall-clock latencies into cycles.
-///
-/// # Example
-///
-/// ```
-/// use thoth_sim_engine::Frequency;
-///
-/// let clk = Frequency::ghz(4);
-/// assert_eq!(clk.ns_to_cycles(150), 600);  // PCM read latency
-/// assert_eq!(clk.ns_to_cycles(500), 2000); // PCM write latency
-/// assert_eq!(clk.cycles_to_ns(2000), 500);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Frequency {
-    hz: u64,
-}
+/// Core clock cycles per nanosecond: the paper's 4 GHz cores (Table I).
+/// Device latencies given in nanoseconds (the PCM's 150 ns read / 500 ns
+/// write) convert to cycles by multiplying with this.
+pub const CYCLES_PER_NS: u64 = 4;
 
-impl Frequency {
-    /// Creates a frequency of `n` gigahertz.
-    #[must_use]
-    pub const fn ghz(n: u64) -> Frequency {
-        Frequency {
-            hz: n * 1_000_000_000,
-        }
-    }
-
-    /// Creates a frequency of `n` megahertz.
-    #[must_use]
-    pub const fn mhz(n: u64) -> Frequency {
-        Frequency { hz: n * 1_000_000 }
-    }
-
-    /// Raw frequency in hertz.
-    #[must_use]
-    pub const fn as_hz(self) -> u64 {
-        self.hz
-    }
-
-    /// Converts a latency in nanoseconds into cycles, rounding up so a
-    /// device is never modeled faster than its datasheet.
-    #[must_use]
-    pub fn ns_to_cycles(self, ns: u64) -> u64 {
-        // cycles = ns * hz / 1e9, with ceiling division.
-        let num = u128::from(ns) * u128::from(self.hz);
-        num.div_ceil(1_000_000_000) as u64
-    }
-
-    /// Converts a cycle count into nanoseconds (truncating).
-    #[must_use]
-    pub fn cycles_to_ns(self, cycles: u64) -> u64 {
-        (u128::from(cycles) * 1_000_000_000 / u128::from(self.hz)) as u64
-    }
-
-    /// Converts a cycle count into seconds as a float, for report output.
-    #[must_use]
-    pub fn cycles_to_secs(self, cycles: u64) -> f64 {
-        cycles as f64 / self.hz as f64
-    }
-}
-
-impl Default for Frequency {
-    /// The paper's 4 GHz core clock (Table I).
-    fn default() -> Self {
-        Frequency::ghz(4)
-    }
-}
-
-impl fmt::Display for Frequency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.hz.is_multiple_of(1_000_000_000) {
-            write!(f, "{}GHz", self.hz / 1_000_000_000)
-        } else {
-            write!(f, "{}MHz", self.hz / 1_000_000)
-        }
-    }
+/// Converts a cycle count into seconds at the 4 GHz clock, for report
+/// output.
+#[must_use]
+pub fn cycles_to_secs(cycles: u64) -> f64 {
+    cycles as f64 / (CYCLES_PER_NS * 1_000_000_000) as f64
 }
 
 #[cfg(test)]
@@ -181,41 +115,19 @@ mod tests {
 
     #[test]
     fn frequency_table_i_latencies() {
-        let f = Frequency::default();
-        assert_eq!(f, Frequency::ghz(4));
-        assert_eq!(f.ns_to_cycles(150), 600);
-        assert_eq!(f.ns_to_cycles(500), 2000);
-    }
-
-    #[test]
-    fn ns_to_cycles_rounds_up() {
-        let f = Frequency::ghz(3); // 3 cycles per ns
-        assert_eq!(f.ns_to_cycles(1), 3);
-        let f2 = Frequency::mhz(1500); // 1.5 cycles per ns
-        assert_eq!(f2.ns_to_cycles(1), 2); // ceil(1.5)
-        assert_eq!(f2.ns_to_cycles(2), 3);
-    }
-
-    #[test]
-    fn round_trips_within_one_ns() {
-        let f = Frequency::ghz(4);
-        for ns in [0u64, 1, 150, 500, 12345] {
-            let cy = f.ns_to_cycles(ns);
-            assert_eq!(f.cycles_to_ns(cy), ns);
-        }
+        assert_eq!(CYCLES_PER_NS, 4, "4 GHz cores");
+        assert_eq!(150 * CYCLES_PER_NS, 600);
+        assert_eq!(500 * CYCLES_PER_NS, 2000);
     }
 
     #[test]
     fn cycles_to_secs() {
-        let f = Frequency::ghz(4);
-        let s = f.cycles_to_secs(4_000_000_000);
+        let s = super::cycles_to_secs(4_000_000_000);
         assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(Cycle(42).to_string(), "42cy");
-        assert_eq!(Frequency::ghz(4).to_string(), "4GHz");
-        assert_eq!(Frequency::mhz(1500).to_string(), "1500MHz");
     }
 }

@@ -3,8 +3,8 @@
 //! This crate provides the deterministic foundations that the NVM device
 //! model, memory controller, and full-system simulator are built on:
 //!
-//! * [`Cycle`] — a strongly-typed simulation timestamp with nanosecond
-//!   conversions at a configurable clock frequency,
+//! * [`Cycle`] — a strongly-typed simulation timestamp, counted at the
+//!   paper's 4 GHz clock ([`CYCLES_PER_NS`]),
 //! * [`fastmap`] — deterministic multiplicative hashing ([`FastMap`],
 //!   [`FastSet`]) for the simulator's address-keyed hot maps,
 //! * [`rng`] — a deterministic, seedable random-number generator so every
@@ -17,13 +17,13 @@
 //! # Example
 //!
 //! ```
-//! use thoth_sim_engine::{Cycle, Frequency};
+//! use thoth_sim_engine::{Cycle, CYCLES_PER_NS};
 //!
-//! // A 500 ns PCM write issued at cycle 100 holds its bank until 2100.
-//! let busy_until = Cycle(100) + Frequency::ghz(4).ns_to_cycles(500);
-//! assert_eq!(busy_until, Cycle(2100));
+//! // A 50 ns bank access issued at cycle 100 holds its bank until 300.
+//! let busy_until = Cycle(100) + 50 * CYCLES_PER_NS;
+//! assert_eq!(busy_until, Cycle(300));
 //! // A later access to that bank starts once the bank is free.
-//! assert_eq!(Cycle(150).max(busy_until), Cycle(2100));
+//! assert_eq!(Cycle(150).max(busy_until), Cycle(300));
 //! ```
 
 #![warn(missing_docs)]
@@ -32,6 +32,6 @@ pub mod clock;
 pub mod fastmap;
 pub mod rng;
 
-pub use clock::{Cycle, Frequency};
+pub use clock::{cycles_to_secs, Cycle, CYCLES_PER_NS};
 pub use fastmap::{FastMap, FastSet};
 pub use rng::DetRng;

@@ -1,8 +1,31 @@
 //! Simulator configuration (the paper's Table I).
+//!
+//! [`SimConfig`] holds what the experiments vary. Every Table I value
+//! that no experiment varies is a constant in the crate that uses it:
+//! the clock in `thoth-sim-engine`, the PCM in `thoth-nvm`, the AES and
+//! hash engines in `thoth-crypto`, and the fixed cache geometries and
+//! core timing here.
 
 use thoth_core::EvictionPolicy;
-use thoth_nvm::NvmConfig;
-use thoth_sim_engine::Frequency;
+
+/// Counter cache associativity (Table I: 4-way).
+pub const CTR_CACHE_WAYS: usize = 4;
+/// MAC cache associativity (Table I: 8-way).
+pub const MAC_CACHE_WAYS: usize = 8;
+/// Merkle-tree cache capacity in bytes (Table I: 256 kB).
+pub const MT_CACHE_BYTES: usize = 256 << 10;
+/// Merkle-tree cache associativity (Table I: 8-way).
+pub const MT_CACHE_WAYS: usize = 8;
+/// LLC capacity in bytes (Table I: 16 MB) — models the data-side cache
+/// hierarchy in front of the memory controller.
+pub const LLC_BYTES: usize = 16 << 20;
+/// LLC associativity (Table I: 16-way).
+pub const LLC_WAYS: usize = 16;
+/// LLC hit latency in cycles (Table I: 32).
+pub const LLC_HIT_CYCLES: u64 = 32;
+/// CPU compute cycles charged between consecutive trace operations. A
+/// calibration, not a Table I value (DESIGN.md §4.5).
+pub const COMPUTE_GAP_CYCLES: u64 = 300;
 
 /// The secure-memory organization being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +171,8 @@ pub enum FunctionalMode {
     Fast,
 }
 
-/// Full machine configuration.
+/// The machine parameters the experiments vary (the rest of Table I is
+/// constants; see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Secure-memory organization.
@@ -157,38 +181,15 @@ pub struct SimConfig {
     pub functional: FunctionalMode,
     /// Memory access granularity in bytes (128 or 256 in the evaluation).
     pub block_bytes: usize,
-    /// Core clock (4 GHz).
-    pub frequency: Frequency,
     /// Total WPQ entries (64). In Thoth mode, `pcb_entries` of these are
     /// reserved for the PCB and the WPQ keeps the rest.
     pub wpq_entries: usize,
     /// Reserved PCB entries (8; 1/8 of the WPQ in the sensitivity study).
     pub pcb_entries: usize,
-    /// Counter cache capacity in bytes (64 kB, 4-way).
+    /// Counter cache capacity in bytes (64 kB; [`CTR_CACHE_WAYS`]-way).
     pub ctr_cache_bytes: usize,
-    /// Counter cache associativity.
-    pub ctr_cache_ways: usize,
-    /// MAC cache capacity in bytes (128 kB, 8-way).
+    /// MAC cache capacity in bytes (128 kB; [`MAC_CACHE_WAYS`]-way).
     pub mac_cache_bytes: usize,
-    /// MAC cache associativity.
-    pub mac_cache_ways: usize,
-    /// Merkle-tree cache capacity in bytes (256 kB, 8-way).
-    pub mt_cache_bytes: usize,
-    /// Merkle-tree cache associativity.
-    pub mt_cache_ways: usize,
-    /// LLC capacity in bytes (16 MB, 16-way) — models the data-side cache
-    /// hierarchy in front of the memory controller.
-    pub llc_bytes: usize,
-    /// LLC associativity.
-    pub llc_ways: usize,
-    /// LLC hit latency in cycles (32).
-    pub llc_hit_cycles: u64,
-    /// AES engine latency in cycles (40).
-    pub aes_cycles: u64,
-    /// Hash/MAC engine latency in cycles (40).
-    pub hash_cycles: u64,
-    /// CPU compute cycles charged between consecutive trace operations.
-    pub compute_gap_cycles: u64,
     /// PUB region size in bytes. The paper uses 64 MB on 32 GB of data;
     /// the default here is 8 MB, proportional to the traces' footprints
     /// (see DESIGN.md) — still ≈590 k buffered entries at 128 B blocks.
@@ -200,42 +201,24 @@ pub struct SimConfig {
     pub pub_prefill: bool,
     /// PCB/WPQ arrangement (Thoth mode only; Section IV-C).
     pub pcb_arrangement: PcbArrangement,
-    /// NVM device parameters.
-    pub nvm: NvmConfig,
 }
 
 impl SimConfig {
     /// The paper's Table I configuration for a given mode and block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is not a power of two.
     #[must_use]
     pub fn paper_default(mode: Mode, block_bytes: usize) -> Self {
         SimConfig {
             mode,
             functional: FunctionalMode::Fast,
             block_bytes,
-            frequency: Frequency::ghz(4),
             wpq_entries: 64,
             pcb_entries: 8,
             ctr_cache_bytes: 64 << 10,
-            ctr_cache_ways: 4,
             mac_cache_bytes: 128 << 10,
-            mac_cache_ways: 8,
-            mt_cache_bytes: 256 << 10,
-            mt_cache_ways: 8,
-            llc_bytes: 16 << 20,
-            llc_ways: 16,
-            llc_hit_cycles: 32,
-            aes_cycles: 40,
-            hash_cycles: 40,
-            compute_gap_cycles: 300,
             pub_size_bytes: 8 << 20,
             pub_threshold_pct: 80,
             pub_prefill: true,
             pcb_arrangement: PcbArrangement::default(),
-            nvm: NvmConfig::table_i(block_bytes),
         }
     }
 
@@ -247,6 +230,13 @@ impl SimConfig {
             Mode::Thoth(_) => self.wpq_entries.saturating_sub(self.pcb_entries).max(1),
             _ => self.wpq_entries,
         }
+    }
+
+    /// Sizes the WPQ to `entries`, reserving 1/8 of them (at least one)
+    /// for the PCB: the paper's rule in its WPQ-size study (Figure 12).
+    pub fn resize_wpq(&mut self, entries: usize) {
+        self.wpq_entries = entries;
+        self.pcb_entries = (entries / 8).max(1);
     }
 
     /// Validates internal consistency.
@@ -276,7 +266,6 @@ impl SimConfig {
                 self.pcb_entries
             );
         }
-        assert_eq!(self.nvm.block_bytes, self.block_bytes, "NVM block mismatch");
     }
 }
 
@@ -284,16 +273,26 @@ impl SimConfig {
 mod tests {
     use super::*;
 
+    /// Table I, pinned in one place: every machine constant (whichever
+    /// crate holds it) and the varied parameters' defaults.
     #[test]
     fn paper_default_matches_table_i() {
+        assert_eq!(thoth_sim_engine::CYCLES_PER_NS, 4, "4 GHz cores");
+        assert_eq!(thoth_nvm::CAPACITY_BYTES, 32 << 30);
+        assert_eq!(thoth_nvm::NUM_BANKS, 16);
+        assert_eq!((thoth_nvm::READ_NS, thoth_nvm::READ_CYCLES), (150, 600));
+        assert_eq!((thoth_nvm::WRITE_NS, thoth_nvm::WRITE_CYCLES), (500, 2000));
+        assert_eq!(thoth_crypto::AES_CYCLES, 40);
+        assert_eq!(thoth_crypto::HASH_CYCLES, 40);
+        assert_eq!((CTR_CACHE_WAYS, MAC_CACHE_WAYS), (4, 8));
+        assert_eq!((MT_CACHE_BYTES, MT_CACHE_WAYS), (256 << 10, 8));
+        assert_eq!((LLC_BYTES, LLC_WAYS, LLC_HIT_CYCLES), (16 << 20, 16, 32));
+        assert_eq!(COMPUTE_GAP_CYCLES, 300, "DESIGN.md §4.5 calibration");
         let c = SimConfig::paper_default(Mode::baseline(), 128);
         assert_eq!(c.wpq_entries, 64);
         assert_eq!(c.pcb_entries, 8);
         assert_eq!(c.ctr_cache_bytes, 64 << 10);
         assert_eq!(c.mac_cache_bytes, 128 << 10);
-        assert_eq!(c.mt_cache_bytes, 256 << 10);
-        assert_eq!(c.aes_cycles, 40);
-        assert_eq!(c.hash_cycles, 40);
         assert_eq!(c.pub_threshold_pct, 80);
         c.validate();
     }

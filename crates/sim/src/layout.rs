@@ -11,12 +11,13 @@
 //! 16 GB      .. +2 GB   counter blocks
 //! 18 GB      .. +4 GB   MAC blocks (12.5% of data at 8:1 MACs)
 //! 22 GB      .. +4 GB   Merkle-tree nodes
-//! 26 GB      .. +1 GB   PUB region (64 MB used by default)
+//! 26 GB      .. +1 GB   PUB region (8 MB used by default)
 //! 27 GB      .. +1 GB   Anubis shadow region
 //! ```
 
 use thoth_crypto::counter::CounterBlock;
 use thoth_crypto::MacEngine;
+use thoth_workloads::DATA_REGION_BYTES;
 
 /// Address-space map and data→metadata translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +55,8 @@ impl MemoryLayout {
         let mac_len = MacEngine::first_level_len(block_bytes);
         MemoryLayout {
             block_bytes,
-            data_bytes: 16 << 30,
-            ctr_base: 16 << 30,
+            data_bytes: DATA_REGION_BYTES,
+            ctr_base: DATA_REGION_BYTES,
             mac_base: 18 << 30,
             tree_base: 22 << 30,
             pub_base: 26 << 30,

@@ -4,7 +4,12 @@
 //! Table I: 4 cores issuing persistent transactions into a secure memory
 //! controller (counter-mode encryption, two-level MACs, Bonsai Merkle
 //! Tree, counter/MAC/MT caches), an ADR-backed WPQ, and a banked PCM
-//! device — in one of three modes:
+//! device. [`SimConfig`] holds what the experiments vary; every fixed
+//! Table I value is a constant in the crate that uses it (the cache
+//! geometries and core timing in [`config`], the clock in
+//! `thoth-sim-engine`, the PCM in `thoth-nvm`, the AES and hash engines
+//! in `thoth-crypto`). The machine runs one of the eight modes in
+//! [`Mode::ALL`]; the paper's three are:
 //!
 //! * [`Mode::Baseline`] — Anubis adapted to emerging interfaces: strict
 //!   persistence of the full counter and MAC blocks with every data write

@@ -1,7 +1,10 @@
 //! The secure-NVM machine: cores, secure memory controller, WPQ, PCB,
 //! PUB and the NVM device, replaying workload traces.
 
-use crate::config::{FunctionalMode, Mode, SimConfig};
+use crate::config::{
+    FunctionalMode, Mode, SimConfig, COMPUTE_GAP_CYCLES, CTR_CACHE_WAYS, LLC_BYTES,
+    LLC_HIT_CYCLES, LLC_WAYS, MAC_CACHE_WAYS, MT_CACHE_BYTES, MT_CACHE_WAYS,
+};
 use crate::crash::{CrashPlan, CrashSiteCounts, LoggedOp};
 use crate::diagnostics::{byte_digest, LeafMismatch, MacMismatch};
 use crate::layout::MemoryLayout;
@@ -17,11 +20,11 @@ use thoth_core::engine::{ThothEngine, ThothHost};
 use thoth_core::policy::{BlockView, MetadataKind};
 use thoth_core::{EvictOutcome, PartialUpdate, PcbStats, PubConfig};
 use thoth_crypto::counter::IncrementOutcome;
-use thoth_crypto::{CtrMode, MacEngine, MacKey};
+use thoth_crypto::{CtrMode, MacEngine, MacKey, AES_CYCLES, HASH_CYCLES};
 use thoth_memctrl::{Wpq, WpqConfig, WpqStats};
 use thoth_merkle::{BonsaiTree, MerkleConfig, ShadowTracker};
 use thoth_nvm::{FaultConfig, NvmDevice, WriteCategory};
-use thoth_sim_engine::{Cycle, DetRng};
+use thoth_sim_engine::{cycles_to_secs, Cycle, DetRng};
 use thoth_telemetry::{TelemetryConfig, TelemetryReport};
 use thoth_workloads::service::ServiceTrace;
 use thoth_workloads::{MultiCoreTrace, TraceOp};
@@ -38,8 +41,8 @@ const TREE_KEY: u64 = 0x7407_113A_57EE_C0DE;
 const PREFILL_POOL: usize = 8192;
 
 /// The full machine. See the crate docs for the overall structure.
-/// `pub(crate)` fields are the surface the [`crate::mechanism`] seam
-/// works against.
+/// `pub(crate)` fields are the surface the mechanism seam
+/// (`crate::mechanism`) works against.
 pub struct SecureNvm {
     pub(crate) config: SimConfig,
     pub(crate) layout: MemoryLayout,
@@ -207,30 +210,22 @@ impl SecureNvm {
         let wpq_cfg = WpqConfig::with_capacity(config.effective_wpq_entries());
         SecureNvm {
             layout,
-            nvm: NvmDevice::new(config.nvm),
+            nvm: NvmDevice::new(config.block_bytes),
             wpq: Wpq::new(wpq_cfg),
             ctr_mode: CtrMode::new(&ENC_KEY),
             mac: MacEngine::new(MacKey(MAC_KEY)),
             ctr_cache: SetAssocCache::new(CacheConfig::new(
                 config.ctr_cache_bytes,
-                config.ctr_cache_ways,
+                CTR_CACHE_WAYS,
                 meta_block,
             )),
             mac_cache: SetAssocCache::new(CacheConfig::new(
                 config.mac_cache_bytes,
-                config.mac_cache_ways,
+                MAC_CACHE_WAYS,
                 meta_block,
             )),
-            mt_cache: SetAssocCache::new(CacheConfig::new(
-                config.mt_cache_bytes,
-                config.mt_cache_ways,
-                64,
-            )),
-            llc: SetAssocCache::new(CacheConfig::new(
-                config.llc_bytes,
-                config.llc_ways,
-                meta_block,
-            )),
+            mt_cache: SetAssocCache::new(CacheConfig::new(MT_CACHE_BYTES, MT_CACHE_WAYS, 64)),
+            llc: SetAssocCache::new(CacheConfig::new(LLC_BYTES, LLC_WAYS, meta_block)),
             tree: BonsaiTree::new(MerkleConfig::new(8, layout.tree_leaves()), TREE_KEY),
             shadow: ShadowTracker::new(),
             thoth,
@@ -507,7 +502,7 @@ impl SecureNvm {
 
         // Encrypt + first-level MAC (pad generation overlaps the fetch;
         // charge the serial tail).
-        t += self.config.aes_cycles + self.config.hash_cycles;
+        t += AES_CYCLES + HASH_CYCLES;
         let has_ciphertext = self.seal_block(addr, version, major, minor);
 
         // Update the MAC cache image.
@@ -528,11 +523,11 @@ impl SecureNvm {
         self.tree.update_leaf_deferred(leaf, leaf_hash);
         let arity = self.tree.config().arity;
         let tree_levels = self.tree.levels();
-        t += self.config.hash_cycles; // eager cache-tree update
+        t += HASH_CYCLES; // eager cache-tree update
         let mechanism = mechanism_of(self.config.mode);
         if mechanism.extra_store_hash() {
             // "we calculate another hash for the last level" (Section V-A)
-            t += self.config.hash_cycles;
+            t += HASH_CYCLES;
         }
         // NVM tree persistence, per the mechanism's schedule: strict
         // subtrees stream every updated path node through the WPQ with
@@ -630,7 +625,7 @@ impl SecureNvm {
             if !self.data_versions.contains_key(&idx) {
                 continue; // never written: nothing to re-encrypt
             }
-            t += 2 * self.config.aes_cycles; // decrypt + encrypt
+            t += 2 * AES_CYCLES; // decrypt + encrypt
             let a = self.reencrypt_block(t, idx);
             ack = ack.max(a);
         }
@@ -675,7 +670,7 @@ impl SecureNvm {
     /// One data read through the LLC and (on a miss) the secure read path.
     fn read_block_timed(&mut self, now: Cycle, addr: u64) -> u64 {
         if self.llc.lookup(addr).is_some() {
-            return self.config.llc_hit_cycles;
+            return LLC_HIT_CYCLES;
         }
         self.llc.insert(addr, ());
         let index = self.layout.block_index(addr);
@@ -686,7 +681,7 @@ impl SecureNvm {
         let lat_ctr = self.ensure_ctr(now, cb);
         let lat_mac = self.ensure_mac(now, mb);
         // Pad generation overlaps the data fetch; MAC check follows.
-        lat_data.max(lat_ctr + self.config.aes_cycles).max(lat_mac) + self.config.hash_cycles
+        lat_data.max(lat_ctr + AES_CYCLES).max(lat_mac) + HASH_CYCLES
     }
 
     // ------------------------------------------------------------------
@@ -976,7 +971,7 @@ impl SecureNvm {
                         lat = lat.max(self.read_block_timed(now, block));
                         block += bs;
                     }
-                    cores[ci].time = now + lat + self.config.compute_gap_cycles;
+                    cores[ci].time = now + lat + COMPUTE_GAP_CYCLES;
                 }
                 TraceOp::Store { addr, len } => {
                     let mut ack = cores[ci].pending_ack;
@@ -992,7 +987,7 @@ impl SecureNvm {
                         // is logged as durable; we just never start the
                         // next block.
                         ack = ack.max(self.store_block(t, block));
-                        t += self.config.compute_gap_cycles;
+                        t += COMPUTE_GAP_CYCLES;
                         let index = self.layout.block_index(block);
                         let persisted = Event::Persisted { core: ci, block: index };
                         if self.emit(persisted) == Verdict::Halt {
@@ -1012,8 +1007,7 @@ impl SecureNvm {
                         self.relaxed_pending.insert(block);
                         block += bs;
                     }
-                    cores[ci].time =
-                        now + self.config.llc_hit_cycles + self.config.compute_gap_cycles;
+                    cores[ci].time = now + LLC_HIT_CYCLES + COMPUTE_GAP_CYCLES;
                 }
                 TraceOp::Flush { addr, len } => {
                     // `clwb`: write back any volatile-dirty relaxed data in
@@ -1026,7 +1020,7 @@ impl SecureNvm {
                         self.emit(Event::Flush { block, pending });
                         if pending {
                             ack = ack.max(self.store_block(t, block));
-                            t += self.config.compute_gap_cycles;
+                            t += COMPUTE_GAP_CYCLES;
                             let index = self.layout.block_index(block);
                             let persisted = Event::Persisted { core: ci, block: index };
                             if self.emit(persisted) == Verdict::Halt {
@@ -1034,7 +1028,7 @@ impl SecureNvm {
                             }
                         } else {
                             // Clean line: the write-back is a no-op.
-                            t += self.config.llc_hit_cycles;
+                            t += LLC_HIT_CYCLES;
                         }
                         block += bs;
                     }
@@ -1361,7 +1355,7 @@ impl SecureNvm {
         self.nvm.reset_timing();
         let mut t = Cycle::ZERO;
         mechanism_of(self.config.mode).recover_metadata(self, &mut t, &mut report);
-        report.measured_seconds = self.config.frequency.cycles_to_secs(t.0);
+        report.measured_seconds = cycles_to_secs(t.0);
         self.nvm.reset_timing();
         if let Some(engine) = self.thoth.as_mut() {
             engine.clear();

@@ -31,6 +31,7 @@ use crate::psan_events::MetaMech;
 use crate::report::RecoveryReport;
 
 use thoth_core::PartialUpdate;
+use thoth_crypto::HASH_CYCLES;
 use thoth_nvm::WriteCategory;
 use thoth_sim_engine::{Cycle, FastSet};
 
@@ -212,7 +213,7 @@ impl MetaMechanism for ThothMech {
         meta: &StoreMeta<'_>,
     ) -> MetaMech {
         // Second-level MAC for the partial update.
-        *t += m.config.hash_cycles;
+        *t += HASH_CYCLES;
         let mac2 = m.mac.second_level(meta.addr, meta.first_mac);
         let sub = m.layout.ctr_subblock(meta.index);
         m.dirty_meta(*t, meta.cb, WriteCategory::CounterBlock, sub);
@@ -266,8 +267,10 @@ impl MetaMechanism for ThothMech {
         let codec = engine.codec();
         let scan = engine.recovery_scan();
         report.pub_blocks_scanned = scan.len() as u64;
-        report.modeled_seconds = thoth_core::recovery::RecoveryCostModel::default()
-            .pub_recovery_secs(scan.len() as u64, codec.entries_per_block() as u64);
+        report.modeled_seconds = thoth_core::recovery::pub_recovery_secs(
+            scan.len() as u64,
+            codec.entries_per_block() as u64,
+        );
         let mut entries = Vec::with_capacity(codec.entries_per_block());
         for block_addr in scan {
             *t = m.nvm.time_access(*t, block_addr, false);
@@ -284,7 +287,7 @@ impl MetaMechanism for ThothMech {
                 *t = (*t).max(m.nvm.time_access(*t, m.layout.block_addr(index), false));
                 *t = (*t).max(m.nvm.time_access(*t, cb, false));
                 *t = (*t).max(m.nvm.time_access(*t, mb, false));
-                *t += 2 * m.config.hash_cycles;
+                *t += 2 * HASH_CYCLES;
                 if m.merge_entry(e) {
                     report.entries_merged += 1;
                     *t = (*t).max(m.nvm.time_access(*t, cb, true));
@@ -413,7 +416,7 @@ impl MetaMechanism for PhoenixMech {
             *t = (*t).max(m.nvm.time_access(*t, cb, false));
             let (major, minor) = m.persisted_counter(index);
             m.persisted_first_mac(index, major, minor);
-            *t += m.config.hash_cycles;
+            *t += HASH_CYCLES;
             if let Some(mb) = m.restore_mac_slot(index) {
                 *t = (*t).max(m.nvm.time_access(*t, mb, true));
                 rebuilt.insert(mb);

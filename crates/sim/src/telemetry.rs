@@ -12,7 +12,7 @@
 use crate::machine::SecureNvm;
 
 use thoth_memctrl::WpqEvent;
-use thoth_nvm::WriteCategory;
+use thoth_nvm::{WriteCategory, NUM_BANKS};
 use thoth_sim_engine::Cycle;
 use thoth_telemetry::{
     CounterId, HistId, QueueProbe, TelemetryConfig, TelemetryReport, TelemetrySink,
@@ -225,10 +225,8 @@ impl MachineTelemetry {
     pub fn attach_probes(m: &mut SecureNvm) {
         m.wpq
             .attach_probe(QueueProbe::new("wpq", m.wpq.config().capacity as u64));
-        m.nvm.attach_probe(QueueProbe::new(
-            "nvm_banks",
-            m.nvm.config().num_banks as u64,
-        ));
+        m.nvm
+            .attach_probe(QueueProbe::new("nvm_banks", NUM_BANKS as u64));
         if let Some(engine) = m.thoth.as_mut() {
             engine.attach_probes(
                 QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),

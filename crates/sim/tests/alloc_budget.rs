@@ -79,19 +79,10 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// The budget: measured-phase allocations per measured `Store` op.
 const MAX_ALLOCS_PER_STORE: f64 = 2.0;
 
-/// The quick headline trace of `kind` (scale 0.02, seed 0xC0FFEE, the
-/// quick-mode footprint shrink), as in `mode_parity.rs`.
+/// The quick headline trace of `kind` (`WorkloadConfig::at_scale` at
+/// scale 0.02), as in `mode_parity.rs`.
 fn quick_trace(kind: WorkloadKind) -> MultiCoreTrace {
-    let mut cfg = WorkloadConfig::paper_default(kind).scaled(0.02);
-    cfg.tx_size = 128;
-    cfg.seed = 0xC0FFEE;
-    cfg.footprint = match kind {
-        WorkloadKind::Swap => 4,
-        WorkloadKind::Queue => 32,
-        _ => 10_000,
-    };
-    cfg.prepopulate = cfg.footprint / 2;
-    spec::generate(cfg)
+    spec::generate(WorkloadConfig::at_scale(kind, 0.02))
 }
 
 /// `Store` ops after each core's warm-up transactions.

@@ -24,20 +24,11 @@ const GOLDEN_QUICK_DIGEST: u64 = 0xaa9d_df0c_ed97_6c32;
 /// modes (eadr, phoenix, freij-strict, freij-lazy).
 const EXTENSION_QUICK_DIGEST: u64 = 0x56ed_eaff_6050_61b1;
 
-/// Mirrors `ExpSettings::quick()` + `ExpSettings::workload` in
-/// `thoth-experiments`: scale 0.02, seed 0xC0FFEE, tx 128 B, and the
-/// quick-mode footprint shrink.
+/// The trace `ExpSettings::quick()` + `ExpSettings::workload` build in
+/// `thoth-experiments`: `WorkloadConfig::at_scale` at scale 0.02 (seed
+/// 0xC0FFEE, tx 128 B, the quick-mode footprint shrink).
 fn quick_trace(kind: WorkloadKind) -> MultiCoreTrace {
-    let mut cfg = WorkloadConfig::paper_default(kind).scaled(0.02);
-    cfg.tx_size = 128;
-    cfg.seed = 0xC0FFEE;
-    cfg.footprint = match kind {
-        WorkloadKind::Swap => 4,
-        WorkloadKind::Queue => 32,
-        _ => 10_000,
-    };
-    cfg.prepopulate = cfg.footprint / 2;
-    spec::generate(cfg)
+    spec::generate(WorkloadConfig::at_scale(kind, 0.02))
 }
 
 /// Mirrors `headline::matrix_digest`: FNV-fold every run's digest under

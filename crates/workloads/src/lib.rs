@@ -40,7 +40,9 @@ pub mod trace_io;
 pub use corpus::{BugSite, RaceAlignment, SeededBug, SeededVariant};
 pub use fuzz::{generate_fuzz, FuzzSpec};
 pub use heap::PersistentHeap;
-pub use runtime::{AnnotatedTrace, CoreTrace, MultiCoreTrace, OpClass, TraceOp, TxRuntime};
+pub use runtime::{
+    AnnotatedTrace, CoreTrace, MultiCoreTrace, OpClass, TraceOp, TxRuntime, DATA_REGION_BYTES,
+};
 pub use service::{
     generate_service, MixKind, MixStats, ReqKind, RequestMeta, ServiceSpec, ServiceTrace,
 };

@@ -86,6 +86,11 @@ pub enum OpClass {
     Commit,
 }
 
+/// Size of the data region every trace address falls in: the low 16 GiB
+/// of the simulated 32 GB NVM, for every block size (the security
+/// metadata regions sit above it).
+pub const DATA_REGION_BYTES: u64 = 16 << 30;
+
 /// The trace of one core: the ops of all its transactions, in order.
 pub type CoreTrace = Vec<TraceOp>;
 

@@ -19,8 +19,13 @@
 //!
 //! Addresses accept decimal or `0x…` hex.
 
-use crate::runtime::{MultiCoreTrace, TraceOp};
+use crate::runtime::{CoreTrace, MultiCoreTrace, TraceOp, DATA_REGION_BYTES};
 use std::fmt::Write as _;
+
+/// The longest op the parser accepts, in bytes: one 4 KiB page. The
+/// generators emit at most 2048 B (the paper's largest transaction), and
+/// the replay walks an op block by block, so a longer one only slows it.
+pub const MAX_OP_BYTES: u32 = 4096;
 
 /// Errors produced when parsing a trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,12 +96,14 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
 ///
 /// Returns a [`ParseError`] naming the offending line for malformed
 /// input: unknown directives, missing or non-numeric operands, a length
-/// wider than 32 bits or a range past the end of the 64-bit address
-/// space, ops before the first `core` directive, or out-of-order core
-/// numbering.
+/// wider than 32 bits or longer than [`MAX_OP_BYTES`], a range past the
+/// end of the [`DATA_REGION_BYTES`] data region, ops before the first
+/// `core` directive, out-of-order core numbering, or a nonzero `warmup`
+/// that leaves no core a measured transaction.
 pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
     let mut trace = MultiCoreTrace::default();
     let mut current: Option<usize> = None;
+    let mut warmup_line = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -125,6 +132,7 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                 )?;
                 expect_end(toks)?;
                 trace.warmup_txs_per_core = n as usize;
+                warmup_line = line;
             }
             "core" => {
                 let n = parse_u64(
@@ -166,11 +174,22 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                     line,
                     message: format!("length {len} does not fit in 32 bits"),
                 })?;
-                // A zero-length op still touches the block at `addr`.
-                if addr.checked_add(u64::from(len.max(1))).is_none() {
+                if len > MAX_OP_BYTES {
                     return Err(ParseError {
                         line,
-                        message: format!("{op} {addr:#x} {len} runs past the address space"),
+                        message: format!("length {len} exceeds the {MAX_OP_BYTES} B limit per op"),
+                    });
+                }
+                // A zero-length op still touches the block at `addr`.
+                let end = addr.checked_add(u64::from(len.max(1)));
+                if end.is_none_or(|end| end > DATA_REGION_BYTES) {
+                    return Err(ParseError {
+                        line,
+                        message: format!(
+                            "{op} {addr:#x} {len} runs past the address space's {} GiB \
+                             data region",
+                            DATA_REGION_BYTES >> 30
+                        ),
                     });
                 }
                 expect_end(toks)?;
@@ -204,6 +223,15 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                 });
             }
         }
+    }
+    // A warm-up that spans every core's whole trace leaves nothing to measure.
+    let warmup = trace.warmup_txs_per_core;
+    let commits = |ops: &CoreTrace| ops.iter().filter(|op| matches!(op, TraceOp::Commit)).count();
+    if warmup > 0 && trace.cores.iter().all(|ops| commits(ops) <= warmup) {
+        return Err(ParseError {
+            line: warmup_line,
+            message: format!("warmup {warmup} leaves no core a measured transaction"),
+        });
     }
     Ok(trace)
 }
@@ -294,6 +322,9 @@ C
             ("core 0\nC extra", "trailing"),
             ("core 0\nW 0x0 4294967296", "32 bits"),
             ("core 0\nW 0xffffffffffffffff 64", "past the address space"),
+            ("core 0\nW 0x400000000 64\nC", "data region"),
+            ("core 0\nW 0x1000 4000000000\nC", "limit per op"),
+            ("warmup 99999999999\ncore 0\nW 0x1000 64\nC", "no core a measured"),
         ] {
             let err = from_text(text).expect_err(text);
             assert!(

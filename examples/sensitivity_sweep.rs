@@ -19,11 +19,9 @@ fn main() {
     println!("{:>8}  {:>10}  {:>10}  {:>8}", "wpq", "base cyc", "thoth cyc", "speedup");
     for wpq in [64usize, 32, 16] {
         let mut base_cfg = SimConfig::paper_default(Mode::baseline(), 128);
-        base_cfg.wpq_entries = wpq;
-        base_cfg.pcb_entries = (wpq / 8).max(1);
+        base_cfg.resize_wpq(wpq);
         let mut thoth_cfg = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
-        thoth_cfg.wpq_entries = wpq;
-        thoth_cfg.pcb_entries = (wpq / 8).max(1);
+        thoth_cfg.resize_wpq(wpq);
         let base = run_trace(&base_cfg, &trace);
         let thoth = run_trace(&thoth_cfg, &trace);
         println!(

@@ -58,11 +58,9 @@ fn claim_smaller_wpq_amplifies_thoth() {
     let trace = cache.get(WorkloadKind::Btree, 128);
     let speedup_at = |wpq: usize| {
         let mut b = SimConfig::paper_default(Mode::baseline(), 128);
-        b.wpq_entries = wpq;
-        b.pcb_entries = (wpq / 8).max(1);
+        b.resize_wpq(wpq);
         let mut t = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
-        t.wpq_entries = wpq;
-        t.pcb_entries = (wpq / 8).max(1);
+        t.resize_wpq(wpq);
         let base = thoth_repro::sim::run_trace(&b, &trace);
         let thoth = thoth_repro::sim::run_trace(&t, &trace);
         thoth.speedup_over(&base)
@@ -98,8 +96,7 @@ fn claim_pcb_merge_rate_falls_with_tx_size() {
 #[test]
 fn claim_recovery_cost_model_matches_footnote() {
     // Section IV-D: ≈7 s to recover a full 64 MB PUB.
-    let model = thoth_repro::core::recovery::RecoveryCostModel::default();
-    let secs = model.pub_recovery_secs((64 << 20) / 128, 9);
+    let secs = thoth_repro::core::recovery::pub_recovery_secs((64 << 20) / 128, 9);
     assert!((5.0..10.0).contains(&secs), "{secs:.2} s");
 }
 
