@@ -62,6 +62,13 @@ cargo run -q --release --locked -p thoth-experiments -- telemetry --quick
 stage "service smoke (open-loop saturation: finite monotone quantiles + knee)"
 cargo run -q --release --locked -p thoth-experiments -- service --quick
 
+stage "examples (every examples/*.rs runs to exit 0; they write no files)"
+for path in examples/*.rs; do
+    example=$(basename "$path" .rs)
+    echo "-- $example"
+    cargo run -q --release --locked --example "$example"
+done
+
 stage "perf digest gate (quick matrix must match the pinned digest)"
 cargo run -q --release --locked -p thoth-experiments -- perf --quick \
     --expect-digest 0xaa9ddf0ced976c32

@@ -214,11 +214,10 @@ mod tests {
         assert_eq!(ctr.len(), mac.len());
         assert!(!ctr.is_empty());
         // Counter updates land in the counter region, MACs in the MAC region.
-        let layout = MemoryLayout::new(128);
-        assert!(ctr.iter().all(|u| u.meta_block >= layout.ctr_base
-            && u.meta_block < layout.mac_base));
-        assert!(mac.iter().all(|u| u.meta_block >= layout.mac_base
-            && u.meta_block < layout.tree_base));
+        let ctr_region = MemoryLayout::CTR_BASE..MemoryLayout::MAC_BASE;
+        let mac_region = MemoryLayout::MAC_BASE..MemoryLayout::TREE_BASE;
+        assert!(ctr.iter().all(|u| ctr_region.contains(&u.meta_block)));
+        assert!(mac.iter().all(|u| mac_region.contains(&u.meta_block)));
     }
 
     #[test]

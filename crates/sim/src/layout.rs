@@ -19,30 +19,39 @@ use thoth_crypto::counter::CounterBlock;
 use thoth_crypto::MacEngine;
 use thoth_workloads::DATA_REGION_BYTES;
 
-/// Address-space map and data→metadata translation.
+/// Levels in [`MemoryLayout`]'s tree-node address table: the 64 B
+/// geometry's tree has 9; levels past the root keep one node each.
+const TREE_LEVELS: usize = 16;
+
+/// Address-space map and data→metadata translation. The region bounds
+/// are the same for every block size (associated constants); the
+/// data→metadata arithmetic depends on the block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryLayout {
     /// Access granularity in bytes.
     pub block_bytes: usize,
-    /// Size of the data region in bytes.
-    pub data_bytes: u64,
-    /// Base of the counter-block region.
-    pub ctr_base: u64,
-    /// Base of the MAC-block region.
-    pub mac_base: u64,
-    /// Base of the Merkle-tree node region.
-    pub tree_base: u64,
-    /// Base of the PUB region.
-    pub pub_base: u64,
-    /// Base of the Anubis shadow region.
-    pub shadow_base: u64,
     /// Split-counter packing geometry.
     pub ctr_geometry: CounterBlock,
     /// First-level MACs per MAC block.
     pub macs_per_block: usize,
+    /// First node address of each Merkle-tree level, built once by
+    /// [`Self::new`] for [`Self::tree_node_addr`].
+    tree_level_base: [u64; TREE_LEVELS],
 }
 
 impl MemoryLayout {
+    /// Base of the counter-block region (right above the data region,
+    /// which spans [`DATA_REGION_BYTES`] from address 0).
+    pub const CTR_BASE: u64 = DATA_REGION_BYTES;
+    /// Base of the MAC-block region.
+    pub const MAC_BASE: u64 = 18 << 30;
+    /// Base of the Merkle-tree node region.
+    pub const TREE_BASE: u64 = 22 << 30;
+    /// Base of the PUB region.
+    pub const PUB_BASE: u64 = 26 << 30;
+    /// Base of the Anubis shadow region.
+    pub const SHADOW_BASE: u64 = 27 << 30;
+
     /// Builds the standard layout for a block size.
     ///
     /// # Panics
@@ -53,17 +62,22 @@ impl MemoryLayout {
         assert!(block_bytes.is_power_of_two() && block_bytes >= 64);
         let ctr_geometry = CounterBlock::geometry(block_bytes, 4096);
         let mac_len = MacEngine::first_level_len(block_bytes);
-        MemoryLayout {
+        let mut layout = MemoryLayout {
             block_bytes,
-            data_bytes: DATA_REGION_BYTES,
-            ctr_base: DATA_REGION_BYTES,
-            mac_base: 18 << 30,
-            tree_base: 22 << 30,
-            pub_base: 26 << 30,
-            shadow_base: 27 << 30,
             ctr_geometry,
             macs_per_block: block_bytes / mac_len,
+            tree_level_base: [0; TREE_LEVELS],
+        };
+        // Levels are laid out consecutively; each node is one 64 B unit
+        // rounded up to the block size for write accounting.
+        let mut base = Self::TREE_BASE;
+        let mut level_nodes = layout.tree_leaves();
+        for level_base in &mut layout.tree_level_base {
+            *level_base = base;
+            base += level_nodes * block_bytes as u64;
+            level_nodes = level_nodes.div_ceil(8);
         }
+        layout
     }
 
     /// The data block index of a data address.
@@ -73,7 +87,10 @@ impl MemoryLayout {
     /// Panics if `addr` is outside the data region.
     #[must_use]
     pub fn block_index(&self, addr: u64) -> u64 {
-        assert!(addr < self.data_bytes, "address {addr:#x} not in data region");
+        assert!(
+            addr < DATA_REGION_BYTES,
+            "address {addr:#x} not in data region"
+        );
         addr / self.block_bytes as u64
     }
 
@@ -96,7 +113,7 @@ impl MemoryLayout {
         let group = within / self.ctr_geometry.blocks_per_page;
         let slot = within % self.ctr_geometry.blocks_per_page;
         (
-            self.ctr_base + block_no * self.block_bytes as u64,
+            Self::CTR_BASE + block_no * self.block_bytes as u64,
             group,
             slot,
         )
@@ -117,7 +134,7 @@ impl MemoryLayout {
     pub fn mac_location(&self, index: u64) -> (u64, usize) {
         let per_block = self.macs_per_block as u64;
         (
-            self.mac_base + (index / per_block) * self.block_bytes as u64,
+            Self::MAC_BASE + (index / per_block) * self.block_bytes as u64,
             (index % per_block) as usize,
         )
     }
@@ -142,40 +159,35 @@ impl MemoryLayout {
     #[must_use]
     pub fn tree_leaf(&self, ctr_block_addr: u64) -> u64 {
         assert!(
-            (self.ctr_base..self.mac_base).contains(&ctr_block_addr),
+            (Self::CTR_BASE..Self::MAC_BASE).contains(&ctr_block_addr),
             "{ctr_block_addr:#x} not a counter block"
         );
-        (ctr_block_addr - self.ctr_base) / self.block_bytes as u64
+        (ctr_block_addr - Self::CTR_BASE) / self.block_bytes as u64
     }
 
     /// Number of counter blocks the tree must cover.
     #[must_use]
     pub fn tree_leaves(&self) -> u64 {
-        let data_blocks = self.data_bytes / self.block_bytes as u64;
+        let data_blocks = DATA_REGION_BYTES / self.block_bytes as u64;
         data_blocks.div_ceil(self.ctr_geometry.data_blocks_per_counter_block() as u64)
     }
 
     /// Address of tree node `(level, index)` in the tree region (for
     /// lazy write-back accounting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is 16 or more (every supported tree has fewer).
     #[must_use]
     pub fn tree_node_addr(&self, level: u32, index: u64) -> u64 {
-        // Levels are laid out consecutively; each node is one 64 B unit
-        // rounded up to the block size for write accounting.
-        let node_bytes = self.block_bytes as u64;
-        let mut base = self.tree_base;
-        let mut level_nodes = self.tree_leaves();
-        for _ in 0..level {
-            base += level_nodes * node_bytes;
-            level_nodes = level_nodes.div_ceil(8);
-        }
-        base + index * node_bytes
+        self.tree_level_base[level as usize] + index * self.block_bytes as u64
     }
 
     /// Shadow-region block address for packed tracking entry `n`.
     #[must_use]
     pub fn shadow_addr(&self, n: u64) -> u64 {
         let per_block = (self.block_bytes / 8) as u64;
-        self.shadow_base + (n / per_block) * self.block_bytes as u64
+        Self::SHADOW_BASE + (n / per_block) * self.block_bytes as u64
     }
 }
 
@@ -213,7 +225,7 @@ mod tests {
         let (c0, g0, s0) = l.ctr_location(0);
         let (c1, g1, s1) = l.ctr_location(1);
         assert_eq!(c0, c1, "same counter block");
-        assert_eq!(c0, l.ctr_base);
+        assert_eq!(c0, MemoryLayout::CTR_BASE);
         assert_eq!((g0, s0), (0, 0));
         assert_eq!((g1, s1), (0, 1));
         // Block 32 starts the second page -> second group.
@@ -221,7 +233,7 @@ mod tests {
         assert_eq!((g32, s32), (1, 0));
         // Block 96 rolls into the next counter block.
         let (c96, g96, s96) = l.ctr_location(96);
-        assert_eq!(c96, l.ctr_base + 128);
+        assert_eq!(c96, MemoryLayout::CTR_BASE + 128);
         assert_eq!((g96, s96), (0, 0));
     }
 
@@ -236,24 +248,24 @@ mod tests {
     #[test]
     fn mac_location_packs_eight_per_block() {
         let l = MemoryLayout::new(128);
-        assert_eq!(l.mac_location(0), (l.mac_base, 0));
-        assert_eq!(l.mac_location(7), (l.mac_base, 7));
-        assert_eq!(l.mac_location(8), (l.mac_base + 128, 0));
+        assert_eq!(l.mac_location(0), (MemoryLayout::MAC_BASE, 0));
+        assert_eq!(l.mac_location(7), (MemoryLayout::MAC_BASE, 7));
+        assert_eq!(l.mac_location(8), (MemoryLayout::MAC_BASE + 128, 0));
     }
 
     #[test]
     fn regions_do_not_overlap() {
         let l = MemoryLayout::new(128);
         // Highest counter block used by the data region:
-        let last_data_block = l.data_bytes / 128 - 1;
+        let last_data_block = DATA_REGION_BYTES / 128 - 1;
         let (last_ctr, _, _) = l.ctr_location(last_data_block);
-        assert!(last_ctr < l.mac_base);
+        assert!(last_ctr < MemoryLayout::MAC_BASE);
         let (last_mac, _) = l.mac_location(last_data_block);
-        assert!(last_mac < l.tree_base);
+        assert!(last_mac < MemoryLayout::TREE_BASE);
         // Tree: 10 levels of nodes fit before the PUB region.
         let leaves = l.tree_leaves();
         let root_addr = l.tree_node_addr(9, 0);
-        assert!(root_addr < l.pub_base, "{root_addr:#x}");
+        assert!(root_addr < MemoryLayout::PUB_BASE, "{root_addr:#x}");
         assert!(leaves > 1_000_000, "32 GB of data needs many counter blocks");
     }
 
@@ -262,7 +274,7 @@ mod tests {
         let l = MemoryLayout::new(128);
         let (cb, _, _) = l.ctr_location(12345);
         let leaf = l.tree_leaf(cb);
-        assert_eq!(cb, l.ctr_base + leaf * 128);
+        assert_eq!(cb, MemoryLayout::CTR_BASE + leaf * 128);
     }
 
     #[test]
@@ -274,11 +286,24 @@ mod tests {
     }
 
     #[test]
+    fn tree_level_table_matches_the_level_walk() {
+        for block in [64usize, 128, 256] {
+            let l = MemoryLayout::new(block);
+            let (mut base, mut nodes) = (MemoryLayout::TREE_BASE, l.tree_leaves());
+            for level in 0..16 {
+                assert_eq!(l.tree_node_addr(level, 3), base + 3 * block as u64);
+                base += nodes * block as u64;
+                nodes = nodes.div_ceil(8);
+            }
+        }
+    }
+
+    #[test]
     fn shadow_packs_addresses() {
         let l = MemoryLayout::new(128);
-        assert_eq!(l.shadow_addr(0), l.shadow_base);
-        assert_eq!(l.shadow_addr(15), l.shadow_base);
-        assert_eq!(l.shadow_addr(16), l.shadow_base + 128);
+        assert_eq!(l.shadow_addr(0), MemoryLayout::SHADOW_BASE);
+        assert_eq!(l.shadow_addr(15), MemoryLayout::SHADOW_BASE);
+        assert_eq!(l.shadow_addr(16), MemoryLayout::SHADOW_BASE + 128);
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl SecureNvm {
                 policy,
                 config.pcb_entries,
                 PubConfig {
-                    base_addr: layout.pub_base,
+                    base_addr: MemoryLayout::PUB_BASE,
                     size_bytes: config.pub_size_bytes,
                     block_bytes: config.block_bytes,
                     evict_threshold_pct: config.pub_threshold_pct,
@@ -1308,10 +1308,10 @@ impl SecureNvm {
             let mut rng = DetRng::seed_from(faults.seed ^ 0xB17F_11B5_0C8A_51F0);
             let mut targets = self
                 .nvm
-                .block_addrs_in(self.layout.ctr_base, self.layout.tree_base);
+                .block_addrs_in(MemoryLayout::CTR_BASE, MemoryLayout::TREE_BASE);
             targets.extend(
                 self.nvm
-                    .block_addrs_in(self.layout.pub_base, self.layout.shadow_base),
+                    .block_addrs_in(MemoryLayout::PUB_BASE, MemoryLayout::SHADOW_BASE),
             );
             if !targets.is_empty() {
                 for _ in 0..faults.crash_bit_flips {
@@ -1365,7 +1365,7 @@ impl SecureNvm {
         //    the root against the persistent register.
         let ctr_blocks = self
             .nvm
-            .block_addrs_in(self.layout.ctr_base, self.layout.mac_base);
+            .block_addrs_in(MemoryLayout::CTR_BASE, MemoryLayout::MAC_BASE);
         let rebuilt = BonsaiTree::from_leaves(
             MerkleConfig::new(8, self.layout.tree_leaves()),
             TREE_KEY,
@@ -1402,7 +1402,7 @@ impl SecureNvm {
     pub fn leaf_mismatches(&self) -> Vec<LeafMismatch> {
         let ctr_blocks = self
             .nvm
-            .block_addrs_in(self.layout.ctr_base, self.layout.mac_base);
+            .block_addrs_in(MemoryLayout::CTR_BASE, MemoryLayout::MAC_BASE);
         let mut out = Vec::new();
         for cb in ctr_blocks {
             let leaf = self.layout.tree_leaf(cb);

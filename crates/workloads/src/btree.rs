@@ -22,44 +22,92 @@ use thoth_sim_engine::DetRng;
 const ORDER: usize = 8;
 /// Node size on the heap.
 const NODE_BYTES: u64 = 160;
+/// Bytes of a node image: `is_leaf`, `nkeys`, `ORDER` keys and
+/// `ORDER + 1` pointers, 8 bytes each.
+const IMAGE_BYTES: usize = 8 * (2 + ORDER + ORDER + 1);
 
-#[derive(Debug, Clone)]
+/// A node as loaded from the heap: fixed-size arrays on the stack, of
+/// which the first `nkeys` keys and [`Node::nptrs`] pointers are live.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     addr: u64,
     is_leaf: bool,
-    keys: Vec<u64>,
-    ptrs: Vec<u64>,
+    nkeys: usize,
+    keys: [u64; ORDER],
+    ptrs: [u64; ORDER + 1],
 }
 
 impl Node {
-    fn load(rt: &mut TxRuntime, addr: u64) -> Node {
-        let raw = rt.read(addr, 152);
-        let word = |i: usize| {
-            u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
-        };
-        let is_leaf = word(0) != 0;
-        let nkeys = word(1) as usize;
-        let keys = (0..nkeys).map(|i| word(2 + i)).collect();
-        let nptrs = if is_leaf { nkeys } else { nkeys + 1 };
-        let ptrs = (0..nptrs).map(|i| word(10 + i)).collect();
+    fn empty(addr: u64, is_leaf: bool) -> Node {
         Node {
             addr,
             is_leaf,
-            keys,
-            ptrs,
+            nkeys: 0,
+            keys: [0; ORDER],
+            ptrs: [0; ORDER + 1],
         }
     }
 
-    fn image(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 152];
+    /// Live pointers: one per key in a leaf, one more in an internal node.
+    fn nptrs(&self) -> usize {
+        self.nkeys + usize::from(!self.is_leaf)
+    }
+
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.nkeys]
+    }
+
+    fn ptrs(&self) -> &[u64] {
+        &self.ptrs[..self.nptrs()]
+    }
+
+    fn load(rt: &mut TxRuntime, addr: u64) -> Node {
+        let mut raw = [0u8; IMAGE_BYTES];
+        rt.read_into(addr, &mut raw);
+        let word = |i: usize| {
+            u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+        };
+        let mut node = Node::empty(addr, word(0) != 0);
+        node.nkeys = word(1) as usize;
+        for i in 0..node.nkeys {
+            node.keys[i] = word(2 + i);
+        }
+        for i in 0..node.nptrs() {
+            node.ptrs[i] = word(2 + ORDER + i);
+        }
+        node
+    }
+
+    /// Inserts `key` at `pos` and `ptr` at `ptr_pos`; the node must not
+    /// be full.
+    fn insert(&mut self, pos: usize, key: u64, ptr_pos: usize, ptr: u64) {
+        let nptrs = self.nptrs();
+        self.keys.copy_within(pos..self.nkeys, pos + 1);
+        self.keys[pos] = key;
+        self.ptrs.copy_within(ptr_pos..nptrs, ptr_pos + 1);
+        self.ptrs[ptr_pos] = ptr;
+        self.nkeys += 1;
+    }
+
+    /// Removes key `pos` and its value pointer from a leaf.
+    fn remove(&mut self, pos: usize) {
+        let nptrs = self.nptrs();
+        self.keys.copy_within(pos + 1..self.nkeys, pos);
+        self.ptrs.copy_within(pos + 1..nptrs, pos);
+        self.nkeys -= 1;
+    }
+
+    /// The heap image; slots past the live keys and pointers are zero.
+    fn image(&self) -> [u8; IMAGE_BYTES] {
+        let mut out = [0u8; IMAGE_BYTES];
         let mut put = |i: usize, v: u64| out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
         put(0, u64::from(self.is_leaf));
-        put(1, self.keys.len() as u64);
-        for (i, &k) in self.keys.iter().enumerate() {
+        put(1, self.nkeys as u64);
+        for (i, &k) in self.keys().iter().enumerate() {
             put(2 + i, k);
         }
-        for (i, &p) in self.ptrs.iter().enumerate() {
-            put(10 + i, p);
+        for (i, &p) in self.ptrs().iter().enumerate() {
+            put(2 + ORDER + i, p);
         }
         out
     }
@@ -88,13 +136,7 @@ impl BTree {
     /// of `value_size` bytes.
     pub fn create(rt: &mut TxRuntime, value_size: usize) -> Self {
         let root = rt.alloc(NODE_BYTES);
-        let node = Node {
-            addr: root,
-            is_leaf: true,
-            keys: Vec::new(),
-            ptrs: Vec::new(),
-        };
-        node.store_new(rt);
+        Node::empty(root, true).store_new(rt);
         BTree {
             root,
             len: 0,
@@ -114,28 +156,15 @@ impl BTree {
         self.len == 0
     }
 
-    fn write_value(&self, rt: &mut TxRuntime, fill: u64) -> u64 {
-        let blob = rt.alloc(self.value_size as u64);
-        let bytes: Vec<u8> = (0..self.value_size)
-            .map(|i| (fill as u8).wrapping_add(i as u8))
-            .collect();
-        rt.write_new(blob, &bytes);
-        blob
-    }
-
     /// Inserts `key` (or updates it copy-on-write if present) with a fresh
     /// value blob filled from `fill`. Must run inside a transaction.
     pub fn insert(&mut self, rt: &mut TxRuntime, key: u64, fill: u64) {
         // Preemptive split of a full root.
         let root = Node::load(rt, self.root);
-        if root.keys.len() == ORDER {
+        if root.nkeys == ORDER {
             let new_root_addr = rt.alloc(NODE_BYTES);
-            let mut new_root = Node {
-                addr: new_root_addr,
-                is_leaf: false,
-                keys: Vec::new(),
-                ptrs: vec![self.root],
-            };
+            let mut new_root = Node::empty(new_root_addr, false);
+            new_root.ptrs[0] = self.root;
             self.split_child(rt, &mut new_root, 0);
             new_root.store_new(rt);
             self.root = new_root_addr;
@@ -147,66 +176,47 @@ impl BTree {
     /// The parent is updated in memory only; callers persist it.
     fn split_child(&mut self, rt: &mut TxRuntime, parent: &mut Node, idx: usize) {
         let child = Node::load(rt, parent.ptrs[idx]);
-        debug_assert_eq!(child.keys.len(), ORDER);
+        debug_assert_eq!(child.nkeys, ORDER);
         let mid = ORDER / 2;
         let up_key = child.keys[mid];
 
-        let right_addr = rt.alloc(NODE_BYTES);
-        let (right_keys, left_keys, right_ptrs, left_ptrs);
-        if child.is_leaf {
-            // Leaves keep the separator key in the right sibling.
-            right_keys = child.keys[mid..].to_vec();
-            left_keys = child.keys[..mid].to_vec();
-            right_ptrs = child.ptrs[mid..].to_vec();
-            left_ptrs = child.ptrs[..mid].to_vec();
-        } else {
-            right_keys = child.keys[mid + 1..].to_vec();
-            left_keys = child.keys[..mid].to_vec();
-            right_ptrs = child.ptrs[mid + 1..].to_vec();
-            left_ptrs = child.ptrs[..=mid].to_vec();
-        }
-        let right = Node {
-            addr: right_addr,
-            is_leaf: child.is_leaf,
-            keys: right_keys,
-            ptrs: right_ptrs,
-        };
+        // Leaves keep the separator key in the right sibling; internal
+        // nodes move it up. The left half keeps `mid` keys either way.
+        let from = if child.is_leaf { mid } else { mid + 1 };
+        let mut right = Node::empty(rt.alloc(NODE_BYTES), child.is_leaf);
+        right.nkeys = ORDER - from;
+        right.keys[..right.nkeys].copy_from_slice(&child.keys[from..]);
+        let nptrs = right.nptrs();
+        right.ptrs[..nptrs].copy_from_slice(&child.ptrs[from..child.nptrs()]);
         right.store_new(rt);
-        let left = Node {
-            addr: child.addr,
-            is_leaf: child.is_leaf,
-            keys: left_keys,
-            ptrs: left_ptrs,
-        };
+        let mut left = child;
+        left.nkeys = mid;
         left.store(rt);
 
-        parent.keys.insert(idx, up_key);
-        parent.ptrs.insert(idx + 1, right_addr);
+        parent.insert(idx, up_key, idx + 1, right.addr);
     }
 
     fn insert_nonfull(&mut self, rt: &mut TxRuntime, addr: u64, key: u64, fill: u64) {
         let mut node = Node::load(rt, addr);
         if node.is_leaf {
-            match node.keys.binary_search(&key) {
+            match node.keys().binary_search(&key) {
                 Ok(pos) => {
                     // Copy-on-write update: new blob, swing the pointer.
-                    let blob = self.write_value(rt, fill);
-                    node.ptrs[pos] = blob;
+                    node.ptrs[pos] = rt.write_value(self.value_size, fill);
                     node.store(rt);
                 }
                 Err(pos) => {
-                    let blob = self.write_value(rt, fill);
-                    node.keys.insert(pos, key);
-                    node.ptrs.insert(pos, blob);
+                    let blob = rt.write_value(self.value_size, fill);
+                    node.insert(pos, key, pos, blob);
                     node.store(rt);
                     self.len += 1;
                 }
             }
             return;
         }
-        let mut idx = node.keys.partition_point(|&k| k <= key);
+        let mut idx = node.keys().partition_point(|&k| k <= key);
         let child = Node::load(rt, node.ptrs[idx]);
-        if child.keys.len() == ORDER {
+        if child.nkeys == ORDER {
             self.split_child(rt, &mut node, idx);
             node.store(rt);
             if key >= node.keys[idx] {
@@ -226,10 +236,9 @@ impl BTree {
         loop {
             let mut node = Node::load(rt, addr);
             if node.is_leaf {
-                match node.keys.binary_search(&key) {
+                match node.keys().binary_search(&key) {
                     Ok(pos) => {
-                        node.keys.remove(pos);
-                        node.ptrs.remove(pos);
+                        node.remove(pos);
                         node.store(rt);
                         self.len -= 1;
                         return true;
@@ -237,7 +246,7 @@ impl BTree {
                     Err(_) => return false,
                 }
             }
-            let idx = node.keys.partition_point(|&k| k <= key);
+            let idx = node.keys().partition_point(|&k| k <= key);
             addr = node.ptrs[idx];
         }
     }
@@ -249,12 +258,12 @@ impl BTree {
             let node = Node::load(rt, addr);
             if node.is_leaf {
                 return node
-                    .keys
+                    .keys()
                     .binary_search(&key)
                     .ok()
                     .map(|pos| node.ptrs[pos]);
             }
-            let idx = node.keys.partition_point(|&k| k <= key);
+            let idx = node.keys().partition_point(|&k| k <= key);
             addr = node.ptrs[idx];
         }
     }
@@ -269,15 +278,13 @@ impl BTree {
     fn walk(&self, rt: &mut TxRuntime, addr: u64, out: &mut Vec<u64>) {
         let node = Node::load(rt, addr);
         if node.is_leaf {
-            out.extend_from_slice(&node.keys);
+            out.extend_from_slice(node.keys());
             return;
         }
-        for i in 0..node.ptrs.len() {
-            self.walk(rt, node.ptrs[i], out);
-            if i < node.keys.len() {
-                // Keys in internal nodes are separators only; leaf copies
-                // carry the actual entries.
-            }
+        // Keys in internal nodes are separators only; leaf copies carry
+        // the actual entries.
+        for &child in node.ptrs() {
+            self.walk(rt, child, out);
         }
     }
 }

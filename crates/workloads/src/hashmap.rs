@@ -67,15 +67,6 @@ impl HashMapPm {
         self.buckets + (hash(key) % self.num_buckets) * 8
     }
 
-    fn write_value(&self, rt: &mut TxRuntime, fill: u64) -> u64 {
-        let blob = rt.alloc(self.value_size as u64);
-        let bytes: Vec<u8> = (0..self.value_size)
-            .map(|i| (fill as u8).wrapping_add(i as u8))
-            .collect();
-        rt.write_new(blob, &bytes);
-        blob
-    }
-
     /// Inserts or copy-on-write-updates `key`. Must run in a transaction.
     pub fn insert(&mut self, rt: &mut TxRuntime, key: u64, fill: u64) {
         let bucket = self.bucket_addr(key);
@@ -84,7 +75,7 @@ impl HashMapPm {
         while cur != NIL {
             let k = rt.read_u64(cur);
             if k == key {
-                let blob = self.write_value(rt, fill);
+                let blob = rt.write_value(self.value_size, fill);
                 rt.write_u64(cur + 8, blob); // logged pointer swing
                 return;
             }
@@ -93,7 +84,7 @@ impl HashMapPm {
         // Prepend a fresh entry.
         let head = rt.read_u64(bucket);
         let entry = rt.alloc(ENTRY_BYTES);
-        let blob = self.write_value(rt, fill);
+        let blob = rt.write_value(self.value_size, fill);
         let mut img = [0u8; 24];
         img[0..8].copy_from_slice(&key.to_le_bytes());
         img[8..16].copy_from_slice(&blob.to_le_bytes());

@@ -1,4 +1,4 @@
-//! A simulated persistent heap: sparse byte-addressable storage plus a
+//! A simulated persistent heap: byte-addressable paged storage plus a
 //! bump allocator.
 //!
 //! Workload data structures store their *real* bytes here (keys, pointers,
@@ -6,17 +6,21 @@
 //! execute — the emitted store trace is the true memory behaviour of the
 //! structure, not a synthetic approximation.
 
-use thoth_sim_engine::FastMap;
-
-/// Page size of the sparse backing store (an implementation detail, not
-/// the architectural page size).
+/// Page size of the backing store (an implementation detail, not the
+/// architectural page size).
 const PAGE: usize = 4096;
 
 /// Alignment of every allocation. Using 16 keeps adjacent small nodes in
 /// the same cache block, like a real PM allocator's small-object classes.
 const ALIGN: u64 = 16;
 
-/// A sparse, byte-addressable persistent heap with a bump allocator.
+/// A byte-addressable persistent heap with a bump allocator.
+///
+/// The bytes live in 4 KiB pages held in a dense table indexed from the
+/// heap's base page: a lookup is one subtraction and one index, and a
+/// page is materialized (zeroed) on its first write. The heap grows page
+/// by page, never as one contiguous buffer: growing the table moves page
+/// pointers, never page contents.
 ///
 /// # Example
 ///
@@ -32,7 +36,11 @@ const ALIGN: u64 = 16;
 pub struct PersistentHeap {
     base: u64,
     brk: u64,
-    pages: FastMap<u64, Vec<u8>>,
+    /// Page number of `base`: entry `i` of `pages` backs page
+    /// `base_page + i`.
+    base_page: u64,
+    /// Backing pages; `None` until first written.
+    pages: Vec<Option<Box<[u8]>>>,
 }
 
 impl PersistentHeap {
@@ -42,7 +50,8 @@ impl PersistentHeap {
         PersistentHeap {
             base,
             brk: base,
-            pages: FastMap::default(),
+            base_page: base / PAGE as u64,
+            pages: Vec::new(),
         }
     }
 
@@ -77,34 +86,57 @@ impl PersistentHeap {
         addr
     }
 
-    /// Reads `len` bytes at `addr` (untouched bytes read as zero).
-    #[must_use]
-    pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
+    /// The page table index of the page holding `addr`, or `None` below
+    /// the heap's base page.
+    fn slot(&self, addr: u64) -> Option<usize> {
+        let page = (addr / PAGE as u64).checked_sub(self.base_page)?;
+        usize::try_from(page).ok()
+    }
+
+    /// Fills `out` with the bytes at `addr` (untouched bytes read as
+    /// zero). The one read path: [`Self::read`] and [`Self::read_u64`]
+    /// wrap it.
+    pub fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut done = 0;
-        while done < len {
+        while done < out.len() {
             let a = addr + done as u64;
-            let page = a / PAGE as u64;
             let off = (a % PAGE as u64) as usize;
-            let take = (len - done).min(PAGE - off);
-            if let Some(p) = self.pages.get(&page) {
-                out[done..done + take].copy_from_slice(&p[off..off + take]);
+            let take = (out.len() - done).min(PAGE - off);
+            let dst = &mut out[done..done + take];
+            match self.slot(a).and_then(|i| self.pages.get(i)?.as_deref()) {
+                Some(page) => dst.copy_from_slice(&page[off..off + take]),
+                None => dst.fill(0),
             }
             done += take;
         }
+    }
+
+    /// Reads `len` bytes at `addr` into a new buffer (untouched bytes
+    /// read as zero).
+    #[must_use]
+    pub fn read(&self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
         out
     }
 
-    /// Writes `bytes` at `addr`.
+    /// Writes `bytes` at `addr`, materializing the pages it touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range starts below the heap's base page.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
         let mut done = 0;
         while done < bytes.len() {
             let a = addr + done as u64;
-            let page = a / PAGE as u64;
             let off = (a % PAGE as u64) as usize;
             let take = (bytes.len() - done).min(PAGE - off);
-            let p = self.pages.entry(page).or_insert_with(|| vec![0u8; PAGE]);
-            p[off..off + take].copy_from_slice(&bytes[done..done + take]);
+            let i = self.slot(a).expect("write below the heap's base page");
+            if i >= self.pages.len() {
+                self.pages.resize_with(i + 1, || None);
+            }
+            let page = self.pages[i].get_or_insert_with(|| vec![0u8; PAGE].into_boxed_slice());
+            page[off..off + take].copy_from_slice(&bytes[done..done + take]);
             done += take;
         }
     }
@@ -112,7 +144,9 @@ impl PersistentHeap {
     /// Reads a little-endian `u64` at `addr`.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8).try_into().expect("8 bytes"))
+        let mut word = [0u8; 8];
+        self.read_into(addr, &mut word);
+        u64::from_le_bytes(word)
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -123,7 +157,7 @@ impl PersistentHeap {
     /// Number of materialized backing pages (memory footprint check).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -166,6 +200,26 @@ mod tests {
         let h = PersistentHeap::new(0);
         assert_eq!(h.read(12345, 16), vec![0; 16]);
         assert_eq!(h.read_u64(999), 0);
+    }
+
+    #[test]
+    fn pages_are_indexed_from_the_base_page() {
+        let base = 0x1000_0000 + 37 * 128; // not page-aligned
+        let mut h = PersistentHeap::new(base);
+        let p = h.alloc(3 * PAGE as u64);
+        h.write(p + 2 * PAGE as u64, &[7; 8]);
+        assert_eq!(h.resident_pages(), 1, "only the written page exists");
+        let mut buf = [1u8; 16];
+        h.read_into(p + 2 * PAGE as u64 - 8, &mut buf);
+        assert_eq!(buf, [0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7]);
+        assert_eq!(h.read_u64(base - PAGE as u64), 0, "below the base");
+    }
+
+    #[test]
+    #[should_panic(expected = "below the heap's base page")]
+    fn write_below_the_base_page_panics() {
+        let mut h = PersistentHeap::new(0x10_0000);
+        h.write(0x10_0000 - PAGE as u64, &[1]);
     }
 
     #[test]

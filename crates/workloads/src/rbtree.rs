@@ -89,15 +89,6 @@ impl RbTree {
         }
     }
 
-    fn write_value(&self, rt: &mut TxRuntime, fill: u64) -> u64 {
-        let blob = rt.alloc(self.value_size as u64);
-        let bytes: Vec<u8> = (0..self.value_size)
-            .map(|i| (fill as u8).wrapping_add(i as u8))
-            .collect();
-        rt.write_new(blob, &bytes);
-        blob
-    }
-
     fn rotate_left(&mut self, rt: &mut TxRuntime, x: u64) {
         let y = Self::right(rt, x);
         let y_left = Self::left(rt, y);
@@ -150,7 +141,7 @@ impl RbTree {
                 if Self::get(rt, cur, OFF_VAL) == 0 {
                     self.len += 1; // reviving a tombstone
                 }
-                let blob = self.write_value(rt, fill);
+                let blob = rt.write_value(self.value_size, fill);
                 Self::set(rt, cur, OFF_VAL, blob);
                 return;
             }
@@ -164,7 +155,7 @@ impl RbTree {
 
         // Attach the new red node (fresh memory: single write_new).
         let node = rt.alloc(NODE_BYTES);
-        let blob = self.write_value(rt, fill);
+        let blob = rt.write_value(self.value_size, fill);
         let mut img = [0u8; 48];
         img[0..8].copy_from_slice(&key.to_le_bytes());
         img[8..16].copy_from_slice(&blob.to_le_bytes());

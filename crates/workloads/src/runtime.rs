@@ -191,11 +191,15 @@ pub struct TxRuntime {
     /// would capture an intermediate value, which is both wasted write
     /// bandwidth and an undo-replay hazard).
     logged_ranges: Vec<(u64, u64)>,
+    /// Reused staging buffer for undo records and value blobs: once it
+    /// has grown to the largest record, staging allocates nothing.
+    scratch: Vec<u8>,
     tracing: bool,
     stats: RuntimeStats,
 }
 
-/// Undo-log region size per core (1 MB; transactions are far smaller).
+/// Undo-log region size per core (1 MiB; transactions are far smaller).
+/// One undo record (header plus old bytes) must fit in it.
 const LOG_CAP: u64 = 1 << 20;
 
 /// Undo-log entry header: target address (8 B) + length (8 B).
@@ -218,6 +222,7 @@ impl TxRuntime {
             in_tx: false,
             stores_in_tx: 0,
             logged_ranges: Vec::new(),
+            scratch: Vec::new(),
             tracing: true,
             stats: RuntimeStats::default(),
         }
@@ -276,23 +281,36 @@ impl TxRuntime {
         self.classes.push(class);
     }
 
-    /// Reads `len` bytes, recording the access.
-    pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+    /// Fills `out` with the bytes at `addr`, recording one access of
+    /// `out.len()` bytes. The one read path: [`Self::read`] and
+    /// [`Self::read_u64`] wrap it.
+    pub fn read_into(&mut self, addr: u64, out: &mut [u8]) {
         if self.tracing {
             self.push_op(
                 TraceOp::Read {
                     addr,
-                    len: len as u32,
+                    len: out.len() as u32,
                 },
                 OpClass::Read,
             );
         }
-        self.heap.read(addr, len)
+        self.heap.read_into(addr, out);
+    }
+
+    /// Reads `len` bytes into a new buffer, recording the access (for
+    /// callers that keep the bytes; [`Self::read_into`] allocates
+    /// nothing).
+    pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
     }
 
     /// Reads a `u64`, recording the access.
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8).try_into().expect("8 bytes"))
+        let mut word = [0u8; 8];
+        self.read_into(addr, &mut word);
+        u64::from_le_bytes(word)
     }
 
     fn raw_store(&mut self, addr: u64, bytes: &[u8], class: OpClass) {
@@ -311,18 +329,30 @@ impl TxRuntime {
         }
     }
 
-    /// Appends an undo record for `[addr, addr+len)` to the log.
+    /// Appends an undo record for `[addr, addr+len)` to the log: the
+    /// header and the old bytes are staged in the reused scratch buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record is larger than the log: wrapping could not
+    /// make room, and the store would run past the log region into the
+    /// heap data after it.
     fn log_append(&mut self, addr: u64, len: usize) {
         let need = LOG_HDR + len as u64;
+        assert!(
+            need <= self.log_cap,
+            "undo record of {need} bytes exceeds the {LOG_CAP}-byte undo log"
+        );
         if self.log_head + need > self.log_cap {
             self.log_head = 0; // circular; validity is bounded by the commit record
         }
         let dst = self.log_base + self.log_head;
-        let old = self.heap.read(addr, len);
-        let mut rec = Vec::with_capacity(16 + len);
+        let mut rec = std::mem::take(&mut self.scratch);
+        rec.clear();
         rec.extend_from_slice(&addr.to_le_bytes());
         rec.extend_from_slice(&(len as u64).to_le_bytes());
-        rec.extend_from_slice(&old);
+        rec.resize(need as usize, 0);
+        self.heap.read_into(addr, &mut rec[LOG_HDR as usize..]);
         self.raw_store(
             dst,
             &rec,
@@ -331,6 +361,7 @@ impl TxRuntime {
                 guard_len: len as u32,
             },
         );
+        self.scratch = rec;
         self.log_head += need;
         self.stats.log_appends += 1;
     }
@@ -373,6 +404,24 @@ impl TxRuntime {
     /// Writes a `u64` to fresh memory.
     pub fn write_new_u64(&mut self, addr: u64, v: u64) {
         self.write_new(addr, &v.to_le_bytes());
+    }
+
+    /// Allocates a `len`-byte value blob, fills it with the bytes `fill`,
+    /// `fill + 1`, … (low byte, wrapping) and stores it as fresh memory
+    /// — the out-of-line value every tree and table update writes before
+    /// it swings a pointer to it. Returns the blob's address.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a transaction or if `len` is zero.
+    pub fn write_value(&mut self, len: usize, fill: u64) -> u64 {
+        let blob = self.alloc(len as u64);
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.clear();
+        bytes.extend((0..len).map(|i| (fill as u8).wrapping_add(i as u8)));
+        self.write_new(blob, &bytes);
+        self.scratch = bytes;
+        blob
     }
 
     /// Commits: writes the commit record and emits the persist barrier.
@@ -471,15 +520,19 @@ mod tests {
     #[test]
     fn reads_are_traced() {
         let mut rt = TxRuntime::new(0);
-        let p = rt.alloc(8);
+        let p = rt.alloc(32);
         rt.begin();
         rt.write_new_u64(p, 5);
         rt.commit();
         assert_eq!(rt.read_u64(p), 5);
+        let mut buf = [1u8; 24];
+        rt.read_into(p + 4, &mut buf);
+        assert_eq!(buf, [0; 24], "the high half of 5, then untouched bytes");
         let trace = rt.into_trace();
         assert!(trace
             .iter()
             .any(|op| matches!(op, TraceOp::Read { addr, len: 8 } if *addr == p)));
+        assert!(matches!(trace.last(), Some(TraceOp::Read { addr, len: 24 }) if *addr == p + 4));
     }
 
     #[test]
@@ -506,6 +559,32 @@ mod tests {
             rt.commit();
         }
         assert!(rt.log_head <= rt.log_cap);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 1048576-byte undo log")]
+    fn oversized_undo_record_is_rejected() {
+        // The log is the runtime's first allocation: a record larger than
+        // the log would run past it into `p`'s own bytes.
+        let mut rt = TxRuntime::new(0);
+        let p = rt.alloc(2 << 20);
+        rt.begin();
+        rt.write(p, &vec![1u8; 2 << 20]);
+    }
+
+    #[test]
+    fn write_value_fills_a_fresh_blob() {
+        let mut rt = TxRuntime::new(0);
+        rt.begin();
+        let a = rt.write_value(3, 0x1fe);
+        let b = rt.write_value(2, 7);
+        rt.commit();
+        assert_eq!(rt.heap().read(a, 3), [0xfe, 0xff, 0x00]);
+        assert_eq!(rt.heap().read(b, 2), [7, 8]);
+        assert_eq!(b, a + 16, "one aligned allocation each");
+        let (ops, classes) = rt.into_annotated();
+        assert!(matches!(ops[0], TraceOp::Store { addr, len: 3 } if addr == a));
+        assert_eq!(classes[..2], [OpClass::DataFresh; 2], "never undo-logged");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! points, recovery verification, and tamper detection — all in full
 //! functional mode (real AES ciphertexts and MACs in simulated NVM).
 
-use thoth_repro::sim::{FunctionalMode, Mode, SecureNvm, SimConfig};
+use thoth_repro::sim::{FunctionalMode, MemoryLayout, Mode, SecureNvm, SimConfig};
 use thoth_repro::workloads::{spec, MultiCoreTrace, TraceOp, WorkloadConfig, WorkloadKind};
 
 fn full_cfg(mode: Mode) -> SimConfig {
@@ -145,11 +145,9 @@ fn pub_region_tamper_cannot_forge_state() {
     let mut m = SecureNvm::new(full_cfg(Mode::thoth_wtsc()));
     m.run(&tiny_trace(WorkloadKind::Hashmap));
     m.crash();
-    let layout = m.layout();
     // Corrupt every valid PUB block's first bytes (entry addresses/MACs).
-    let pub_blocks = m
-        .nvm_mut()
-        .block_addrs_in(layout.pub_base, layout.pub_base + (1 << 20));
+    let pub_base = MemoryLayout::PUB_BASE;
+    let pub_blocks = m.nvm_mut().block_addrs_in(pub_base, pub_base + (1 << 20));
     assert!(!pub_blocks.is_empty(), "PUB content exists");
     for b in pub_blocks.iter().take(4) {
         m.nvm_mut().tamper(*b + 4, 0xA5);
