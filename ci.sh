@@ -44,6 +44,18 @@ stage "perfbench type-check (the benchmark builds against this tree's API)"
 # gitignored, so this stage writes no tracked file.
 cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
 
+stage "substrates telemetry-free (telemetry observes the machine only through the tap)"
+# Queue occupancy is recorded by thoth-sim's telemetry observer; a probe
+# field or record call in a substrate would bring the dependency back.
+for crate in thoth-sim-engine thoth-nvm thoth-crypto thoth-cache thoth-merkle \
+    thoth-memctrl thoth-core; do
+    deps=$(cargo tree --offline --locked -p "$crate" -e normal --prefix none)
+    if grep -q '^thoth-telemetry ' <<<"$deps"; then
+        echo "$crate depends on thoth-telemetry"
+        exit 1
+    fi
+done
+
 stage "ablation smoke (incl. six-mechanism comparison table)"
 cargo run -q --release --locked -p thoth-experiments -- ablation --quick
 

@@ -24,7 +24,6 @@ use crate::policy::{BlockView, EvictOutcome, EvictionPolicy, MetadataKind};
 use crate::pub_buffer::{PubBuffer, PubConfig};
 
 use std::collections::BTreeMap;
-use thoth_telemetry::QueueProbe;
 
 /// Host callbacks the engine drives (see module docs).
 pub trait ThothHost {
@@ -62,10 +61,6 @@ pub struct ThothEngine {
     codec: PubBlockCodec,
     outcomes: BTreeMap<EvictOutcome, u64>,
     policy_persists: u64,
-    /// Telemetry probes over PCB buffered updates and PUB fill; `None`
-    /// (off) by default — the insert path pays one branch each.
-    pcb_probe: Option<QueueProbe>,
-    pub_probe: Option<QueueProbe>,
     /// Reusable encode buffer for PUB appends (one block image) — the
     /// append path is hot enough that a fresh `Vec` per block shows up.
     scratch: Vec<u8>,
@@ -87,30 +82,13 @@ impl ThothEngine {
             codec,
             outcomes: BTreeMap::new(),
             policy_persists: 0,
-            pcb_probe: None,
-            pub_probe: None,
             scratch: vec![0; pub_config.block_bytes],
             victim: Vec::with_capacity(codec.entries_per_block()),
         }
     }
 
-    /// Installs telemetry probes over the PCB (buffered partial updates)
-    /// and the PUB (valid blocks), recorded after every insert/eviction.
-    pub fn attach_probes(&mut self, pcb: QueueProbe, pub_: QueueProbe) {
-        self.pcb_probe = Some(pcb);
-        self.pub_probe = Some(pub_);
-    }
-
-    /// Removes and returns the probes as `(pcb, pub)`, if attached.
-    pub fn take_probes(&mut self) -> Option<(QueueProbe, QueueProbe)> {
-        match (self.pcb_probe.take(), self.pub_probe.take()) {
-            (Some(p), Some(q)) => Some((p, q)),
-            _ => None,
-        }
-    }
-
     /// Maximum partial updates the PCB can buffer (slots × entries per
-    /// packed block) — the capacity bound for its occupancy probe.
+    /// packed block) — the capacity telemetry reports for the PCB.
     #[must_use]
     pub fn pcb_capacity_updates(&self) -> usize {
         self.pcb.num_slots() * self.codec.entries_per_block()
@@ -120,15 +98,6 @@ impl ThothEngine {
     #[must_use]
     pub fn pcb_buffered_updates(&self) -> usize {
         self.pcb.buffered_updates()
-    }
-
-    fn note_occupancies(&mut self) {
-        if let Some(p) = self.pcb_probe.as_mut() {
-            p.record(self.pcb.buffered_updates() as u64);
-        }
-        if let Some(p) = self.pub_probe.as_mut() {
-            p.record(self.pub_buf.len_blocks());
-        }
     }
 
     /// The eviction policy in force.
@@ -186,7 +155,6 @@ impl ThothEngine {
                 }
             }
         }
-        self.note_occupancies();
     }
 
     /// Evicts the oldest PUB block, classifying every entry and persisting
@@ -404,27 +372,6 @@ mod tests {
         assert_eq!(e.recovery_scan().len(), 1);
         e.clear();
         assert!(e.recovery_scan().is_empty());
-    }
-
-    #[test]
-    fn probes_track_pcb_and_pub_occupancy() {
-        let mut e = tiny_engine(100);
-        let mut h = ScriptedHost::new();
-        let pcb_cap = e.pcb_capacity_updates() as u64;
-        assert_eq!(pcb_cap, 18, "2 slots x 9 entries per 128 B block");
-        e.attach_probes(
-            QueueProbe::new("pcb", pcb_cap),
-            QueueProbe::new("pub", e.pub_buffer().capacity_blocks()),
-        );
-        for i in 0..19 {
-            e.insert(pu(i, false), &mut h);
-        }
-        let (pcb, pub_) = e.take_probes().expect("probes attached");
-        assert!(pcb.within_capacity());
-        assert!(pub_.within_capacity());
-        assert_eq!(pcb.samples(), 19, "one sample per insert");
-        assert_eq!(pub_.peak(), 1, "one packed block emitted");
-        assert!(e.take_probes().is_none());
     }
 
     #[test]

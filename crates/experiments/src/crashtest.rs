@@ -12,21 +12,13 @@
 
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use thoth_crashtest::{oracle_selftest, run_case, sweep_workload, SweepConfig, SweepResult};
 use thoth_sim::{CrashPlan, CrashSiteKind, Mode};
 use thoth_workloads::WorkloadKind;
 
 use std::fmt::Write as _;
-
-/// Tables plus an overall verdict (the binary exits non-zero on `!ok`).
-#[derive(Debug)]
-pub struct CrashtestOutcome {
-    /// Rendered result tables.
-    pub tables: Vec<Table>,
-    /// Every sampled point passed its audit and the oracle selftest held.
-    pub ok: bool,
-}
 
 /// Maps experiment settings onto a sweep configuration. `quick` trims the
 /// sample count to the CI smoke size.
@@ -64,9 +56,10 @@ pub fn sweep_modes() -> [Mode; 4] {
 /// Runs the sweep over the paper's five workloads plus the multi-tenant
 /// service core — under every mechanism in [`sweep_modes`] — plus the
 /// per-mode oracle selftests, writes `results/crashtest.json`, and
-/// reports the verdict.
+/// reports the verdict: `ok` when every sampled point passed its audit
+/// and the oracle selftest held.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool) -> CrashtestOutcome {
+pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
     let base = sweep_config(settings, quick);
     let mut sweeps: Vec<(Mode, SweepResult)> = Vec::new();
     for mode in sweep_modes() {
@@ -146,14 +139,14 @@ pub fn run(settings: ExpSettings, quick: bool) -> CrashtestOutcome {
 
     let ok = selftests.iter().all(|(_, r)| r.is_ok())
         && sweeps.iter().all(|(_, s)| s.all_passed());
-    CrashtestOutcome { tables: vec![t], ok }
+    Outcome { tables: vec![t], ok }
 }
 
 /// Replays a single crash point from a `WORKLOAD:SITE:N` spec (the
 /// reproduction recipe printed on failure) under `mode` and reports the
 /// full audit.
 #[must_use]
-pub fn run_point(settings: ExpSettings, spec: &str, mode: Mode) -> CrashtestOutcome {
+pub fn run_point(settings: ExpSettings, spec: &str, mode: Mode) -> Outcome {
     let (kind, plan) = parse_point(spec).unwrap_or_else(|| {
         eprintln!(
             "bad --point spec {spec:?}: expected WORKLOAD:SITE:N, \
@@ -191,7 +184,7 @@ pub fn run_point(settings: ExpSettings, spec: &str, mode: Mode) -> CrashtestOutc
     if !a.diagnostics.is_clean() {
         eprintln!("{}", a.diagnostics);
     }
-    CrashtestOutcome {
+    Outcome {
         tables: vec![t],
         ok: case.passed,
     }

@@ -31,6 +31,7 @@
 
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use thoth_crashtest::{audit_recovery, probe_grid, ShadowHeap, SweepConfig};
 use thoth_psan::{check_events, BLOCK_BYTES};
@@ -69,16 +70,6 @@ fn mode_case_count(quick: bool) -> usize {
 
 /// The YCSB mixes whose measured stats bias the fuzz corpus.
 const MIXES: [MixKind; 3] = [MixKind::A, MixKind::B, MixKind::F];
-
-/// Tables plus an overall verdict (the binary exits non-zero on `!ok`).
-#[derive(Debug)]
-pub struct FuzzOutcome {
-    /// Rendered result tables.
-    pub tables: Vec<Table>,
-    /// Every case fired its crash and all three observers agreed, and
-    /// the injected-disagreement selftest was caught and minimized.
-    pub ok: bool,
-}
 
 /// One case's observer verdicts.
 #[derive(Debug, Clone, Copy)]
@@ -272,9 +263,12 @@ fn case_count(quick: bool) -> usize {
 }
 
 /// Runs the fuzz sweep (or, with `trace`, replays one case parsed by
-/// [`parse_recipe`]), writes `results/fuzz.json`, and reports the verdict.
+/// [`parse_recipe`]), writes `results/fuzz.json`, and reports the
+/// verdict: `ok` when every case fired its crash and all three observers
+/// agreed, and the injected-disagreement selftest was caught and
+/// minimized.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool, trace: Option<(u64, u64, Mode)>) -> FuzzOutcome {
+pub fn run(settings: ExpSettings, quick: bool, trace: Option<(u64, u64, Mode)>) -> Outcome {
     let sweep_sim = SweepConfig::default();
     let sim = sweep_sim.sim_config();
     let stats: [MixStats; 3] = [
@@ -488,7 +482,7 @@ pub fn run(settings: ExpSettings, quick: bool, trace: Option<(u64, u64, Mode)>) 
     .expect("write results/fuzz.json");
     eprintln!("[thoth-experiments] wrote results/fuzz.json");
 
-    FuzzOutcome {
+    Outcome {
         tables: vec![t, t_modes, t_self],
         ok,
     }
@@ -510,7 +504,7 @@ pub fn parse_recipe(recipe: &str) -> Option<(u64, u64, Mode)> {
 }
 
 /// Replays one recipe's case verbosely.
-fn replay_trace(stats: &[MixStats; 3], (seed, anchor, mode): (u64, u64, Mode)) -> FuzzOutcome {
+fn replay_trace(stats: &[MixStats; 3], (seed, anchor, mode): (u64, u64, Mode)) -> Outcome {
     let sim = SweepConfig::default().with_mode(mode).sim_config();
     let (mix, nth, v, _) = run_case(&sim, stats, seed, Some(anchor));
     let mut t = Table::new(
@@ -529,7 +523,7 @@ fn replay_trace(stats: &[MixStats; 3], (seed, anchor, mode): (u64, u64, Mode)) -
         if v.shadow_agrees { "match" } else { "MISMATCH" }.to_owned(),
         if v.agree() { "agree" } else { "DISAGREE" }.to_owned(),
     ]);
-    FuzzOutcome {
+    Outcome {
         tables: vec![t],
         ok: v.agree(),
     }

@@ -47,6 +47,17 @@ pub mod telemetry;
 pub mod txsweep;
 pub mod wpqsweep;
 
+/// What a gated experiment (perf, crashtest, psan, fuzz, telemetry,
+/// service) returns: its tables plus an overall verdict, on which the
+/// binary exits non-zero when `false`.
+#[derive(Debug)]
+pub struct Outcome {
+    /// Rendered result tables.
+    pub tables: Vec<tablefmt::Table>,
+    /// The experiment's gate passed.
+    pub ok: bool,
+}
+
 /// Geometric mean of a slice (1.0 for empty input).
 #[must_use]
 pub fn gmean(xs: &[f64]) -> f64 {

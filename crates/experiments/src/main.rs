@@ -17,8 +17,8 @@
 use thoth_experiments::runner::ExpSettings;
 use thoth_experiments::tablefmt::Table;
 use thoth_experiments::{
-    ablation, cachesweep, crashtest, fig3, fuzz, headline, lifetime, perf, psan, recovery,
-    service, telemetry, txsweep, wpqsweep,
+    ablation, cachesweep, crashtest, fig3, fuzz, headline, lifetime, perf, psan, recovery, service,
+    telemetry, txsweep, wpqsweep, Outcome,
 };
 
 use std::path::PathBuf;
@@ -110,6 +110,20 @@ fn main() {
             }
         }
     };
+    // A gated experiment prints its tables, then exits 1 on a failed gate.
+    let gate = |out: Outcome, slug: &str, failure: &str| {
+        emit(out.tables, slug);
+        if !out.ok {
+            eprintln!("{slug}: FAILED ({failure})");
+            std::process::exit(1);
+        }
+    };
+    // perf, crashtest, psan, telemetry and service default to the quick
+    // trace scale so their runs replay quickly; --scale overrides.
+    let mut quick_default = settings;
+    if !scale_given {
+        quick_default.scale = ExpSettings::quick().scale;
+    }
 
     for exp in &wanted {
         let all = exp == "all";
@@ -127,87 +141,38 @@ fn main() {
             "fig11" => emit(cachesweep::run(settings), "fig11"),
             "fig12" => emit(wpqsweep::run(settings), "fig12"),
             "recovery" => emit(recovery::run(settings), "recovery"),
-            "perf" => {
-                // Perf trajectory defaults to the quick headline config so
-                // successive runs are comparable; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
-                let out = perf::run(s, &trajectory, expect_digest);
-                emit(out.tables, "perf");
-                if !out.ok {
-                    eprintln!("perf: FAILED (matrix digest does not match the pin)");
-                    std::process::exit(1);
-                }
-            }
+            "perf" => gate(
+                perf::run(quick_default, &trajectory, expect_digest),
+                "perf",
+                "matrix digest does not match the pin",
+            ),
             "crashtest" => {
-                // Crash sweeps default to the quick trace scale so each
-                // sampled point replays quickly; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
                 let out = match &point {
-                    Some(spec) => crashtest::run_point(s, spec, point_mode),
-                    None => crashtest::run(s, quick),
+                    Some(spec) => crashtest::run_point(quick_default, spec, point_mode),
+                    None => crashtest::run(quick_default, quick),
                 };
-                emit(out.tables, "crashtest");
-                if !out.ok {
-                    eprintln!("crashtest: FAILED (see reproduction recipe above)");
-                    std::process::exit(1);
-                }
+                gate(out, "crashtest", "see reproduction recipe above");
             }
-            "psan" => {
-                // Sanitizer runs default to the quick trace scale so the
-                // corpus replays quickly; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
-                let out = psan::run(s, quick);
-                emit(out.tables, "psan");
-                if !out.ok {
-                    eprintln!("psan: FAILED (missed bug or dirty clean run, see above)");
-                    std::process::exit(1);
-                }
-            }
-            "fuzz" => {
-                let out = fuzz::run(settings, quick || !scale_given, trace);
-                emit(out.tables, "fuzz");
-                if !out.ok {
-                    eprintln!("fuzz: FAILED (observer disagreement or blind selftest, see above)");
-                    std::process::exit(1);
-                }
-            }
-            "telemetry" => {
-                // Instrumented runs default to the quick trace scale so
-                // artifacts regenerate quickly; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
-                let out = telemetry::run(s);
-                emit(out.tables, "telemetry");
-                if !out.ok {
-                    eprintln!("telemetry: FAILED (non-neutral or invalid artifact, see above)");
-                    std::process::exit(1);
-                }
-            }
-            "service" => {
-                // The saturation sweep defaults to the quick trace scale
-                // so load points replay quickly; --scale overrides.
-                let mut s = settings;
-                if !scale_given {
-                    s.scale = ExpSettings::quick().scale;
-                }
-                let out = service::run(s, quick);
-                emit(out.tables, "service");
-                if !out.ok {
-                    eprintln!("service: FAILED (unpopulated quantiles or no knee, see above)");
-                    std::process::exit(1);
-                }
-            }
+            "psan" => gate(
+                psan::run(quick_default, quick),
+                "psan",
+                "missed bug or dirty clean run, see above",
+            ),
+            "fuzz" => gate(
+                fuzz::run(settings, quick || !scale_given, trace),
+                "fuzz",
+                "observer disagreement or blind selftest, see above",
+            ),
+            "telemetry" => gate(
+                telemetry::run(quick_default),
+                "telemetry",
+                "non-neutral or invalid artifact, see above",
+            ),
+            "service" => gate(
+                service::run(quick_default, quick),
+                "service",
+                "unpopulated quantiles or no knee, see above",
+            ),
             "ablation" => emit(ablation::run(settings), "ablation"),
             "lifetime" => emit(lifetime::run(settings), "lifetime"),
             "all" => {}

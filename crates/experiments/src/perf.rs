@@ -20,6 +20,7 @@
 use crate::headline::{matrix_digest, matrix_jobs};
 use crate::runner::{run_jobs_sequential, ExpSettings, TraceCache};
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -209,25 +210,18 @@ pub fn to_json(points: &[PerfSummary]) -> String {
     s
 }
 
-/// The harness outcome: tables for stdout plus the gate verdict (always
-/// `true` unless `--expect-digest` was given and mismatched).
-pub struct PerfOutcome {
-    /// Rendered tables, one per measured scale.
-    pub tables: Vec<Table>,
-    /// Whether the digest gate (if any) passed.
-    pub ok: bool,
-}
-
 /// Runs the harness, prints the per-scale tables, and either writes
 /// `results/BENCH_perf.json` (normal mode) or checks the matrix digest
 /// against a pin without touching the results file (gate mode).
 ///
 /// `trajectory` lists additional scales to measure beyond
 /// `settings.scale`; the primary scale is always the first recorded
-/// point. `expect_digest` switches to gate mode: only the primary scale
-/// runs, nothing is written, and `ok` is the comparison verdict.
+/// point, and the result has one table per measured scale.
+/// `expect_digest` switches to gate mode: only the primary scale runs,
+/// nothing is written, and `ok` is the comparison verdict (otherwise
+/// always `true`).
 #[must_use]
-pub fn run(settings: ExpSettings, trajectory: &[f64], expect_digest: Option<u64>) -> PerfOutcome {
+pub fn run(settings: ExpSettings, trajectory: &[f64], expect_digest: Option<u64>) -> Outcome {
     let summary = measure(settings);
     let mut tables = vec![table(&summary)];
 
@@ -244,7 +238,7 @@ pub fn run(settings: ExpSettings, trajectory: &[f64], expect_digest: Option<u64>
                 summary.matrix_digest, expected
             );
         }
-        return PerfOutcome { tables, ok };
+        return Outcome { tables, ok };
     }
 
     let mut points = vec![summary];
@@ -263,7 +257,7 @@ pub fn run(settings: ExpSettings, trajectory: &[f64], expect_digest: Option<u64>
     std::fs::write("results/BENCH_perf.json", to_json(&points))
         .expect("write results/BENCH_perf.json");
     eprintln!("[thoth-experiments] wrote results/BENCH_perf.json");
-    PerfOutcome { tables, ok: true }
+    Outcome { tables, ok: true }
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use thoth_psan::{
     analyze, detection, expected_class, race_manifested, seed_variant_under, workload_config,
@@ -78,16 +79,6 @@ const RACE_SITES: [(SeededBug, WorkloadKind); 4] = [
     (SeededBug::RelaxedSteal, WorkloadKind::Ctree),
     (SeededBug::CoverOverlap, WorkloadKind::Rbtree),
 ];
-
-/// Tables plus an overall verdict (the binary exits non-zero on `!ok`).
-#[derive(Debug)]
-pub struct PsanOutcome {
-    /// Rendered result tables.
-    pub tables: Vec<Table>,
-    /// Clean workloads were finding-free under every mode and every
-    /// planted bug was caught at its site.
-    pub ok: bool,
-}
 
 /// One clean-workload verdict (per mode).
 #[derive(Debug)]
@@ -187,9 +178,11 @@ fn plant(
 }
 
 /// Runs the clean sweep and the seeded-bug corpus, writes
-/// `results/psan.json`, and reports the verdict.
+/// `results/psan.json`, and reports the verdict: `ok` when clean
+/// workloads were finding-free under every mode and every planted bug
+/// was caught at its site.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
+pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
     let scale = settings.scale;
     let mut clean_rows = Vec::new();
     let mut corpus_rows = Vec::new();
@@ -330,7 +323,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> PsanOutcome {
     .expect("write results/psan.json");
     eprintln!("[thoth-experiments] wrote results/psan.json");
 
-    PsanOutcome {
+    Outcome {
         tables: vec![t_clean, t_corpus],
         ok,
     }

@@ -22,6 +22,7 @@
 
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use thoth_service::{run_modes, sweep_modes, PointResult};
 use thoth_workloads::service::{MixKind, ServiceSpec};
@@ -44,16 +45,6 @@ pub const MIX_COMPARE_LOAD: f64 = 6_000.0;
 /// The YCSB mixes the comparison section serves.
 pub const MIXES: [MixKind; 3] = [MixKind::A, MixKind::B, MixKind::F];
 
-/// Tables plus an overall verdict (the binary exits non-zero on `!ok`).
-#[derive(Debug)]
-pub struct ServiceOutcome {
-    /// Rendered result tables.
-    pub tables: Vec<Table>,
-    /// Every point has finite, monotone quantiles and each mechanism
-    /// shows a saturation knee.
-    pub ok: bool,
-}
-
 /// The base request-stream spec at the given settings: 4 cores serving
 /// 16 tenants under YCSB-A with 0.99 Zipfian skew, request counts scaled
 /// by `settings.scale` (1.0 = 2000 measured + 400 warm-up per core).
@@ -64,9 +55,11 @@ pub fn base_spec(settings: ExpSettings) -> ServiceSpec {
     spec.scaled(settings.scale)
 }
 
-/// Runs the sweep, writes both results files, and reports the verdict.
+/// Runs the sweep, writes both results files, and reports the verdict:
+/// `ok` when every point has finite, monotone quantiles and each
+/// mechanism shows a saturation knee.
 #[must_use]
-pub fn run(settings: ExpSettings, quick: bool) -> ServiceOutcome {
+pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
     let loads: &[f64] = if quick { &QUICK_LOADS } else { &FULL_LOADS };
     let spec = base_spec(settings);
     let modes = sweep_modes();
@@ -173,7 +166,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> ServiceOutcome {
         .expect("write results/BENCH_service.json");
     eprintln!("[thoth-experiments] wrote results/service.json and results/BENCH_service.json");
 
-    ServiceOutcome {
+    Outcome {
         tables: vec![t, t_mix],
         ok,
     }

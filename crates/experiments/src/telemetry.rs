@@ -19,19 +19,11 @@
 
 use crate::runner::{ExpSettings, TraceCache};
 use crate::tablefmt::Table;
+use crate::Outcome;
 
 use thoth_sim::{Mode, SecureNvm, SimConfig, TelemetryConfig};
 use thoth_telemetry::json;
 use thoth_workloads::WorkloadKind;
-
-/// Tables plus an overall verdict (the binary exits non-zero on `!ok`).
-#[derive(Debug)]
-pub struct TelemetryOutcome {
-    /// Rendered result tables.
-    pub tables: Vec<Table>,
-    /// Every point was neutral and produced valid artifacts.
-    pub ok: bool,
-}
 
 /// One instrumented point's verdicts.
 struct PointRow {
@@ -58,9 +50,10 @@ fn timeline_header() -> String {
 }
 
 /// Runs the instrumented matrix, writes `results/telemetry/`, and
-/// reports the verdict.
+/// reports the verdict: `ok` when every point was neutral and produced
+/// valid artifacts.
 #[must_use]
-pub fn run(settings: ExpSettings) -> TelemetryOutcome {
+pub fn run(settings: ExpSettings) -> Outcome {
     let out_dir = "results/telemetry";
     std::fs::create_dir_all(out_dir).expect("create results/telemetry");
     let mut cache = TraceCache::new(settings);
@@ -161,7 +154,7 @@ pub fn run(settings: ExpSettings) -> TelemetryOutcome {
     }
     eprintln!("[thoth-experiments] telemetry artifacts in {out_dir}/");
 
-    TelemetryOutcome {
+    Outcome {
         tables: vec![table],
         ok,
     }

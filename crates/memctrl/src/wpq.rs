@@ -4,7 +4,6 @@
 use thoth_nvm::fault::TORN_WRITE_UNIT;
 use thoth_nvm::{FaultConfig, NvmDevice, WriteCategory};
 use thoth_sim_engine::{Cycle, DetRng};
-use thoth_telemetry::QueueProbe;
 
 use std::collections::VecDeque;
 
@@ -149,9 +148,6 @@ pub struct Wpq {
     /// core; 0 = background). Set by the machine alongside the recorder
     /// context so drained entries carry cross-core provenance.
     origin: u32,
-    /// Telemetry probe recording occupancy after every insert/drain;
-    /// `None` (off) by default.
-    probe: Option<QueueProbe>,
 }
 
 impl Wpq {
@@ -176,7 +172,6 @@ impl Wpq {
             events: None,
             spare: Vec::new(),
             origin: 0,
-            probe: None,
         }
     }
 
@@ -186,23 +181,6 @@ impl Wpq {
     /// whose write it carries.
     pub fn set_origin(&mut self, mask: u32) {
         self.origin = mask;
-    }
-
-    /// Installs a telemetry probe recording occupancy after every
-    /// insert and drain.
-    pub fn attach_probe(&mut self, probe: QueueProbe) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes and returns the telemetry probe, if any.
-    pub fn take_probe(&mut self) -> Option<QueueProbe> {
-        self.probe.take()
-    }
-
-    fn note_occupancy(&mut self) {
-        if let Some(p) = self.probe.as_mut() {
-            p.record(self.entries.len() as u64);
-        }
     }
 
     /// Enables or disables [`WpqEvent`] recording. Enabling starts an
@@ -409,7 +387,6 @@ impl Wpq {
                 coalesced: true,
             });
             self.maybe_drain(now, nvm);
-            self.note_occupancy();
             return now;
         }
 
@@ -445,7 +422,6 @@ impl Wpq {
             coalesced: false,
         });
         self.maybe_drain(accept, nvm);
-        self.note_occupancy();
         accept
     }
 
@@ -460,7 +436,6 @@ impl Wpq {
         }
         self.committed = 0;
         self.earliest_done = None;
-        self.note_occupancy();
         last
     }
 
@@ -791,29 +766,6 @@ mod tests {
             }
         }
         assert!(saw_partial, "seeded sweep should produce a 64 B tear");
-    }
-
-    #[test]
-    fn probe_tracks_occupancy_within_capacity() {
-        let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 4,
-            drain_threshold: 4,
-            low_watermark: 0,
-        };
-        let mut q = Wpq::new(cfg);
-        q.attach_probe(QueueProbe::new("wpq", 4));
-        let stride = 16 * 128;
-        for i in 0..12u64 {
-            q.insert(Cycle(0), i * stride, block(0), WriteCategory::Data, &mut m);
-        }
-        q.drain_all(Cycle(0), &mut m);
-        let p = q.take_probe().expect("probe attached");
-        assert!(p.within_capacity(), "occupancy may never exceed capacity");
-        assert_eq!(p.peak(), 4);
-        assert_eq!(p.last(), 0, "drain_all empties the queue");
-        assert_eq!(p.samples(), 13, "one per insert plus the final drain");
-        assert!(q.take_probe().is_none());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::category::WriteCategory;
 use crate::wear::WearTracker;
 use thoth_sim_engine::{Cycle, FastMap, CYCLES_PER_NS};
-use thoth_telemetry::QueueProbe;
 
 /// Device capacity in bytes (Table I: 32 GB).
 pub const CAPACITY_BYTES: u64 = 32 << 30;
@@ -64,9 +63,6 @@ pub struct NvmDevice {
     writes_by_cat: [u64; WriteCategory::ALL.len()],
     /// Timed reads issued through [`Self::time_access`].
     timed_reads: u64,
-    /// Telemetry probe recording busy-bank counts per timed access.
-    /// `None` (the default) keeps the timing path probe-free.
-    probe: Option<QueueProbe>,
 }
 
 impl NvmDevice {
@@ -86,7 +82,6 @@ impl NvmDevice {
             wear: WearTracker::new(),
             writes_by_cat: [0; WriteCategory::ALL.len()],
             timed_reads: 0,
-            probe: None,
         }
     }
 
@@ -307,32 +302,17 @@ impl NvmDevice {
         if !is_write {
             self.timed_reads += 1;
         }
-        if let Some(mut p) = self.probe.take() {
-            p.record(self.queue_depth(now));
-            self.probe = Some(p);
-        }
         done
     }
 
     /// Number of banks still busy at `now` — the device-side queue-depth
-    /// proxy the telemetry timeline samples and the probe records.
+    /// proxy that telemetry reads after every retired op.
     #[must_use]
     pub fn queue_depth(&self, now: Cycle) -> u64 {
         self.bank_busy_until
             .iter()
             .filter(|&&until| until > now)
             .count() as u64
-    }
-
-    /// Installs a telemetry probe recording busy-bank counts at every
-    /// timed access.
-    pub fn attach_probe(&mut self, probe: QueueProbe) {
-        self.probe = Some(probe);
-    }
-
-    /// Removes and returns the telemetry probe, if any.
-    pub fn take_probe(&mut self) -> Option<QueueProbe> {
-        self.probe.take()
     }
 
     /// Resets all bank timing (not the functional state). Used between the
@@ -587,26 +567,5 @@ mod tests {
         // counts as busy at that earlier cycle.
         assert_eq!(d.time_access(Cycle(100), 0, true), Cycle(4000));
         assert_eq!(d.queue_depth(Cycle(100)), 2);
-    }
-
-    #[test]
-    fn probe_records_busy_banks_and_detaches() {
-        let mut d = dev();
-        let mut p = QueueProbe::new("nvm_banks", 16);
-        // The last access is stamped before the previous one and queues
-        // behind busy bank 0.
-        for (now, addr) in [(Cycle(0), 0), (Cycle(1000), 128), (Cycle(500), 0)] {
-            d.attach_probe(p);
-            d.time_access(now, addr, true);
-            p = d.take_probe().expect("probe attached");
-            assert_eq!(p.last(), d.queue_depth(now), "access at {now}");
-        }
-        assert_eq!(p.samples(), 3);
-        assert_eq!(p.peak(), 2);
-        assert!(p.within_capacity());
-        assert!(d.take_probe().is_none());
-        // Timing results are probe-independent.
-        let done = d.time_access(Cycle(0), 0, true);
-        assert_eq!(done, Cycle(6000));
     }
 }

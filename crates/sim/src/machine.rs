@@ -831,24 +831,17 @@ impl SecureNvm {
         (tap.fired, tap.persist.take().unwrap_or_default())
     }
 
-    /// Runs `trace` with the observability layer enabled per `tcfg`,
-    /// returning the (unchanged) timing report plus everything the
-    /// instrumentation recorded: counters, the epoch-sampled timeline,
-    /// per-queue occupancy summaries, and (with [`TelemetryConfig::trace`])
-    /// Chrome `trace_event` JSON.
-    ///
-    /// With `tcfg.enabled == false` this is exactly [`Self::run`] plus an
-    /// empty report — no sink or probe is ever installed.
+    /// Runs `trace` with the observability layer installed, returning the
+    /// (unchanged) timing report plus everything the instrumentation
+    /// recorded: counters, the epoch-sampled timeline, per-queue
+    /// occupancy summaries (one sample per retired op), and (with
+    /// [`TelemetryConfig::trace`]) Chrome `trace_event` JSON.
     pub fn run_telemetry(
         &mut self,
         trace: &MultiCoreTrace,
         tcfg: &TelemetryConfig,
     ) -> (SimReport, TelemetryReport) {
-        let tm = MachineTelemetry::new(*tcfg, trace.cores.len());
-        if !tcfg.enabled {
-            return (self.run(trace), tm.sink.finish());
-        }
-        MachineTelemetry::attach_probes(self);
+        let tm = MachineTelemetry::new(*tcfg, trace.cores.len(), self);
         // WPQ acceptance/drain counters (and, when tracing, the residency
         // arrows) come from the event log.
         let tap = Tap { telem: Some(tm), ..Tap::default() };

@@ -48,7 +48,7 @@ pub(crate) enum Event<'a> {
     /// PUB eviction consumed the block at `addr` at `now`.
     PubEvict { addr: u64, now: Cycle },
     /// Core `core` retired `op`, issued at `start`, at `end`; `machine`
-    /// is what the telemetry timeline samples.
+    /// is what telemetry's queue probes and timeline sample.
     Retired {
         core: usize,
         op: TraceOp,
@@ -165,6 +165,7 @@ impl Tap {
                 }
                 if let Some(tm) = self.telem.as_mut() {
                     tm.record_op(core, op, start.0, end.0);
+                    tm.record_queues(end, machine);
                     tm.sample(end, machine);
                 }
             }

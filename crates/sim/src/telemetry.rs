@@ -1,13 +1,16 @@
 //! The machine-side telemetry session: pre-registered stat handles,
-//! trace lanes, and the epoch-sampled timeline schema.
+//! trace lanes, queue probes, and the epoch-sampled timeline schema.
 //!
 //! `MachineTelemetry` wraps a [`TelemetrySink`] with everything the
-//! replay loop needs resolved up front — counter/histogram IDs and one
-//! tracer lane per core plus the memory-controller and PUB-engine lanes
-//! — so per-op recording is array indexing, never name lookup. It is one
-//! of the observers in the machine's instrumentation tap: plain runs
-//! carry no tap and pay one `None` check per instrumentation site (the
-//! differential test `telemetry_neutrality` pins byte-identical reports).
+//! replay loop needs resolved up front — counter/histogram IDs, one
+//! tracer lane per core plus the memory-controller and PUB-engine lanes,
+//! and one occupancy probe per persist-path queue — so per-op recording
+//! is array indexing, never name lookup. It is one of the observers in
+//! the machine's instrumentation tap, and the only place telemetry
+//! observes the machine: the substrates (WPQ, NVM banks, PCB/PUB) carry
+//! no probes. Plain runs carry no tap and pay one `None` check per
+//! instrumentation site (the differential test `telemetry_neutrality`
+//! pins byte-identical reports).
 
 use crate::machine::SecureNvm;
 
@@ -63,15 +66,20 @@ pub(crate) struct MachineTelemetry {
     core_lanes: Vec<u32>,
     mc_lane: u32,
     pub_lane: u32,
+    /// Occupancy probes over the WPQ, the NVM banks and, in Thoth modes,
+    /// the PCB and the PUB — in that order, the order of the
+    /// `-queues.csv` rows.
+    queues: Vec<QueueProbe>,
     /// End cycle of the most recently recorded op — the timestamp WPQ
     /// events (which carry none of their own) are stamped with.
     last_now: u64,
 }
 
 impl MachineTelemetry {
-    /// Builds the session for `cores` replay lanes.
+    /// Builds the session for `cores` replay lanes over machine `m`,
+    /// whose queue capacities bound the probes.
     #[must_use]
-    pub fn new(config: TelemetryConfig, cores: usize) -> Self {
+    pub fn new(config: TelemetryConfig, cores: usize, m: &SecureNvm) -> Self {
         let mut sink = TelemetrySink::new(config, TIMELINE_COLUMNS);
         let op = |sink: &mut TelemetrySink, name: &'static str, lat: &'static str| OpStat {
             counter: sink.registry.counter(name),
@@ -99,6 +107,16 @@ impl MachineTelemetry {
             }
             None => (vec![0; cores], 0, 0),
         };
+        let mut queues = vec![
+            QueueProbe::new("wpq", m.wpq.config().capacity as u64),
+            QueueProbe::new("nvm_banks", NUM_BANKS as u64),
+        ];
+        if let Some(engine) = m.thoth.as_ref() {
+            queues.extend([
+                QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),
+                QueueProbe::new("pub", engine.pub_buffer().capacity_blocks()),
+            ]);
+        }
         MachineTelemetry {
             sink,
             reads,
@@ -117,6 +135,7 @@ impl MachineTelemetry {
             core_lanes,
             mc_lane,
             pub_lane,
+            queues,
             last_now: 0,
         }
     }
@@ -137,6 +156,20 @@ impl MachineTelemetry {
         self.sink.registry.event(stat.counter, stat.latency, latency);
         if let Some(t) = self.sink.tracer.as_mut() {
             t.complete(self.core_lanes[core], name, start, latency);
+        }
+    }
+
+    /// Records the occupancy of every probed queue after an op retired
+    /// at `now`: WPQ entries, busy NVM banks, buffered PCB updates and
+    /// valid PUB blocks.
+    pub fn record_queues(&mut self, now: Cycle, m: &SecureNvm) {
+        let mut occupancy = [m.wpq.occupancy() as u64, m.nvm.queue_depth(now), 0, 0];
+        if let Some(engine) = m.thoth.as_ref() {
+            occupancy[2] = engine.pcb_buffered_updates() as u64;
+            occupancy[3] = engine.pub_buffer().len_blocks();
+        }
+        for (probe, occ) in self.queues.iter_mut().zip(occupancy) {
+            probe.record(occ);
         }
     }
 
@@ -220,39 +253,15 @@ impl MachineTelemetry {
         }
     }
 
-    /// Installs the occupancy probes the component crates own: the WPQ,
-    /// the NVM banks and, in Thoth modes, the PCB and PUB.
-    pub fn attach_probes(m: &mut SecureNvm) {
-        m.wpq
-            .attach_probe(QueueProbe::new("wpq", m.wpq.config().capacity as u64));
-        m.nvm
-            .attach_probe(QueueProbe::new("nvm_banks", NUM_BANKS as u64));
-        if let Some(engine) = m.thoth.as_mut() {
-            engine.attach_probes(
-                QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),
-                QueueProbe::new("pub", engine.pub_buffer().capacity_blocks()),
-            );
-        }
-    }
-
-    /// Ends the session: absorbs the probes and harvests the substrate
-    /// throughput counters — AES blocks encrypted by the hardware
-    /// backend, batched hash-kernel invocations (merkle + MAC), and
-    /// SipHash rows that went through the multi-lane SIMD kernel. These
-    /// are read once from the engines rather than recorded per event —
-    /// the hot paths stay telemetry-free.
-    pub fn harvest(mut self, m: &mut SecureNvm) -> TelemetryReport {
-        if let Some(p) = m.wpq.take_probe() {
-            self.sink.absorb_probe(&p);
-        }
-        if let Some(p) = m.nvm.take_probe() {
-            self.sink.absorb_probe(&p);
-        }
-        if let Some(engine) = m.thoth.as_mut() {
-            if let Some((pcb, pub_)) = engine.take_probes() {
-                self.sink.absorb_probe(&pcb);
-                self.sink.absorb_probe(&pub_);
-            }
+    /// Ends the session: absorbs the queue probes and harvests the
+    /// substrate throughput counters — AES blocks encrypted by the
+    /// hardware backend, batched hash-kernel invocations (merkle + MAC),
+    /// and SipHash rows that went through the multi-lane SIMD kernel.
+    /// These are read once from the engines rather than recorded per
+    /// event — the hot paths stay telemetry-free.
+    pub fn harvest(mut self, m: &SecureNvm) -> TelemetryReport {
+        for probe in &self.queues {
+            self.sink.absorb_probe(probe);
         }
         let registry = &mut self.sink.registry;
         registry.add(self.aes_hw_blocks, m.ctr_mode.hw_blocks());
@@ -265,10 +274,16 @@ impl MachineTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Mode, SimConfig};
+
+    fn machine(mode: Mode) -> SecureNvm {
+        SecureNvm::new(SimConfig::paper_default(mode, 128))
+    }
 
     #[test]
     fn op_stats_stay_in_lock_step() {
-        let mut tm = MachineTelemetry::new(TelemetryConfig::full(), 2);
+        let m = machine(Mode::baseline());
+        let mut tm = MachineTelemetry::new(TelemetryConfig::full(), 2, &m);
         tm.record_op(0, TraceOp::Read { addr: 0, len: 64 }, 100, 160);
         tm.record_op(1, TraceOp::Commit, 200, 200);
         tm.record_op(0, TraceOp::Read { addr: 64, len: 64 }, 160, 400);
@@ -284,7 +299,8 @@ mod tests {
 
     #[test]
     fn counters_only_skips_lanes() {
-        let mut tm = MachineTelemetry::new(TelemetryConfig::counters_only(), 1);
+        let m = machine(Mode::baseline());
+        let mut tm = MachineTelemetry::new(TelemetryConfig::counters_only(), 1, &m);
         tm.record_op(0, TraceOp::Fence, 0, 10);
         tm.record_pub_append(5);
         let category = thoth_nvm::WriteCategory::Data;
@@ -296,4 +312,5 @@ mod tests {
         assert_eq!(r.counter_value("wpq_accepts"), Some(1));
         assert_eq!(r.counter_value("wpq_drains"), Some(1));
     }
+
 }

@@ -1,6 +1,7 @@
 //! Property checks over telemetry gathered from real instrumented runs:
 //!
 //! * queue probes never observe an occupancy above the queue's capacity,
+//!   and every queue holds one sample per retired op,
 //! * per-op histograms stay in lock-step with their counters (histogram
 //!   count == counter value, so means are never computed over a
 //!   different population),
@@ -37,17 +38,31 @@ fn instrumented_run_invariants_hold() {
         let label = mode.label();
 
         // Probes: occupancy never exceeded capacity, and every queue the
-        // machine promises to instrument reported in.
+        // machine promises to instrument reported in, in row order.
         let names: Vec<&str> = telem.probes.iter().map(|p| p.name).collect();
-        for q in ["wpq", "nvm_banks"] {
-            assert!(names.contains(&q), "{label}: probe {q} missing");
-        }
-        if matches!(mode, Mode::Thoth(_)) {
-            for q in ["pcb", "pub"] {
-                assert!(names.contains(&q), "{label}: probe {q} missing");
-            }
-        }
+        let queues: &[&str] = match mode {
+            Mode::Thoth(_) => &["wpq", "nvm_banks", "pcb", "pub"],
+            _ => &["wpq", "nvm_banks"],
+        };
+        assert_eq!(names, queues, "{label}: probed queues");
+        let counter = |name| telem.registry.counter_value(name).expect("registered");
+        let retired: u64 = [
+            "ops_read",
+            "ops_store",
+            "ops_store_relaxed",
+            "ops_flush",
+            "ops_fence",
+            "ops_commit",
+        ]
+        .into_iter()
+        .map(counter)
+        .sum();
         for p in &telem.probes {
+            assert_eq!(
+                p.samples, retired,
+                "{label}: {} samples != retired ops",
+                p.name
+            );
             assert!(
                 p.peak <= p.capacity,
                 "{label}: {} peak {} exceeds capacity {}",

@@ -128,17 +128,3 @@ fn substrate_counters_present_and_neutral() {
         assert!(count("sip_simd_rows") > 0, "SIMD hash lanes never engaged");
     }
 }
-
-#[test]
-fn disabled_config_records_nothing_and_stays_neutral() {
-    let trace = trace_for(WorkloadKind::Swap);
-    let config = SimConfig::paper_default(Mode::thoth_wtsc(), 128);
-    let plain = run_trace(&config, &trace);
-    let mut machine = SecureNvm::new(config);
-    let (report, telem) = machine.run_telemetry(&trace, &TelemetryConfig::default());
-    assert_eq!(plain.digest(), report.digest());
-    assert_eq!(telem.registry.counter_value("ops_read"), Some(0));
-    assert!(telem.timeline.is_empty());
-    assert!(telem.trace_json.is_none());
-    assert!(telem.probes.is_empty());
-}

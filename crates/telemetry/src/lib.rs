@@ -9,17 +9,19 @@
 //!
 //! * [`Registry`] — typed counters and log2-bucketed histograms with a
 //!   dense, `&'static str`-keyed registry (no std hashing — this crate is
-//!   on the hot path when enabled),
+//!   on the hot path of an instrumented run),
 //! * [`Timeline`] — epoch-sampled series (occupancies, fill fractions,
 //!   per-mechanism persist bytes) emitted as CSV,
 //! * [`SpanTracer`] — a span/instant/async event tracer exporting Chrome
 //!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto,
-//! * [`QueueProbe`] — an embeddable occupancy recorder component crates
-//!   (`thoth-memctrl`, `thoth-core`, `thoth-nvm`) hold as
-//!   `Option<QueueProbe>`: disabled runs pay one branch, nothing else.
+//! * [`QueueProbe`] — an occupancy recorder for one bounded queue
+//!   (summarised as a [`ProbeSummary`]).
 //!
-//! Everything is off by default ([`TelemetryConfig::default`]); the
-//! simulator's differential test (`telemetry_neutrality`) proves that
+//! The machine records into this crate from one place, the telemetry
+//! observer on its instrumentation tap (`thoth-sim`), which samples the
+//! WPQ, the NVM banks, the PCB and the PUB after every retired op; no
+//! substrate crate depends on it. Plain runs install no sink at all, and
+//! the simulator's differential test (`telemetry_neutrality`) proves that
 //! instrumented and plain runs produce bit-identical reports. The crate
 //! records the simulated machine only: the experiment harness's progress
 //! lines and job scheduling stay in the harness, so a run's artifacts
@@ -47,13 +49,11 @@ pub const EPOCH_CYCLES: u64 = 10_000;
 /// counted as dropped instead of stored (bounded memory).
 pub const TRACE_CAP: usize = 200_000;
 
-/// What the instrumentation layer records. Off by default; every hook in
-/// the simulator checks its sink before doing any work, so a disabled run
-/// is byte-identical to an uninstrumented one.
+/// What an instrumented run records beyond its counters, histograms,
+/// timeline and queue probes, which it always records. The default is
+/// [`TelemetryConfig::counters_only`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Master switch. `false` means no sink is installed at all.
-    pub enabled: bool,
     /// Record the span tracer (per-core op spans, WPQ residency arrows,
     /// PUB append/evict instants).
     pub trace: bool,
@@ -63,19 +63,14 @@ impl TelemetryConfig {
     /// Everything on.
     #[must_use]
     pub fn full() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            trace: true,
-        }
+        TelemetryConfig { trace: true }
     }
 
-    /// Counters and timelines on, tracer off (cheapest useful setting).
+    /// Counters, timelines and queue probes on, tracer off (cheapest
+    /// useful setting).
     #[must_use]
     pub fn counters_only() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            trace: false,
-        }
+        TelemetryConfig { trace: false }
     }
 }
 
@@ -86,15 +81,13 @@ mod tests {
     #[test]
     fn default_is_off() {
         let c = TelemetryConfig::default();
-        assert!(!c.enabled);
-        assert!(!c.trace);
+        assert!(!c.trace, "the tracer is off unless asked for");
+        assert_eq!(c, TelemetryConfig::counters_only());
     }
 
     #[test]
     fn presets_enable() {
-        assert!(TelemetryConfig::full().enabled);
         assert!(TelemetryConfig::full().trace);
-        assert!(TelemetryConfig::counters_only().enabled);
         assert!(!TelemetryConfig::counters_only().trace);
     }
 }

@@ -1,11 +1,9 @@
-//! Embeddable occupancy probe for bounded queues.
+//! Occupancy probe for bounded queues.
 //!
-//! Component crates (`thoth-memctrl`, `thoth-core`, `thoth-nvm`) hold a
-//! probe as `Option<QueueProbe>`; the hot path pays a single `is_some`
-//! branch when telemetry is off. When on, every occupancy change is
-//! recorded into a log2 histogram plus a running peak, so the harvest
-//! step can check the structural invariant "occupancy never exceeded
-//! capacity" without sampling gaps.
+//! The machine's telemetry observer owns one probe per persist-path
+//! queue and records every queue's occupancy after each retired op into
+//! a log2 histogram plus a running peak; the report summarises each
+//! probe against the capacity it was created with.
 
 use crate::registry::Hist;
 
@@ -16,7 +14,6 @@ pub struct QueueProbe {
     capacity: u64,
     hist: Hist,
     peak: u64,
-    last: u64,
 }
 
 impl QueueProbe {
@@ -28,15 +25,13 @@ impl QueueProbe {
             capacity,
             hist: Hist::new(),
             peak: 0,
-            last: 0,
         }
     }
 
-    /// Records the queue's occupancy after a change.
+    /// Records one occupancy sample.
     pub fn record(&mut self, occupancy: u64) {
         self.hist.observe(occupancy);
         self.peak = self.peak.max(occupancy);
-        self.last = occupancy;
     }
 
     /// The probe's queue name.
@@ -57,12 +52,6 @@ impl QueueProbe {
         self.peak
     }
 
-    /// Most recently recorded occupancy.
-    #[must_use]
-    pub fn last(&self) -> u64 {
-        self.last
-    }
-
     /// Number of recorded samples.
     #[must_use]
     pub fn samples(&self) -> u64 {
@@ -75,8 +64,7 @@ impl QueueProbe {
         &self.hist
     }
 
-    /// `true` when every recorded occupancy stayed within capacity —
-    /// the invariant the property suite pins down for WPQ/PCB/PUB.
+    /// `true` when every recorded occupancy stayed within capacity.
     #[must_use]
     pub fn within_capacity(&self) -> bool {
         self.peak <= self.capacity
@@ -97,7 +85,6 @@ mod tests {
         assert_eq!(p.name(), "wpq");
         assert_eq!(p.capacity(), 64);
         assert_eq!(p.peak(), 7);
-        assert_eq!(p.last(), 5);
         assert_eq!(p.samples(), 6);
         assert!(p.within_capacity());
     }

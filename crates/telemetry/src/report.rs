@@ -1,8 +1,8 @@
 //! The live sink a run records into, and the immutable report it yields.
 //!
 //! [`TelemetrySink`] bundles the registry, the epoch timeline, and the
-//! optional tracer; the simulator owns one only when telemetry is
-//! enabled, so every hook is gated by a single `Option` check.
+//! optional tracer; the simulator owns one only in an instrumented run,
+//! so every hook is gated by a single `Option` check.
 //! [`TelemetrySink::finish`] freezes it into a [`TelemetryReport`] whose
 //! CSV/JSON renderers the experiments runner writes to
 //! `results/telemetry/`.

@@ -51,7 +51,6 @@ pub struct Span {
 pub struct SpanTracer {
     lanes: Vec<String>,
     events: Vec<Span>,
-    open: Vec<Vec<(&'static str, u64)>>,
     cap: usize,
     dropped: u64,
 }
@@ -64,7 +63,6 @@ impl SpanTracer {
         SpanTracer {
             lanes: Vec::new(),
             events: Vec::new(),
-            open: Vec::new(),
             cap,
             dropped: 0,
         }
@@ -76,7 +74,6 @@ impl SpanTracer {
             return i as u32;
         }
         self.lanes.push(name.to_string());
-        self.open.push(Vec::new());
         (self.lanes.len() - 1) as u32
     }
 
@@ -104,21 +101,6 @@ impl SpanTracer {
             dur,
             id: 0,
         });
-    }
-
-    /// Opens a nested span on `lane`; close it with [`SpanTracer::end`].
-    pub fn begin(&mut self, lane: u32, name: &'static str, ts: u64) {
-        self.open[lane as usize].push((name, ts));
-    }
-
-    /// Closes the innermost open span on `lane`, recording it as a
-    /// complete span. Returns `false` if nothing was open.
-    pub fn end(&mut self, lane: u32, ts: u64) -> bool {
-        let Some((name, start)) = self.open[lane as usize].pop() else {
-            return false;
-        };
-        self.complete(lane, name, start, ts.saturating_sub(start));
-        true
     }
 
     /// Records a point event.
@@ -171,37 +153,22 @@ impl SpanTracer {
     }
 
     /// Checks the structural invariant the property tests rely on, per
-    /// lane: complete spans are recorded in a monotone timestamp order —
-    /// non-decreasing starts (sequential `complete` calls) or
-    /// non-decreasing ends (`begin`/`end` stack discipline) — and the
-    /// span set is properly nested: any two spans on one lane are either
-    /// disjoint or one contains the other.
+    /// lane: complete spans are recorded in non-decreasing start order,
+    /// and the span set is properly nested: any two spans on one lane are
+    /// either disjoint or one contains the other.
     #[must_use]
     pub fn well_nested(&self) -> bool {
         let lanes = self.lanes.len().max(1);
         let mut per_lane: Vec<Vec<(u64, u64)>> = vec![Vec::new(); lanes];
-        let mut last: Vec<(u64, u64)> = vec![(0, 0); lanes];
-        let mut monotone: Vec<(bool, bool)> = vec![(true, true); lanes];
         for s in &self.events {
             if s.kind != SpanKind::Complete {
                 continue;
             }
             let lane = s.lane as usize;
-            if lane >= lanes {
+            if lane >= lanes || per_lane[lane].last().is_some_and(|&(ts, _)| s.ts < ts) {
                 return false;
             }
-            let end = s.ts.saturating_add(s.dur);
-            if s.ts < last[lane].0 {
-                monotone[lane].0 = false;
-            }
-            if end < last[lane].1 {
-                monotone[lane].1 = false;
-            }
-            last[lane] = (s.ts, end);
-            per_lane[lane].push((s.ts, end));
-        }
-        if monotone.iter().any(|&(starts, ends)| !starts && !ends) {
-            return false;
+            per_lane[lane].push((s.ts, s.ts.saturating_add(s.dur)));
         }
         for spans in &mut per_lane {
             // Sort by start, widest first on ties, then sweep a stack of
@@ -296,22 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_records_complete_span() {
-        let mut t = SpanTracer::new(16);
-        let lane = t.lane("core0");
-        t.begin(lane, "store", 100);
-        t.begin(lane, "persist", 110);
-        assert!(t.end(lane, 150));
-        assert!(t.end(lane, 200));
-        assert!(!t.end(lane, 210));
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events()[0].name, "persist");
-        assert_eq!(t.events()[0].dur, 40);
-        assert_eq!(t.events()[1].name, "store");
-        assert_eq!(t.events()[1].dur, 100);
-    }
-
-    #[test]
     fn cap_drops_rather_than_grows() {
         let mut t = SpanTracer::new(2);
         let lane = t.lane("core0");
@@ -368,31 +319,34 @@ mod tests {
 
     #[test]
     fn stack_discipline_is_always_well_nested() {
-        // Property: any sequence produced through begin/end with
-        // monotonically advancing time is well-nested and the export is
-        // syntactically valid JSON.
+        // Property: spans opened and closed in stack order with advancing
+        // time, recorded as complete spans in start order, are
+        // well-nested and export as syntactically valid JSON.
         check(50, |g| {
             let mut t = SpanTracer::new(4096);
             let lanes = [t.lane("core0"), t.lane("core1")];
             let mut now = 0u64;
-            let mut depth = [0usize; 2];
+            let mut open: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            let mut spans = Vec::new();
             for _ in 0..g.range_usize(1, 100) {
                 now += g.range(1, 50);
                 let li = g.range_usize(0, 2);
-                if depth[li] > 0 && g.bool() {
-                    t.end(lanes[li], now);
-                    depth[li] -= 1;
-                } else if depth[li] < 8 {
-                    t.begin(lanes[li], "op", now);
-                    depth[li] += 1;
+                if !open[li].is_empty() && g.bool() {
+                    let start = open[li].pop().expect("non-empty");
+                    spans.push((start, li, now));
+                } else if open[li].len() < 8 {
+                    open[li].push(now);
                 }
             }
-            for li in 0..2 {
-                while depth[li] > 0 {
+            for (li, stack) in open.iter_mut().enumerate() {
+                while let Some(start) = stack.pop() {
                     now += 1;
-                    t.end(lanes[li], now);
-                    depth[li] -= 1;
+                    spans.push((start, li, now));
                 }
+            }
+            spans.sort_unstable();
+            for (start, li, end) in spans {
+                t.complete(lanes[li], "op", start, end - start);
             }
             assert!(t.well_nested());
             crate::json::validate(&t.to_trace_json()).expect("valid JSON");

@@ -16,7 +16,6 @@
 //! ```
 
 use crate::runtime::TxRuntime;
-use thoth_sim_engine::DetRng;
 
 /// Maximum keys per node.
 const ORDER: usize = 8;
@@ -289,46 +288,6 @@ impl BTree {
     }
 }
 
-/// Runs the btree workload: an untraced pre-population phase loads
-/// `prepopulate` random keys (WHISPER's database-loading step), then each
-/// traced transaction is one lookup (pointer-chase reads) plus one
-/// insert/update of a `tx_size`-byte value.
-pub fn run(
-    rt: &mut TxRuntime,
-    rng: &mut DetRng,
-    prepopulate: usize,
-    txs: usize,
-    tx_size: usize,
-    keyspace: u64,
-    delete_per_mille: u16,
-) {
-    rt.set_tracing(false);
-    rt.begin();
-    let mut tree = BTree::create(rt, tx_size);
-    rt.commit();
-    for _ in 0..prepopulate {
-        rt.begin();
-        tree.insert(rt, rng.gen_range(keyspace), 0);
-        rt.commit();
-    }
-    rt.set_tracing(true);
-    for n in 0..txs {
-        let key = rng.gen_range(keyspace);
-        let probe = rng.gen_range(keyspace);
-        rt.begin();
-        let _ = tree.lookup(rt, probe);
-        // Mixed mutation: a delete-flavoured transaction removes the key
-        // if present, otherwise falls back to inserting it (so every
-        // transaction mutates and the structure size stays balanced).
-        let deleting =
-            delete_per_mille > 0 && rng.gen_range(1000) < u64::from(delete_per_mille);
-        if !(deleting && tree.delete(rt, key)) {
-            tree.insert(rt, key, n as u64);
-        }
-        rt.commit();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,14 +412,5 @@ mod tests {
         let bytes = rt.heap().read(blob, 128);
         assert_eq!(bytes[0], 0xAB);
         assert_eq!(bytes[1], 0xAC);
-    }
-
-    #[test]
-    fn run_emits_transactions() {
-        let mut rt = TxRuntime::new(0);
-        let mut rng = DetRng::seed_from(1);
-        run(&mut rt, &mut rng, 20, 50, 128, 1000, 0);
-        assert_eq!(rt.stats().txs, 50, "only traced txs count");
-        assert!(rt.stats().stores > 100);
     }
 }

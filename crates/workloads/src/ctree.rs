@@ -14,7 +14,6 @@
 //! leaf (16 B) `key | value ptr`.
 
 use crate::runtime::TxRuntime;
-use thoth_sim_engine::DetRng;
 
 const NIL: u64 = 0;
 const LEAF_TAG: u64 = 1;
@@ -214,48 +213,10 @@ impl CritBitTree {
     }
 }
 
-/// Runs the ctree workload: untraced pre-population of `prepopulate`
-/// keys, then per traced transaction one lookup plus one insert/update of
-/// a `tx_size`-byte value.
-pub fn run(
-    rt: &mut TxRuntime,
-    rng: &mut DetRng,
-    prepopulate: usize,
-    txs: usize,
-    tx_size: usize,
-    keyspace: u64,
-    delete_per_mille: u16,
-) {
-    rt.set_tracing(false);
-    rt.begin();
-    let mut tree = CritBitTree::create(rt, tx_size);
-    rt.commit();
-    for _ in 0..prepopulate {
-        rt.begin();
-        tree.insert(rt, rng.gen_range(keyspace), 0);
-        rt.commit();
-    }
-    rt.set_tracing(true);
-    for n in 0..txs {
-        let key = rng.gen_range(keyspace);
-        let probe = rng.gen_range(keyspace);
-        rt.begin();
-        let _ = tree.lookup(rt, probe);
-        // Mixed mutation: a delete-flavoured transaction removes the key
-        // if present, otherwise falls back to inserting it (so every
-        // transaction mutates and the structure size stays balanced).
-        let deleting =
-            delete_per_mille > 0 && rng.gen_range(1000) < u64::from(delete_per_mille);
-        if !(deleting && tree.delete(rt, key)) {
-            tree.insert(rt, key, n as u64);
-        }
-        rt.commit();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thoth_sim_engine::DetRng;
 
     fn fresh() -> (TxRuntime, CritBitTree) {
         let mut rt = TxRuntime::new(0x400_0000);
@@ -378,13 +339,5 @@ mod tests {
         // value blob + leaf + internal node + 1 logged pointer (log+data)
         // + commit record = 6 stores.
         assert_eq!(stores, 6);
-    }
-
-    #[test]
-    fn run_commits_all() {
-        let mut rt = TxRuntime::new(0);
-        let mut rng = DetRng::seed_from(2);
-        run(&mut rt, &mut rng, 10, 25, 64, 100, 0);
-        assert_eq!(rt.stats().txs, 25);
     }
 }

@@ -10,7 +10,6 @@
 //! Entry layout (24 bytes): `key (u64) | value ptr (u64) | next (u64)`.
 
 use crate::runtime::TxRuntime;
-use thoth_sim_engine::DetRng;
 
 const ENTRY_BYTES: u64 = 24;
 const NIL: u64 = 0;
@@ -126,45 +125,6 @@ impl HashMapPm {
     }
 }
 
-/// Runs the hashmap workload: untraced pre-population of `prepopulate`
-/// keys, then per traced transaction one lookup plus one insert/update of
-/// a `tx_size`-byte value.
-pub fn run(
-    rt: &mut TxRuntime,
-    rng: &mut DetRng,
-    prepopulate: usize,
-    txs: usize,
-    tx_size: usize,
-    keyspace: u64,
-    delete_per_mille: u16,
-) {
-    rt.set_tracing(false);
-    rt.begin();
-    let mut map = HashMapPm::create(rt, (keyspace / 2).max(16), tx_size);
-    rt.commit();
-    for _ in 0..prepopulate {
-        rt.begin();
-        map.insert(rt, rng.gen_range(keyspace), 0);
-        rt.commit();
-    }
-    rt.set_tracing(true);
-    for n in 0..txs {
-        let key = rng.gen_range(keyspace);
-        let probe = rng.gen_range(keyspace);
-        rt.begin();
-        let _ = map.lookup(rt, probe);
-        // Mixed mutation: a delete-flavoured transaction removes the key
-        // if present, otherwise falls back to inserting it (so every
-        // transaction mutates and the structure size stays balanced).
-        let deleting =
-            delete_per_mille > 0 && rng.gen_range(1000) < u64::from(delete_per_mille);
-        if !(deleting && map.delete(rt, key)) {
-            map.insert(rt, key, n as u64);
-        }
-        rt.commit();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,14 +216,6 @@ mod tests {
         rt.commit();
         let blob = map.lookup(&mut rt, 1).unwrap();
         assert_eq!(rt.heap().read(blob, 2), [0x10, 0x11]);
-    }
-
-    #[test]
-    fn run_commits_all() {
-        let mut rt = TxRuntime::new(0);
-        let mut rng = DetRng::seed_from(11);
-        run(&mut rt, &mut rng, 10, 30, 128, 200, 0);
-        assert_eq!(rt.stats().txs, 30);
     }
 
     #[test]

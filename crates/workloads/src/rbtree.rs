@@ -18,7 +18,6 @@
 //! ```
 
 use crate::runtime::TxRuntime;
-use thoth_sim_engine::DetRng;
 
 const NODE_BYTES: u64 = 48;
 const NIL: u64 = 0;
@@ -314,46 +313,10 @@ impl RbTree {
     }
 }
 
-/// Runs the rbtree workload: untraced pre-population of `prepopulate`
-/// keys, then per traced transaction one lookup plus one insert/update of
-/// a `tx_size`-byte value.
-pub fn run(
-    rt: &mut TxRuntime,
-    rng: &mut DetRng,
-    prepopulate: usize,
-    txs: usize,
-    tx_size: usize,
-    keyspace: u64,
-    delete_per_mille: u16,
-) {
-    let mut tree = RbTree::create(tx_size);
-    rt.set_tracing(false);
-    for _ in 0..prepopulate {
-        rt.begin();
-        tree.insert(rt, rng.gen_range(keyspace), 0);
-        rt.commit();
-    }
-    rt.set_tracing(true);
-    for n in 0..txs {
-        let key = rng.gen_range(keyspace);
-        let probe = rng.gen_range(keyspace);
-        rt.begin();
-        let _ = tree.lookup(rt, probe);
-        // Mixed mutation: a delete-flavoured transaction removes the key
-        // if present, otherwise falls back to inserting it (so every
-        // transaction mutates and the structure size stays balanced).
-        let deleting =
-            delete_per_mille > 0 && rng.gen_range(1000) < u64::from(delete_per_mille);
-        if !(deleting && tree.delete(rt, key)) {
-            tree.insert(rt, key, n as u64);
-        }
-        rt.commit();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thoth_sim_engine::DetRng;
 
     fn rt() -> TxRuntime {
         TxRuntime::new(0x200_0000)
@@ -461,13 +424,5 @@ mod tests {
             .filter(|op| matches!(op, crate::runtime::TraceOp::Store { len: 8, .. }))
             .count();
         assert!(small_stores > 50, "got {small_stores}");
-    }
-
-    #[test]
-    fn run_commits_all_transactions() {
-        let mut rt = rt();
-        let mut rng = DetRng::seed_from(3);
-        run(&mut rt, &mut rng, 10, 40, 64, 500, 0);
-        assert_eq!(rt.stats().txs, 40);
     }
 }

@@ -182,7 +182,6 @@ pub struct TxRuntime {
     /// Index-aligned with `trace`.
     classes: Vec<OpClass>,
     log_base: u64,
-    log_cap: u64,
     log_head: u64,
     in_tx: bool,
     stores_in_tx: u64,
@@ -199,8 +198,13 @@ pub struct TxRuntime {
 }
 
 /// Undo-log region size per core (1 MiB; transactions are far smaller).
-/// One undo record (header plus old bytes) must fit in it.
+/// One transaction's undo records (headers plus old bytes) must fit in
+/// it ahead of the commit record slot.
 const LOG_CAP: u64 = 1 << 20;
+
+/// Commit record slot: the last 8 bytes of the log hold the sequence
+/// number of the last committed transaction.
+const COMMIT_SLOT: u64 = 8;
 
 /// Undo-log entry header: target address (8 B) + length (8 B).
 const LOG_HDR: u64 = 16;
@@ -217,7 +221,6 @@ impl TxRuntime {
             trace: Vec::new(),
             classes: Vec::new(),
             log_base,
-            log_cap: LOG_CAP,
             log_head: 0,
             in_tx: false,
             stores_in_tx: 0,
@@ -334,18 +337,19 @@ impl TxRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if the record is larger than the log: wrapping could not
-    /// make room, and the store would run past the log region into the
-    /// heap data after it.
+    /// Panics if the record would reach into the commit record slot: the
+    /// log does not wrap (wrapping would overwrite the open transaction's
+    /// own earlier records), and a longer record would overwrite the
+    /// previous transaction's sequence number or run past the log region
+    /// into the heap data after it.
     fn log_append(&mut self, addr: u64, len: usize) {
         let need = LOG_HDR + len as u64;
+        let end = self.log_head + need;
         assert!(
-            need <= self.log_cap,
-            "undo record of {need} bytes exceeds the {LOG_CAP}-byte undo log"
+            end <= LOG_CAP - COMMIT_SLOT,
+            "undo record of {need} bytes ending at log offset {end} exceeds the \
+             {LOG_CAP}-byte undo log (its last {COMMIT_SLOT} bytes hold the commit record)"
         );
-        if self.log_head + need > self.log_cap {
-            self.log_head = 0; // circular; validity is bounded by the commit record
-        }
         let dst = self.log_base + self.log_head;
         let mut rec = std::mem::take(&mut self.scratch);
         rec.clear();
@@ -435,7 +439,7 @@ impl TxRuntime {
         // slot. Read-only transactions persist nothing and need no
         // record (nor a persist barrier).
         if self.stores_in_tx > 0 {
-            let rec_addr = self.log_base + self.log_cap - 8;
+            let rec_addr = self.log_base + LOG_CAP - COMMIT_SLOT;
             let seq = self.stats.txs + 1;
             self.raw_store(rec_addr, &seq.to_le_bytes(), OpClass::CommitRecord);
             if self.tracing {
@@ -546,19 +550,20 @@ mod tests {
     }
 
     #[test]
-    fn log_wraps_without_overflowing_region() {
+    fn every_transaction_logs_from_the_start_of_the_log() {
         let mut rt = TxRuntime::new(0);
         let p = rt.alloc(4096);
         rt.begin();
         rt.write_new(p, &vec![1u8; 4096]);
         rt.commit();
-        // Many large logged updates exceed the 1 MB log: must wrap.
+        // 600 transactions log 2.4 MB in all, more than the 1 MiB log,
+        // but each one starts over at offset 0.
         for _ in 0..600 {
             rt.begin();
             rt.write(p, &vec![2u8; 4096]);
             rt.commit();
+            assert_eq!(rt.log_head, LOG_HDR + 4096);
         }
-        assert!(rt.log_head <= rt.log_cap);
     }
 
     #[test]
@@ -570,6 +575,28 @@ mod tests {
         let p = rt.alloc(2 << 20);
         rt.begin();
         rt.write(p, &vec![1u8; 2 << 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 1048576-byte undo log")]
+    fn undo_record_may_not_reach_the_commit_slot() {
+        // Header plus old bytes end 8 bytes past the slot's start.
+        let mut rt = TxRuntime::new(0);
+        let p = rt.alloc(LOG_CAP);
+        rt.begin();
+        rt.write(p, &vec![7u8; (LOG_CAP - LOG_HDR) as usize]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 1048576-byte undo log")]
+    fn undo_records_of_one_transaction_may_not_wrap() {
+        // Each record fits alone; together they pass the commit slot.
+        let mut rt = TxRuntime::new(0);
+        let half = (LOG_CAP / 2) as usize;
+        let p = rt.alloc(2 * half as u64);
+        rt.begin();
+        rt.write(p, &vec![7u8; half]);
+        rt.write(p + half as u64, &vec![7u8; half]);
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! instance of the benchmark for at least 5000 warm-up transactions before
 //! measurement, with command-line-configurable transaction sizes.
 
+use crate::btree::BTree;
+use crate::ctree::CritBitTree;
+use crate::hashmap::HashMapPm;
+use crate::rbtree::RbTree;
 use crate::runtime::{AnnotatedTrace, MultiCoreTrace, TxRuntime};
-use crate::{btree, ctree, hashmap, queue, rbtree, service, swap};
+use crate::{queue, service, swap};
 use thoth_sim_engine::DetRng;
 
 /// The five benchmarks of the paper's evaluation.
@@ -210,51 +214,17 @@ pub fn generate_annotated(config: WorkloadConfig) -> AnnotatedTrace {
         let mut rng = master.fork();
         let mut rt = TxRuntime::new(core_heap_base(core));
         let txs = config.warmup_txs_per_core + config.txs_per_core;
-        let prepop = config.prepopulate as usize;
+        let size = config.tx_size;
         match config.kind {
-            WorkloadKind::Btree => {
-                btree::run(
-                &mut rt,
-                &mut rng,
-                prepop,
-                txs,
-                config.tx_size,
-                config.footprint,
-                config.delete_per_mille,
-            );
-            }
-            WorkloadKind::Rbtree => {
-                rbtree::run(
-                &mut rt,
-                &mut rng,
-                prepop,
-                txs,
-                config.tx_size,
-                config.footprint,
-                config.delete_per_mille,
-            );
-            }
-            WorkloadKind::Hashmap => {
-                hashmap::run(
-                &mut rt,
-                &mut rng,
-                prepop,
-                txs,
-                config.tx_size,
-                config.footprint,
-                config.delete_per_mille,
-            );
-            }
+            WorkloadKind::Btree => run_kv(&mut rt, &mut rng, &config, |rt| BTree::create(rt, size)),
+            WorkloadKind::Rbtree => run_kv(&mut rt, &mut rng, &config, |_| RbTree::create(size)),
+            WorkloadKind::Hashmap => run_kv(&mut rt, &mut rng, &config, |rt| {
+                HashMapPm::create(rt, (config.footprint / 2).max(16), size)
+            }),
             WorkloadKind::Ctree => {
-                ctree::run(
-                &mut rt,
-                &mut rng,
-                prepop,
-                txs,
-                config.tx_size,
-                config.footprint,
-                config.delete_per_mille,
-            );
+                run_kv(&mut rt, &mut rng, &config, |rt| {
+                    CritBitTree::create(rt, size)
+                });
             }
             WorkloadKind::Swap => swap::run(&mut rt, &mut rng, txs, config.tx_size, config.footprint),
             WorkloadKind::Queue => {
@@ -264,7 +234,7 @@ pub fn generate_annotated(config: WorkloadConfig) -> AnnotatedTrace {
                 service::run_closed(
                     &mut rt,
                     &mut rng,
-                    prepop,
+                    config.prepopulate as usize,
                     txs,
                     config.tx_size,
                     config.footprint,
@@ -281,6 +251,77 @@ pub fn generate_annotated(config: WorkloadConfig) -> AnnotatedTrace {
             warmup_txs_per_core: config.warmup_txs_per_core,
         },
         classes,
+    }
+}
+
+/// What the key-value workload loop [`run_kv`] needs of an index
+/// structure.
+trait KvStore {
+    /// The value blob stored under `key`, if any.
+    fn lookup(&self, rt: &mut TxRuntime, key: u64) -> Option<u64>;
+    /// Inserts or updates `key` with a fresh value blob filled from `fill`.
+    fn insert(&mut self, rt: &mut TxRuntime, key: u64, fill: u64);
+    /// Removes `key`; `false` when it was absent.
+    fn delete(&mut self, rt: &mut TxRuntime, key: u64) -> bool;
+}
+
+/// Each index structure's inherent `lookup`, `insert` and `delete` are
+/// its [`KvStore`] implementation.
+macro_rules! kv_store {
+    ($($ty:ty),*) => {$(
+        impl KvStore for $ty {
+            fn lookup(&self, rt: &mut TxRuntime, key: u64) -> Option<u64> {
+                <$ty>::lookup(self, rt, key)
+            }
+            fn insert(&mut self, rt: &mut TxRuntime, key: u64, fill: u64) {
+                <$ty>::insert(self, rt, key, fill);
+            }
+            fn delete(&mut self, rt: &mut TxRuntime, key: u64) -> bool {
+                <$ty>::delete(self, rt, key)
+            }
+        }
+    )*};
+}
+
+kv_store!(BTree, RbTree, CritBitTree, HashMapPm);
+
+/// Runs one core of a key-value workload (btree, rbtree, hashmap,
+/// ctree) on the structure `create` builds. An untraced transaction
+/// builds it and an untraced pre-population loads `config.prepopulate`
+/// random keys (WHISPER's database-loading step); then each traced
+/// transaction is one lookup (pointer-chase reads) plus one
+/// insert/update of a value blob of the size `create` fixed.
+fn run_kv<S: KvStore>(
+    rt: &mut TxRuntime,
+    rng: &mut DetRng,
+    config: &WorkloadConfig,
+    create: impl FnOnce(&mut TxRuntime) -> S,
+) {
+    let keyspace = config.footprint;
+    rt.set_tracing(false);
+    rt.begin();
+    let mut store = create(rt);
+    rt.commit();
+    for _ in 0..config.prepopulate {
+        rt.begin();
+        store.insert(rt, rng.gen_range(keyspace), 0);
+        rt.commit();
+    }
+    rt.set_tracing(true);
+    for n in 0..config.warmup_txs_per_core + config.txs_per_core {
+        let key = rng.gen_range(keyspace);
+        let probe = rng.gen_range(keyspace);
+        rt.begin();
+        let _ = store.lookup(rt, probe);
+        // Mixed mutation: a delete-flavoured transaction removes the key
+        // if present, otherwise falls back to inserting it (so every
+        // transaction mutates and the structure size stays balanced).
+        let per_mille = config.delete_per_mille;
+        let deleting = per_mille > 0 && rng.gen_range(1000) < u64::from(per_mille);
+        if !(deleting && store.delete(rt, key)) {
+            store.insert(rt, key, n as u64);
+        }
+        rt.commit();
     }
 }
 
@@ -307,6 +348,35 @@ mod tests {
             assert_eq!(trace.cores.len(), 2, "{kind}");
             assert!(trace.total_stores() > 0, "{kind}");
             assert!(trace.total_txs() > 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn kv_workloads_trace_exactly_their_transactions() {
+        // Every traced transaction mutates (a delete of an absent key
+        // inserts instead), so each ends in one commit; the untraced
+        // set-up and pre-population add none.
+        for kind in [
+            WorkloadKind::Btree,
+            WorkloadKind::Rbtree,
+            WorkloadKind::Hashmap,
+            WorkloadKind::Ctree,
+        ] {
+            for delete_per_mille in [0, 300] {
+                let cfg = WorkloadConfig {
+                    delete_per_mille,
+                    ..quick(kind)
+                };
+                let per_core = cfg.warmup_txs_per_core + cfg.txs_per_core;
+                let trace = generate(cfg);
+                for ops in &trace.cores {
+                    let commits = ops
+                        .iter()
+                        .filter(|op| matches!(op, TraceOp::Commit))
+                        .count();
+                    assert_eq!(commits, per_core, "{kind} delete={delete_per_mille}");
+                }
+            }
         }
     }
 
