@@ -291,6 +291,8 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{kv_config, run_kv, WorkloadKind};
+    use thoth_sim_engine::DetRng;
 
     fn fresh() -> (TxRuntime, BTree) {
         let mut rt = TxRuntime::new(0x100_0000);
@@ -412,5 +414,15 @@ mod tests {
         let bytes = rt.heap().read(blob, 128);
         assert_eq!(bytes[0], 0xAB);
         assert_eq!(bytes[1], 0xAC);
+    }
+
+    #[test]
+    fn run_emits_transactions() {
+        let mut rt = TxRuntime::new(0);
+        let mut rng = DetRng::seed_from(1);
+        let cfg = kv_config(WorkloadKind::Btree, 20, 50, 128, 1000);
+        run_kv(&mut rt, &mut rng, &cfg, |rt| BTree::create(rt, 128));
+        assert_eq!(rt.stats().txs, 50, "only traced txs count");
+        assert!(rt.stats().stores > 100);
     }
 }

@@ -216,6 +216,7 @@ impl CritBitTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{kv_config, run_kv, WorkloadKind};
     use thoth_sim_engine::DetRng;
 
     fn fresh() -> (TxRuntime, CritBitTree) {
@@ -339,5 +340,14 @@ mod tests {
         // value blob + leaf + internal node + 1 logged pointer (log+data)
         // + commit record = 6 stores.
         assert_eq!(stores, 6);
+    }
+
+    #[test]
+    fn run_commits_all() {
+        let mut rt = TxRuntime::new(0);
+        let mut rng = DetRng::seed_from(2);
+        let cfg = kv_config(WorkloadKind::Ctree, 10, 25, 64, 100);
+        run_kv(&mut rt, &mut rng, &cfg, |rt| CritBitTree::create(rt, 64));
+        assert_eq!(rt.stats().txs, 25);
     }
 }

@@ -128,6 +128,8 @@ impl HashMapPm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{kv_config, run_kv, WorkloadKind};
+    use thoth_sim_engine::DetRng;
 
     fn fresh(buckets: u64) -> (TxRuntime, HashMapPm) {
         let mut rt = TxRuntime::new(0x300_0000);
@@ -216,6 +218,15 @@ mod tests {
         rt.commit();
         let blob = map.lookup(&mut rt, 1).unwrap();
         assert_eq!(rt.heap().read(blob, 2), [0x10, 0x11]);
+    }
+
+    #[test]
+    fn run_commits_all() {
+        let mut rt = TxRuntime::new(0);
+        let mut rng = DetRng::seed_from(11);
+        let cfg = kv_config(WorkloadKind::Hashmap, 10, 30, 128, 200);
+        run_kv(&mut rt, &mut rng, &cfg, |rt| HashMapPm::create(rt, 100, 128));
+        assert_eq!(rt.stats().txs, 30);
     }
 
     #[test]

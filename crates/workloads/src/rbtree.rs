@@ -316,6 +316,7 @@ impl RbTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{kv_config, run_kv, WorkloadKind};
     use thoth_sim_engine::DetRng;
 
     fn rt() -> TxRuntime {
@@ -424,5 +425,14 @@ mod tests {
             .filter(|op| matches!(op, crate::runtime::TraceOp::Store { len: 8, .. }))
             .count();
         assert!(small_stores > 50, "got {small_stores}");
+    }
+
+    #[test]
+    fn run_commits_all_transactions() {
+        let mut rt = rt();
+        let mut rng = DetRng::seed_from(3);
+        let cfg = kv_config(WorkloadKind::Rbtree, 10, 40, 64, 500);
+        run_kv(&mut rt, &mut rng, &cfg, |_| RbTree::create(64));
+        assert_eq!(rt.stats().txs, 40);
     }
 }

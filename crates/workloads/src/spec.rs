@@ -256,7 +256,7 @@ pub fn generate_annotated(config: WorkloadConfig) -> AnnotatedTrace {
 
 /// What the key-value workload loop [`run_kv`] needs of an index
 /// structure.
-trait KvStore {
+pub(crate) trait KvStore {
     /// The value blob stored under `key`, if any.
     fn lookup(&self, rt: &mut TxRuntime, key: u64) -> Option<u64>;
     /// Inserts or updates `key` with a fresh value blob filled from `fill`.
@@ -291,7 +291,7 @@ kv_store!(BTree, RbTree, CritBitTree, HashMapPm);
 /// random keys (WHISPER's database-loading step); then each traced
 /// transaction is one lookup (pointer-chase reads) plus one
 /// insert/update of a value blob of the size `create` fixed.
-fn run_kv<S: KvStore>(
+pub(crate) fn run_kv<S: KvStore>(
     rt: &mut TxRuntime,
     rng: &mut DetRng,
     config: &WorkloadConfig,
@@ -322,6 +322,28 @@ fn run_kv<S: KvStore>(
             store.insert(rt, key, n as u64);
         }
         rt.commit();
+    }
+}
+
+/// A one-core, insert/update-only [`run_kv`] configuration with no
+/// warm-up: `prepopulate` untraced inserts, then `txs` traced
+/// transactions of `tx_size`-byte values over `keyspace` keys.
+#[cfg(test)]
+pub(crate) fn kv_config(
+    kind: WorkloadKind,
+    prepopulate: u64,
+    txs: usize,
+    tx_size: usize,
+    keyspace: u64,
+) -> WorkloadConfig {
+    WorkloadConfig {
+        cores: 1,
+        warmup_txs_per_core: 0,
+        txs_per_core: txs,
+        tx_size,
+        footprint: keyspace,
+        prepopulate,
+        ..WorkloadConfig::paper_default(kind)
     }
 }
 
