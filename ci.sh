@@ -107,6 +107,50 @@ if [ -n "$drift" ]; then
     echo "$drift"
     exit 1
 fi
+
+stage "line counts per crate (informational; compare two trees for the deltas)"
+# Non-test and test .rs lines of each workspace crate and of the root
+# package. Test lines are whole files under a tests/ directory plus, in
+# any other file, everything from a `#[cfg(test)]` that gates a `mod`
+# onward; a `#[cfg(test)]` on a single item stays non-test.
+mapfile -t rs_files < <(find src tests examples crates -name '*.rs' | sort)
+echo " non-test      test  crate"
+awk '
+    function crate_of(path, part) {
+        split(path, part, "/")
+        return part[1] == "crates" ? "crates/" part[2] : "."
+    }
+    function flush_held(as_test) {
+        if (as_test) test[crate] += held; else code[crate] += held
+        held = 0
+    }
+    FILENAME ~ /Cargo\.toml$/ {
+        if ($0 ~ /^name = "/ && !(crate_of(FILENAME) in name)) {
+            split($0, q, "\"")
+            name[crate_of(FILENAME)] = q[2]
+        }
+        next
+    }
+    FNR == 1 {
+        flush_held(0)
+        crate = crate_of(FILENAME)
+        seen[crate] = 1
+        in_test = FILENAME ~ /(^|\/)tests\//
+    }
+    in_test { test[crate]++; next }
+    held && /^[ \t]*#\[/ { held++; next }
+    held && /^[ \t]*(pub(\([a-z]+\))? )?mod / { flush_held(1); in_test = 1; test[crate]++; next }
+    held { flush_held(0) }
+    /^[ \t]*#\[cfg\(test\)\][ \t]*(pub )?mod / { in_test = 1; test[crate]++; next }
+    /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { held = 1; next }
+    { code[crate]++ }
+    END {
+        flush_held(0)
+        for (c in seen) printf "%9d %9d  %s\n", code[c], test[c], name[c]
+    }
+' Cargo.toml crates/*/Cargo.toml "${rs_files[@]}" |
+    sort -k3 |
+    awk '{ print; code += $1; test += $2 } END { printf "%9d %9d  (total)\n", code, test }'
 stage
 
 echo "== wall time per stage =="

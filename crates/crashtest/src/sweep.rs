@@ -35,8 +35,6 @@ pub struct SweepConfig {
     /// Crash points sampled per workload, spread round-robin across the
     /// site kinds the workload exposes.
     pub samples_per_workload: usize,
-    /// Transaction size in bytes for the generated workload.
-    pub tx_size: usize,
     /// Fault model applied at each injected crash. Default = disabled:
     /// the sweep must then recover every point cleanly.
     pub faults: FaultConfig,
@@ -52,7 +50,6 @@ impl Default for SweepConfig {
             seed: 0xC0FFEE,
             scale: 0.02,
             samples_per_workload: 8,
-            tx_size: 128,
             faults: FaultConfig::default(),
             mode: Mode::thoth_wtsc(),
         }
@@ -90,12 +87,11 @@ impl SweepConfig {
     }
 
     /// Generates the trace for `kind` ([`WorkloadConfig::at_scale`]: the
-    /// experiment runner's configuration, quick-mode footprint shrink
-    /// included, so sweeps stay fast).
+    /// experiment runner's configuration, 128 B transactions and the
+    /// quick-mode footprint shrink included, so sweeps stay fast).
     #[must_use]
     pub fn trace(&self, kind: WorkloadKind) -> MultiCoreTrace {
         let mut cfg = WorkloadConfig::at_scale(kind, self.scale);
-        cfg.tx_size = self.tx_size;
         cfg.seed = self.seed;
         spec::generate(cfg)
     }

@@ -29,6 +29,7 @@
 //! mutate fraction of generated YCSB-A/B/F request streams sets the
 //! hot-slot probability of the corresponding fuzz cases.
 
+use crate::crashtest::sweep_modes;
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 use crate::Outcome;
@@ -51,13 +52,6 @@ const ANCHOR_SALT: u64 = 0xA2C4_0FF5;
 /// Seed stride for the per-mechanism batches (distinct from the main
 /// sweep's stride so the batches explore different traces).
 const MODE_SEED_STRIDE: u64 = 0xD6E8_FEB8_6659_FD93;
-
-/// The extension mechanisms every fuzz run cross-checks in addition to
-/// the default Thoth/WTSC machine: each changes the persist schedule and
-/// the recovery procedure the three observers must still agree on.
-fn ext_modes() -> [Mode; 3] {
-    [Mode::phoenix(), Mode::freij_strict(), Mode::freij_lazy()]
-}
 
 /// Cases per extension mechanism (the main sweep stays the bulk).
 fn mode_case_count(quick: bool) -> usize {
@@ -321,11 +315,12 @@ pub fn run(settings: ExpSettings, quick: bool, trace: Option<(u64, u64, Mode)>) 
         }
     }
 
-    // Per-mechanism batches: the same triad under each extension mode.
-    // A disagreement here means the mechanism's persist schedule or
-    // recovery procedure broke one observer's model of the machine.
+    // Per-mechanism batches: the same triad under every other
+    // crash-recoverable mechanism. Each changes the persist schedule and
+    // the recovery procedure, so a disagreement here means one broke an
+    // observer's model of the machine.
     let mut mode_rows: Vec<ModeRow> = Vec::new();
-    for mode in ext_modes() {
+    for mode in sweep_modes().into_iter().filter(|&m| m != sweep_sim.mode) {
         let mn = mode_case_count(quick);
         eprintln!(
             "[thoth-experiments] fuzz sweeping {mn} traces under {}...",

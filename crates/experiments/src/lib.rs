@@ -79,6 +79,92 @@ pub fn amean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{run_modes, PointResult};
+    use thoth_workloads::generate_service;
+    use thoth_workloads::service::ServiceSpec;
+
+    /// A service spec that keeps debug test time low: 2 cores, 6 tenants,
+    /// 150 measured requests per core, at the default (loaded) gap.
+    fn service_spec() -> ServiceSpec {
+        let mut spec = ServiceSpec::default_spec();
+        spec.cores = 2;
+        spec.tenants = 6;
+        spec.requests_per_core = 150;
+        spec.warmup_requests_per_core = 30;
+        spec.keys_per_tenant = 512;
+        spec.prepopulate_per_tenant = 128;
+        spec
+    }
+
+    /// The service experiment's rows, one per mechanism, at mean
+    /// inter-arrival gap `gap` on [`service_spec`].
+    fn service_rows(gap: f64) -> Vec<PointResult> {
+        let mut spec = service_spec();
+        spec.mean_interarrival_cycles = gap;
+        run_modes(&spec, &generate_service(&spec))
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let gap = service_spec().mean_interarrival_cycles;
+        assert_eq!(
+            service_rows(gap),
+            service_rows(gap),
+            "a rerun must reproduce every row"
+        );
+    }
+
+    #[test]
+    fn quantiles_are_monotone_and_populated() {
+        for gap in [20_000.0, service_spec().mean_interarrival_cycles] {
+            let points = service_rows(gap);
+            assert_eq!(points.len(), 3);
+            for p in &points {
+                let (mode, p50, p99, p999) = (p.mode, p.p50, p.p99, p.p999);
+                assert!(p.measured > 0, "{mode}: no measured requests");
+                assert!(p50 <= p99, "{mode}: p50 {p50} > p99 {p99}");
+                assert!(p99 <= p999, "{mode}: p99 {p99} > p999 {p999}");
+                assert!(p999.is_finite());
+                assert!(p999 <= p.max as f64 + 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn mode_rows_share_the_request_stream() {
+        let points = service_rows(service_spec().mean_interarrival_cycles);
+        let stream = (points[0].completed, points[0].measured);
+        for p in &points {
+            assert_eq!(
+                (p.completed, p.measured),
+                stream,
+                "{}: another stream",
+                p.mode
+            );
+        }
+    }
+
+    #[test]
+    fn open_loop_queueing_shows_a_knee() {
+        // The defining open-loop property: past saturation, latency is
+        // dominated by queueing delay and explodes, while a light load
+        // stays near raw service latency, although each request does
+        // identical work.
+        let (light, heavy) = (service_rows(60_000.0), service_rows(500.0));
+        for (l, h) in light.iter().zip(&heavy) {
+            assert!(
+                h.p99 > 5.0 * l.p99,
+                "{}: overload p99 {} should dwarf light-load p99 {}",
+                l.mode,
+                h.p99,
+                l.p99
+            );
+            // Under light load the p50 request is served without
+            // queueing: its latency is below the heavy-load p50, which
+            // measures raw service + queueing.
+            assert!(l.p50 < h.p50, "{}: p50 {} vs {}", l.mode, l.p50, h.p50);
+        }
+    }
 
     #[test]
     fn gmean_basics() {

@@ -8,7 +8,7 @@
 //!             telemetry | service | all (default: all)
 //! --scale F   transaction-count scale factor (default 0.25)
 //! --seed N    workload RNG seed
-//! --quick     tiny smoke-test scale (0.02)
+//! --quick     tiny smoke-test scale (0.02) unless --scale is given
 //! --csv DIR   also write each table as CSV into DIR
 //! ```
 
@@ -42,10 +42,7 @@ fn main() {
                 settings.scale = flag_value(&mut args, "--scale", parse_scale);
                 scale_given = true;
             }
-            "--quick" => {
-                settings = ExpSettings::quick();
-                quick = true;
-            }
+            "--quick" => quick = true,
             "--point" => {
                 point = Some(flag_value(&mut args, "--point", |v| Some(v.to_owned())));
             }
@@ -90,6 +87,9 @@ fn main() {
             }
             other => wanted.push(other.to_owned()),
         }
+    }
+    if quick && !scale_given {
+        settings.scale = ExpSettings::quick().scale;
     }
     if wanted.is_empty() {
         wanted.push("all".to_owned());
@@ -260,7 +260,7 @@ EXPERIMENTS:
 
 OPTIONS:
   --scale F  transaction-count scale factor (default 0.25)
-  --quick    tiny smoke-test scale
+  --quick    tiny smoke-test scale, unless --scale is given
   --seed N   workload RNG seed, decimal or 0x-hex (default 0xC0FFEE)
   --csv DIR  also write each table as CSV into DIR
   --point WORKLOAD:SITE:N

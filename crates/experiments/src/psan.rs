@@ -25,50 +25,19 @@
 //! Results go to stdout as tables and to `results/psan.json`; the binary
 //! exits non-zero on `!ok`.
 
+use crate::crashtest::sweep_modes;
 use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 use crate::Outcome;
 
 use thoth_psan::{
-    analyze, detection, expected_class, race_manifested, seed_variant_under, workload_config,
-    BLOCK_BYTES,
+    analyze, detection, expected_class, persisting_modes, race_manifested, seed_variant_under,
+    workload_config, BLOCK_BYTES,
 };
 use thoth_sim::Mode;
 use thoth_workloads::{spec, SeededBug, WorkloadKind};
 
 use std::fmt::Write as _;
-
-/// The persistence mechanisms the clean sweep must be silent under —
-/// every mode except eADR (whose in-domain caches make every store
-/// durable at issue, so the persist-event lifecycle the checker replays
-/// never forms).
-fn modes() -> [Mode; 7] {
-    [
-        Mode::baseline(),
-        Mode::thoth_wtsc(),
-        Mode::thoth_wtbc(),
-        Mode::AnubisEcc,
-        Mode::phoenix(),
-        Mode::freij_strict(),
-        Mode::freij_lazy(),
-    ]
-}
-
-/// The mechanisms the seeded-bug corpus runs under: the planted bugs
-/// are program-level, so each new mechanism must catch all of them at
-/// the planted sites too. Thoth/WTSC is the historical default; the
-/// remaining strict-persistence modes behave like the baseline seen
-/// from the checker, so one representative (the corpus under
-/// Thoth/WTSC has exercised `in-place` covers since psan v1) keeps the
-/// matrix proportionate.
-fn corpus_modes() -> [Mode; 4] {
-    [
-        Mode::thoth_wtsc(),
-        Mode::phoenix(),
-        Mode::freij_strict(),
-        Mode::freij_lazy(),
-    ]
-}
 
 /// The designated workload for each cross-core race bug: one planting
 /// per race kind keeps the corpus proportionate while the library test
@@ -196,7 +165,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
         .collect();
     for &kind in &swept {
         let clean = spec::generate_annotated(workload_config(kind, scale));
-        for mode in modes() {
+        for mode in persisting_modes() {
             eprintln!(
                 "[thoth-experiments] psan analyzing clean {kind} under {}...",
                 mode.label()
@@ -220,10 +189,13 @@ pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
     // Corpus: classic bugs across every paper workload, race bugs once
     // each at their designated workload (alignment-seeded, per mode —
     // event sequence numbers shift with the persist schedule), the
-    // whole matrix repeated under each corpus mechanism.
+    // whole matrix repeated under each crash-recoverable mechanism. The
+    // planted bugs are program-level, so each mechanism must catch all
+    // of them at the planted sites; the remaining strict-persistence
+    // modes look like the baseline to the checker.
     for kind in WorkloadKind::ALL {
         let annotated = spec::generate_annotated(workload_config(kind, scale));
-        for mode in corpus_modes() {
+        for mode in sweep_modes() {
             eprintln!(
                 "[thoth-experiments] psan planting corpus in {kind} under {}...",
                 mode.label()
@@ -404,13 +376,13 @@ mod tests {
         // detections, planted under each of the 4 corpus mechanisms.
         let classic = WorkloadKind::ALL.len() * SeededBug::CLASSIC.len() - 1;
         assert_eq!(classic + RACE_SITES.len(), 18);
-        assert_eq!(corpus_modes().len(), 4);
+        assert_eq!(sweep_modes().len(), 4);
     }
 
     #[test]
     fn strict_subtree_mode_excludes_only_pure_hb_races() {
         let mut skipped = 0;
-        for mode in corpus_modes() {
+        for mode in sweep_modes() {
             for bug in SeededBug::CLASSIC.into_iter().chain(SeededBug::RACES) {
                 if !bug_applies(bug, mode) {
                     assert_eq!(mode, Mode::freij_strict());
@@ -428,8 +400,12 @@ mod tests {
         // Every mechanism the corpus plants bugs under must also be
         // proven finding-free on the clean traces, or a detection could
         // be a mechanism artifact rather than the planted bug.
-        for m in corpus_modes() {
-            assert!(modes().contains(&m), "{} missing from clean sweep", m.label());
+        for m in sweep_modes() {
+            assert!(
+                persisting_modes().any(|p| p == m),
+                "{} missing from clean sweep",
+                m.label()
+            );
         }
     }
 

@@ -24,11 +24,88 @@ use crate::runner::ExpSettings;
 use crate::tablefmt::Table;
 use crate::Outcome;
 
-use thoth_service::{run_modes, sweep_modes, PointResult};
-use thoth_workloads::service::{MixKind, ServiceSpec};
+use thoth_core::EvictionPolicy;
+use thoth_sim::{Mode, SecureNvm, SimConfig};
+use thoth_workloads::service::{MixKind, ServiceSpec, ServiceTrace};
 use thoth_workloads::generate_service;
 
 use std::fmt::Write as _;
+
+/// The mechanisms every load point compares (the paper's headline trio).
+const MODES: [Mode; 3] = [
+    Mode::Baseline,
+    Mode::Thoth(EvictionPolicy::Wtsc),
+    Mode::Thoth(EvictionPolicy::Wtbc),
+];
+
+/// One (offered load, mechanism) cell of the sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PointResult {
+    /// Mechanism label (`"baseline"`, `"thoth-wtsc"`, `"thoth-wtbc"`).
+    pub(crate) mode: &'static str,
+    /// Mean inter-arrival gap per core, in cycles (the load knob).
+    pub(crate) mean_interarrival_cycles: f64,
+    /// Offered load in requests per million cycles across all cores.
+    pub(crate) offered_per_mcycle: f64,
+    /// Requests completed (warm-up included).
+    pub(crate) completed: u64,
+    /// Measured requests (the latency histogram population).
+    pub(crate) measured: u64,
+    /// Median persist-ACK latency from arrival, in cycles.
+    pub(crate) p50: f64,
+    /// 99th-percentile latency.
+    pub(crate) p99: f64,
+    /// 99.9th-percentile latency.
+    pub(crate) p999: f64,
+    /// Mean latency.
+    pub(crate) mean: f64,
+    /// Largest observed latency.
+    pub(crate) max: u64,
+    /// 99th-percentile latency of read-only requests.
+    pub(crate) p99_read: f64,
+    /// 99th-percentile latency of mutating requests.
+    pub(crate) p99_mutate: f64,
+    /// Achieved throughput: measured requests per million cycles.
+    pub(crate) achieved_per_mcycle: f64,
+    /// Simulated cycles of the run (the machine's measured phase).
+    pub(crate) sim_cycles: u64,
+}
+
+/// Replays `trace`, generated from `spec`, under every mechanism in
+/// [`MODES`] and returns one point per mechanism. Arrivals and keys do
+/// not depend on the mechanism, so every mode serves the same request
+/// stream. The machine is the paper's Table I default at 128 B blocks;
+/// the trace carries no closed-loop warm-up transactions, so PUB pre-fill
+/// is inert and warm-up happens at the request level instead.
+pub(crate) fn run_modes(spec: &ServiceSpec, trace: &ServiceTrace) -> Vec<PointResult> {
+    MODES
+        .iter()
+        .map(|&mode| {
+            let (sim, svc) = SecureNvm::new(SimConfig::paper_default(mode, 128)).run_service(trace);
+            let achieved = if sim.total_cycles == 0 {
+                0.0
+            } else {
+                svc.measured as f64 * 1.0e6 / sim.total_cycles as f64
+            };
+            PointResult {
+                mode: mode.label(),
+                mean_interarrival_cycles: spec.mean_interarrival_cycles,
+                offered_per_mcycle: spec.offered_per_mcycle(),
+                completed: svc.completed,
+                measured: svc.measured,
+                p50: svc.latency.quantile(0.50),
+                p99: svc.latency.quantile(0.99),
+                p999: svc.latency.quantile(0.999),
+                mean: svc.latency.mean(),
+                max: svc.latency.max(),
+                p99_read: svc.latency_read.quantile(0.99),
+                p99_mutate: svc.latency_mutate.quantile(0.99),
+                achieved_per_mcycle: achieved,
+                sim_cycles: sim.total_cycles,
+            }
+        })
+        .collect()
+}
 
 /// Offered-load points (mean inter-arrival cycles per core), lightest
 /// first. The heaviest point sits far past saturation on every
@@ -62,7 +139,6 @@ pub fn base_spec(settings: ExpSettings) -> ServiceSpec {
 pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
     let loads: &[f64] = if quick { &QUICK_LOADS } else { &FULL_LOADS };
     let spec = base_spec(settings);
-    let modes = sweep_modes();
 
     let mut rows: Vec<Vec<PointResult>> = Vec::with_capacity(loads.len());
     for &gap in loads {
@@ -73,7 +149,7 @@ pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
         );
         let mut point_spec = spec;
         point_spec.mean_interarrival_cycles = gap;
-        rows.push(run_modes(&point_spec, &modes));
+        rows.push(run_modes(&point_spec, &generate_service(&point_spec)));
     }
 
     // Mix comparison: hold load at the mid-sweep point and vary the
@@ -87,8 +163,9 @@ pub fn run(settings: ExpSettings, quick: bool) -> Outcome {
         let mut mix_spec = spec;
         mix_spec.mix = mix;
         mix_spec.mean_interarrival_cycles = MIX_COMPARE_LOAD;
-        let mutate = generate_service(&mix_spec).mix_stats().mutate_per_mille();
-        mix_rows.push((mix, mutate, run_modes(&mix_spec, &modes)));
+        let trace = generate_service(&mix_spec);
+        let mutate = trace.mix_stats().mutate_per_mille();
+        mix_rows.push((mix, mutate, run_modes(&mix_spec, &trace)));
     }
 
     let ok = verdict(&rows) && mix_verdict(&mix_rows);

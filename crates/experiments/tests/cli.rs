@@ -46,3 +46,15 @@ fn hex_seeds_parse() {
     let out = run(&["--seed", "0xc0ffee", "--help"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+/// `--quick` picks the quick scale only where no `--scale` was given and
+/// keeps every other flag, wherever it stands. A point replay writes no
+/// file.
+#[test]
+fn quick_keeps_an_explicit_seed_in_either_order() {
+    for flags in [["--seed", "5", "--quick"], ["--quick", "--seed", "5"]] {
+        let out = run(&[&flags[..], &["crashtest", "--point", "swap:persist:3"]].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("(seed 0x5)"), "{flags:?}: {stdout}");
+    }
+}

@@ -18,6 +18,14 @@ pub const BLOCK_BYTES: usize = 128;
 /// large enough to exercise PUB appends and evictions.
 pub const DEFAULT_SCALE: f64 = 0.02;
 
+/// The modes with a persist path, in [`Mode::ALL`] order: every mode but
+/// eADR, whose in-domain caches make every store durable at issue, so the
+/// persist-event lifecycle the checker replays never forms. A clean trace
+/// must check clean under each of them.
+pub fn persisting_modes() -> impl Iterator<Item = Mode> {
+    Mode::ALL.into_iter().filter(|&m| m != Mode::Eadr)
+}
+
 /// One analyzed execution: the simulator's report plus the checker's.
 #[derive(Debug)]
 pub struct PsanRun {

@@ -47,8 +47,8 @@ pub mod hb;
 pub use checker::{check_events, PsanReport, PsanStats};
 pub use driver::{
     acceptable_classes, alignment_for_under, analyze, detection, expected_class,
-    finding_matches_site, race_manifested, seed_variant_under, sim_config_for, workload_config,
-    PsanRun, BLOCK_BYTES, DEFAULT_SCALE,
+    finding_matches_site, persisting_modes, race_manifested, seed_variant_under, sim_config_for,
+    workload_config, PsanRun, BLOCK_BYTES, DEFAULT_SCALE,
 };
 pub use finding::{Finding, FindingClass};
 pub use hb::{ClockOrd, HbEngine, VClock};

@@ -3,7 +3,8 @@
 //! caught with exact attribution.
 
 use thoth_psan::{
-    analyze, detection, expected_class, seed_variant_under, workload_config, DEFAULT_SCALE,
+    analyze, detection, expected_class, persisting_modes, seed_variant_under, workload_config,
+    DEFAULT_SCALE,
 };
 use thoth_sim::Mode;
 use thoth_workloads::{spec, AnnotatedTrace, SeededBug, WorkloadKind};
@@ -22,10 +23,9 @@ fn clean_sweep_is_silent_under_every_mechanism() {
     // (eADR has no persist path). No findings at all: no errors, and the
     // dedup'd runtime leaves no covered-log-append or redundant-flush
     // smells either.
-    let modes = Mode::ALL.into_iter().filter(|&m| m != Mode::Eadr);
     for kind in WorkloadKind::ALL.into_iter().chain([WorkloadKind::Service]) {
         let a = annotated(kind);
-        for mode in modes.clone() {
+        for mode in persisting_modes() {
             let label = format!("{kind} under {}", mode.label());
             let report = analyze(&a.trace, &a.classes, mode).0.report;
             assert!(report.findings.is_empty(), "{label}: {:?}", report.findings);

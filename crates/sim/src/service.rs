@@ -60,20 +60,6 @@ pub struct ServiceReport {
     pub completed: u64,
     /// Measured requests completed (== `latency.count()`).
     pub measured: u64,
-    /// Last completion cycle across all cores.
-    pub last_completion: u64,
-}
-
-impl ServiceReport {
-    /// Convenience: `(p50, p99, p999)` of the overall latency histogram.
-    #[must_use]
-    pub fn latency_quantiles(&self) -> (f64, f64, f64) {
-        (
-            self.latency.quantile(0.50),
-            self.latency.quantile(0.99),
-            self.latency.quantile(0.999),
-        )
-    }
 }
 
 /// The replay-time state of one service run (installed on the machine by
@@ -85,7 +71,6 @@ pub(crate) struct ServiceSession {
     latency_read: Hist,
     latency_mutate: Hist,
     completed: u64,
-    last_completion: u64,
 }
 
 impl ServiceSession {
@@ -123,7 +108,6 @@ impl ServiceSession {
             latency_read: Hist::new(),
             latency_mutate: Hist::new(),
             completed: 0,
-            last_completion: 0,
         }
     }
 
@@ -161,7 +145,6 @@ impl ServiceSession {
             return;
         }
         self.completed += 1;
-        self.last_completion = self.last_completion.max(now.0);
         if cur.measured {
             let lat = now.0.saturating_sub(cur.arrival);
             self.latency.observe(lat);
@@ -182,7 +165,6 @@ impl ServiceSession {
             latency_mutate: self.latency_mutate,
             completed: self.completed,
             measured,
-            last_completion: self.last_completion,
         }
     }
 }
@@ -216,7 +198,6 @@ mod tests {
                     measured: true,
                 })
                 .collect()],
-            tenants: 1,
         };
         ServiceSession::new(&st)
     }
@@ -240,7 +221,6 @@ mod tests {
         let r = s.into_report();
         assert_eq!(r.measured, 2);
         assert_eq!(r.completed, 2);
-        assert_eq!(r.last_completion, 450);
         assert_eq!(r.latency.min(), 300);
         assert_eq!(r.latency.max(), 350);
     }
@@ -268,7 +248,6 @@ mod tests {
                 kind: ReqKind::Read,
                 measured: true,
             }]],
-            tenants: 1,
         };
         let _ = ServiceSession::new(&total_mismatch);
     }

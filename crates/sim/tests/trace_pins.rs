@@ -6,9 +6,16 @@
 //! and the seeded-bug corpus, and nothing else pins them. A change to the
 //! generators that is meant to be behaviour-neutral (heap layout, read
 //! paths, buffer reuse) must leave both digests of every row unchanged.
+//!
+//! The open-loop service trace (`generate_service`) is pinned the same
+//! way, op stream plus request schedule, for each YCSB mix the `service`
+//! experiment serves.
 
 use thoth_sim::Fnv1a;
-use thoth_workloads::{spec, OpClass, TraceOp, WorkloadConfig, WorkloadKind};
+use thoth_workloads::{
+    generate_service, spec, MixKind, OpClass, ReqKind, ServiceSpec, TraceOp, WorkloadConfig,
+    WorkloadKind,
+};
 
 /// `(workload, ops digest, classes digest, total ops)`.
 type Row = (&'static str, u64, u64, usize);
@@ -93,6 +100,70 @@ fn generated_traces_match_the_pins() {
         "trace pins diverge at row {first_diff:?} (got {} rows, pinned {}):\n{}",
         rows.len(),
         PINS.len(),
+        table.join("\n")
+    );
+}
+
+/// `(mix, ops digest, request-schedule digest, total requests)`.
+type ServiceRow = (&'static str, u64, u64, usize);
+
+#[rustfmt::skip]
+const SERVICE_PINS: &[ServiceRow] = &[
+    ("ycsb-a", 0xd0404b1f01a4da61, 0x89a3f66914e674e7, 192),
+    ("ycsb-b", 0x400327d89361e99b, 0xfded72cab1b188c2, 192),
+    ("ycsb-f", 0x6a9741fc33901dd1, 0x9807d0157c1fcf53, 192),
+];
+
+fn service_row(mix: MixKind) -> ServiceRow {
+    let mut spec = ServiceSpec::default_spec().scaled(0.02);
+    spec.mix = mix;
+    let st = generate_service(&spec);
+    let (mut ops, mut requests) = (Fnv1a::default(), Fnv1a::default());
+    for (core_ops, metas) in st.trace.cores.iter().zip(&st.requests) {
+        ops.u64(core_ops.len() as u64);
+        requests.u64(metas.len() as u64);
+        for op in core_ops {
+            fold_op(&mut ops, op);
+        }
+        for m in metas {
+            let kind = match m.kind {
+                ReqKind::Read => 0,
+                ReqKind::Update => 1,
+                ReqKind::Rmw => 2,
+            };
+            requests.u64(m.arrival);
+            requests.u64(u64::from(m.ops));
+            requests.u64(u64::from(m.tenant));
+            requests.bytes(&[kind, u8::from(m.measured)]);
+        }
+    }
+    (
+        mix.name(),
+        ops.finish(),
+        requests.finish(),
+        st.total_requests(),
+    )
+}
+
+#[test]
+fn open_loop_service_traces_match_the_pins() {
+    let rows: Vec<ServiceRow> = [MixKind::A, MixKind::B, MixKind::F]
+        .into_iter()
+        .map(service_row)
+        .collect();
+    let table: Vec<String> = rows
+        .iter()
+        .map(|(mix, ops, reqs, n)| format!("    (\"{mix}\", {ops:#018x}, {reqs:#018x}, {n}),"))
+        .collect();
+    let first_diff = rows
+        .iter()
+        .zip(SERVICE_PINS)
+        .position(|(got, want)| got != want);
+    assert!(
+        rows.len() == SERVICE_PINS.len() && first_diff.is_none(),
+        "service trace pins diverge at row {first_diff:?} (got {} rows, pinned {}):\n{}",
+        rows.len(),
+        SERVICE_PINS.len(),
         table.join("\n")
     );
 }

@@ -63,12 +63,6 @@ impl QueueProbe {
     pub fn hist(&self) -> &Hist {
         &self.hist
     }
-
-    /// `true` when every recorded occupancy stayed within capacity.
-    #[must_use]
-    pub fn within_capacity(&self) -> bool {
-        self.peak <= self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -86,14 +80,6 @@ mod tests {
         assert_eq!(p.capacity(), 64);
         assert_eq!(p.peak(), 7);
         assert_eq!(p.samples(), 6);
-        assert!(p.within_capacity());
-    }
-
-    #[test]
-    fn peak_above_capacity_is_flagged() {
-        let mut p = QueueProbe::new("tiny", 4);
-        p.record(5);
-        assert!(!p.within_capacity());
     }
 
     #[test]
@@ -108,7 +94,6 @@ mod tests {
                 p.record(occ);
             }
             assert_eq!(p.peak(), max);
-            assert!(p.within_capacity());
             assert_eq!(p.hist().count(), p.samples());
         });
     }

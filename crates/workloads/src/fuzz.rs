@@ -39,39 +39,37 @@ use thoth_sim_engine::DetRng;
 /// Seed salt for fuzz-trace generation (distinct from workload seeds).
 const FUZZ_SALT: u64 = 0xF0_7E57;
 
-/// Shape of one generated fuzz trace.
+/// Simulated cores of every fuzz trace (= tenants; shards never overlap).
+const CORES: usize = 2;
+/// Transactions per core.
+const TXS_PER_CORE: usize = 6;
+/// Maximum writes per transaction (at least one is always emitted).
+const WRITES_PER_TX: usize = 4;
+/// Hot 8-byte slots per core.
+const HOT_SLOTS: u64 = 4;
+/// Cold-object payload size in bytes.
+const VALUE_BYTES: usize = 24;
+
+/// What varies between generated fuzz traces: the seed and the
+/// address-overlap bias. Every trace has the same tiny shape (hundreds
+/// run in seconds): two cores of six transactions, each of one to four
+/// writes, over four hot slots and 24-byte cold objects per core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzSpec {
     /// Seed; the trace is a pure function of the spec.
     pub seed: u64,
-    /// Simulated cores (= tenants; shards never overlap).
-    pub cores: usize,
-    /// Transactions per core.
-    pub txs_per_core: usize,
-    /// Maximum writes per transaction (at least one is always emitted).
-    pub writes_per_tx: usize,
-    /// Hot 8-byte slots per core.
-    pub hot_slots: u64,
     /// Probability (percent) that an in-place write hits a hot slot —
     /// the address-overlap bias.
     pub hot_bias_pct: u8,
-    /// Cold-object payload size in bytes.
-    pub value_bytes: usize,
 }
 
 impl FuzzSpec {
-    /// The quick-mode shape: tiny traces (hundreds run in seconds), two
-    /// cores, update-heavy overlap.
+    /// The quick-mode spec: update-heavy overlap.
     #[must_use]
     pub fn quick(seed: u64) -> Self {
         FuzzSpec {
             seed,
-            cores: 2,
-            txs_per_core: 6,
-            writes_per_tx: 4,
-            hot_slots: 4,
             hot_bias_pct: 60,
-            value_bytes: 24,
         }
     }
 
@@ -82,26 +80,19 @@ impl FuzzSpec {
     /// sparse overlap, an update-heavy YCSB-A/F stream dense overlap.
     #[must_use]
     pub fn biased(seed: u64, mix: &MixStats) -> Self {
-        let pct = (mix.mutate_per_mille() / 10).clamp(10, 90) as u8;
         FuzzSpec {
-            hot_bias_pct: pct,
-            ..FuzzSpec::quick(seed)
+            seed,
+            hot_bias_pct: (mix.mutate_per_mille() / 10).clamp(10, 90) as u8,
         }
     }
 }
 
 /// Generates one clean-by-construction annotated trace for `spec`.
-///
-/// # Panics
-///
-/// Panics on a spec with zero cores or zero hot slots.
 #[must_use]
 pub fn generate_fuzz(spec: &FuzzSpec) -> AnnotatedTrace {
-    assert!(spec.cores > 0, "need at least one core");
-    assert!(spec.hot_slots > 0, "need at least one hot slot");
-    let mut cores = Vec::with_capacity(spec.cores);
-    let mut classes = Vec::with_capacity(spec.cores);
-    for core in 0..spec.cores {
+    let mut cores = Vec::with_capacity(CORES);
+    let mut classes = Vec::with_capacity(CORES);
+    for core in 0..CORES {
         let mut rng = DetRng::seed_from(spec.seed ^ FUZZ_SALT ^ (core as u64) << 32);
         let mut rt = TxRuntime::new(core_heap_base(core));
 
@@ -109,19 +100,19 @@ pub fn generate_fuzz(spec: &FuzzSpec) -> AnnotatedTrace {
         // (like the workloads' database-loading step), so in-place
         // updates of them are genuine old-value overwrites.
         rt.set_tracing(false);
-        let hot: Vec<u64> = (0..spec.hot_slots).map(|_| rt.alloc(8)).collect();
-        let mut cold: Vec<u64> = vec![rt.alloc(spec.value_bytes as u64)];
+        let hot: Vec<u64> = (0..HOT_SLOTS).map(|_| rt.alloc(8)).collect();
+        let mut cold: Vec<u64> = vec![rt.alloc(VALUE_BYTES as u64)];
         rt.begin();
         for &h in &hot {
             rt.write_new_u64(h, 0);
         }
-        rt.write_new(cold[0], &vec![0u8; spec.value_bytes]);
+        rt.write_new(cold[0], &[0u8; VALUE_BYTES]);
         rt.commit();
         rt.set_tracing(true);
 
-        for tx in 0..spec.txs_per_core {
+        for tx in 0..TXS_PER_CORE {
             rt.begin();
-            let writes = 1 + rng.gen_index(spec.writes_per_tx.max(1));
+            let writes = 1 + rng.gen_index(WRITES_PER_TX);
             for w in 0..writes {
                 if rng.gen_index(100) < spec.hot_bias_pct as usize {
                     // Hot-counter bump: read-modify-write of a shared
@@ -131,14 +122,14 @@ pub fn generate_fuzz(spec: &FuzzSpec) -> AnnotatedTrace {
                     rt.write_u64(slot, v.wrapping_add(1 + tx as u64));
                 } else if rng.gen_index(2) == 0 {
                     // Fresh allocation: no undo entry by design.
-                    let p = rt.alloc(spec.value_bytes as u64);
-                    rt.write_new(p, &vec![(tx + w) as u8; spec.value_bytes]);
+                    let p = rt.alloc(VALUE_BYTES as u64);
+                    rt.write_new(p, &[(tx + w) as u8; VALUE_BYTES]);
                     cold.push(p);
                 } else {
                     // In-place update of an existing cold object
                     // (write-ahead logged).
                     let p = cold[rng.gen_index(cold.len())];
-                    rt.write(p, &vec![(tx ^ w) as u8; spec.value_bytes]);
+                    rt.write(p, &[(tx ^ w) as u8; VALUE_BYTES]);
                 }
             }
             rt.commit();

@@ -21,12 +21,19 @@
 //!   a persistent chained hash table, multiplexed round-robin over the
 //!   simulated cores; every request becomes a durable transaction through
 //!   the ordinary [`TxRuntime`] discipline and is recorded in a
-//!   [`ServiceTrace`] with its arrival cycle and op extent.
+//!   [`ServiceTrace`] with its arrival cycle and op extent;
+//! * [`run_closed`] — the same tenants and requests without an arrival
+//!   schedule, the service core of the closed-loop
+//!   [`crate::WorkloadKind::Service`] workload.
+//!
+//! Both generators load their tenants through one untraced loader and
+//! serve each request through one transaction function, so the open-loop
+//! and closed-loop services differ only in scheduling.
 //!
 //! The simulator's `run_service` replays the trace gating each request at
 //! its arrival timestamp and reports per-request persist-ACK latency
-//! histograms; `thoth-service` sweeps offered load over that to produce
-//! the saturation curve.
+//! histograms; the `service` experiment of `thoth-experiments` sweeps
+//! offered load over that to produce the saturation curve.
 
 use crate::hashmap::HashMapPm;
 use crate::runtime::{MultiCoreTrace, TxRuntime};
@@ -366,8 +373,6 @@ pub struct ServiceTrace {
     /// Per-core request schedules; `requests[c]` partitions
     /// `trace.cores[c]` exactly (the op counts sum to the stream length).
     pub requests: Vec<Vec<RequestMeta>>,
-    /// Total logical tenants.
-    pub tenants: usize,
 }
 
 /// Aggregate request-kind counts of a [`ServiceTrace`] — the "real mix"
@@ -428,6 +433,48 @@ impl ServiceTrace {
     }
 }
 
+/// The database-loading phase of both service generators: creates
+/// `count` tenant hash tables of `(keys / 2).max(16)` buckets and inserts
+/// keys `0..prepopulate.min(keys)` into each, untraced (the tables really
+/// exist, but loading them is not part of the replayed stream).
+fn load_tenants(
+    rt: &mut TxRuntime,
+    count: usize,
+    keys: u64,
+    value_bytes: usize,
+    prepopulate: u64,
+) -> Vec<HashMapPm> {
+    rt.set_tracing(false);
+    let tables = (0..count)
+        .map(|_| {
+            rt.begin();
+            let mut map = HashMapPm::create(rt, (keys / 2).max(16), value_bytes);
+            rt.commit();
+            for k in 0..prepopulate.min(keys) {
+                rt.begin();
+                map.insert(rt, k, 0);
+                rt.commit();
+            }
+            map
+        })
+        .collect();
+    rt.set_tracing(true);
+    tables
+}
+
+/// Serves one request as one transaction on `map`: a read is a lookup,
+/// an update inserts `fill` under `key`, and an RMW does both.
+fn serve(rt: &mut TxRuntime, map: &mut HashMapPm, kind: ReqKind, key: u64, fill: u64) {
+    rt.begin();
+    if kind != ReqKind::Update {
+        let _ = map.lookup(rt, key);
+    }
+    if kind != ReqKind::Read {
+        map.insert(rt, key, fill);
+    }
+    rt.commit();
+}
+
 /// Generates the open-loop service trace for `spec`.
 ///
 /// # Panics
@@ -450,23 +497,13 @@ pub fn generate_service(spec: &ServiceSpec) -> ServiceTrace {
             .filter(|t| t % spec.cores == core)
             .map(|t| t as u16)
             .collect();
-
-        // Database-loading phase: untraced, but the tables really exist.
-        rt.set_tracing(false);
-        let mut tables = Vec::with_capacity(tenant_ids.len());
-        for _ in &tenant_ids {
-            rt.begin();
-            let buckets = (spec.keys_per_tenant / 2).max(16);
-            let mut map = HashMapPm::create(&mut rt, buckets, spec.value_bytes);
-            rt.commit();
-            for k in 0..spec.prepopulate_per_tenant.min(spec.keys_per_tenant) {
-                rt.begin();
-                map.insert(&mut rt, k, 0);
-                rt.commit();
-            }
-            tables.push(map);
-        }
-        rt.set_tracing(true);
+        let mut tables = load_tenants(
+            &mut rt,
+            tenant_ids.len(),
+            spec.keys_per_tenant,
+            spec.value_bytes,
+            spec.prepopulate_per_tenant,
+        );
 
         let mut arrivals =
             PoissonArrivals::new(rng.next_u64(), spec.mean_interarrival_cycles);
@@ -480,25 +517,7 @@ pub fn generate_service(spec: &ServiceSpec) -> ServiceTrace {
             let kind = mix.draw();
             let key = scatter_rank(zipf.next_rank(&mut rng), spec.keys_per_tenant);
             let ops_before = rt.trace_len();
-            let map = &mut tables[ti];
-            match kind {
-                ReqKind::Read => {
-                    rt.begin();
-                    let _ = map.lookup(&mut rt, key);
-                    rt.commit();
-                }
-                ReqKind::Update => {
-                    rt.begin();
-                    map.insert(&mut rt, key, i as u64);
-                    rt.commit();
-                }
-                ReqKind::Rmw => {
-                    rt.begin();
-                    let _ = map.lookup(&mut rt, key);
-                    map.insert(&mut rt, key, i as u64);
-                    rt.commit();
-                }
-            }
+            serve(&mut rt, &mut tables[ti], kind, key, i as u64);
             let ops = (rt.trace_len() - ops_before) as u32;
             debug_assert!(ops > 0, "every request emits at least one op");
             metas.push(RequestMeta {
@@ -518,7 +537,6 @@ pub fn generate_service(spec: &ServiceSpec) -> ServiceTrace {
             warmup_txs_per_core: 0,
         },
         requests,
-        tenants: spec.tenants,
     }
 }
 
@@ -536,44 +554,19 @@ pub fn run_closed(
 ) {
     const TENANTS_PER_CORE: usize = 4;
     let keys_per_tenant = (keyspace / TENANTS_PER_CORE as u64).max(16);
-    rt.set_tracing(false);
-    let mut tables = Vec::with_capacity(TENANTS_PER_CORE);
-    for _ in 0..TENANTS_PER_CORE {
-        rt.begin();
-        let mut map = HashMapPm::create(rt, (keys_per_tenant / 2).max(16), value_bytes);
-        rt.commit();
-        for k in 0..(prepopulate as u64 / TENANTS_PER_CORE as u64).min(keys_per_tenant) {
-            rt.begin();
-            map.insert(rt, k, 0);
-            rt.commit();
-        }
-        tables.push(map);
-    }
-    rt.set_tracing(true);
+    let mut tables = load_tenants(
+        rt,
+        TENANTS_PER_CORE,
+        keys_per_tenant,
+        value_bytes,
+        prepopulate as u64 / TENANTS_PER_CORE as u64,
+    );
     let mut zipf = Zipfian::new(keys_per_tenant, 0.99);
     let mut mix = OpMix::new(MixKind::A, rng.next_u64());
     for i in 0..txs {
         let ti = rng.gen_index(TENANTS_PER_CORE);
         let key = scatter_rank(zipf.next_rank(rng), keys_per_tenant);
-        let map = &mut tables[ti];
-        match mix.draw() {
-            ReqKind::Read => {
-                rt.begin();
-                let _ = map.lookup(rt, key);
-                rt.commit();
-            }
-            ReqKind::Update => {
-                rt.begin();
-                map.insert(rt, key, i as u64);
-                rt.commit();
-            }
-            ReqKind::Rmw => {
-                rt.begin();
-                let _ = map.lookup(rt, key);
-                map.insert(rt, key, i as u64);
-                rt.commit();
-            }
-        }
+        serve(rt, &mut tables[ti], mix.draw(), key, i as u64);
     }
 }
 
