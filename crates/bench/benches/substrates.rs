@@ -3,9 +3,9 @@
 //! set-associative cache, the PUB block codec, and the Figure 3
 //! hypothetical-FIFO replay.
 
-use thoth_bench::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
+use thoth_bench::group;
 
 use thoth_cache::{CacheConfig, SetAssocCache};
 use thoth_core::analysis::{MetaUpdate, PubAnalysis};
@@ -14,32 +14,34 @@ use thoth_crypto::counter::CounterBlock;
 use thoth_crypto::{Aes128, CtrMode, MacEngine, MacKey, SipHash24};
 use thoth_merkle::{BonsaiTree, MerkleConfig};
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrates");
-    group.sample_size(20);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
+fn main() {
+    let substrates = group(
+        "substrates",
+        20,
+        Duration::from_millis(300),
+        Duration::from_secs(2),
+    );
 
     let aes = Aes128::new(b"0123456789abcdef");
-    group.bench_function("aes128-encrypt-block", |b| {
+    substrates.bench("aes128-encrypt-block", |b| {
         b.iter(|| black_box(aes.encrypt_block(black_box(&[7u8; 16]))));
     });
 
     // The T-table software path, the fallback on machines without AES-NI.
-    group.bench_function("aes-ttable-block", |b| {
+    substrates.bench("aes-ttable-block", |b| {
         b.iter(|| black_box(aes.encrypt_block_ttable(black_box(&[7u8; 16]))));
     });
 
     // Dispatched backend (AES-NI where the CPU has it) vs the T-table
     // software path, on the 8-block batch shape the CTR engine issues.
-    group.bench_function("aes_hw_vs_ttable/dispatched-batch8", |b| {
+    substrates.bench("aes_hw_vs_ttable/dispatched-batch8", |b| {
         b.iter(|| {
             let mut blocks = [[7u8; 16]; 8];
             aes.encrypt_blocks(black_box(&mut blocks));
             black_box(blocks)
         });
     });
-    group.bench_function("aes_hw_vs_ttable/ttable-batch8", |b| {
+    substrates.bench("aes_hw_vs_ttable/ttable-batch8", |b| {
         b.iter(|| {
             let mut blocks = [[7u8; 16]; 8];
             for blk in &mut blocks {
@@ -50,7 +52,7 @@ fn bench(c: &mut Criterion) {
     });
 
     let sip = SipHash24::new(1, 2);
-    group.bench_function("siphash24-64B", |b| {
+    substrates.bench("siphash24-64B", |b| {
         b.iter(|| black_box(sip.hash(black_box(&[5u8; 64]))));
     });
 
@@ -62,20 +64,20 @@ fn bench(c: &mut Criterion) {
         .map(|i| std::array::from_fn(|j| i * 31 + j as u64))
         .collect();
     let mut tags = vec![0u64; rows.len()];
-    group.bench_function("siphash_simd_vs_scalar/dispatched-batch64", |b| {
+    substrates.bench("siphash_simd_vs_scalar/dispatched-batch64", |b| {
         b.iter(|| {
             sip.hash_words_batch(black_box(&rows), &mut tags);
             black_box(&tags);
         });
     });
     let sip_soft = SipHash24::new_soft(1, 2);
-    group.bench_function("siphash_simd_vs_scalar/soft-batch64", |b| {
+    substrates.bench("siphash_simd_vs_scalar/soft-batch64", |b| {
         b.iter(|| {
             sip_soft.hash_words_batch(black_box(&rows), &mut tags);
             black_box(&tags);
         });
     });
-    group.bench_function("siphash_simd_vs_scalar/serial-batch64", |b| {
+    substrates.bench("siphash_simd_vs_scalar/serial-batch64", |b| {
         b.iter(|| {
             let out: Vec<u64> = rows.iter().map(|r| sip.hash_words(black_box(r))).collect();
             black_box(out)
@@ -83,7 +85,7 @@ fn bench(c: &mut Criterion) {
     });
 
     let ctr = CtrMode::new(b"0123456789abcdef");
-    group.bench_function("ctr-encrypt-128B-block", |b| {
+    substrates.bench("ctr-encrypt-128B-block", |b| {
         let mut block = [9u8; 128];
         b.iter(|| {
             ctr.encrypt(0x1000, 3, 4, black_box(&mut block));
@@ -92,12 +94,12 @@ fn bench(c: &mut Criterion) {
     });
 
     let mac = MacEngine::new(MacKey([3u8; 16]));
-    group.bench_function("two-level-mac-128B", |b| {
+    substrates.bench("two-level-mac-128B", |b| {
         let mut first = [0u8; MacEngine::first_level_len(128)];
         b.iter(|| black_box(mac.both_levels(0x1000, 3, 4, black_box(&[9u8; 128]), &mut first)));
     });
 
-    group.bench_function("counter-image-increment-in-place", |b| {
+    substrates.bench("counter-image-increment-in-place", |b| {
         let geometry = CounterBlock::geometry(128, 4096);
         let mut image = vec![0u8; 128];
         let mut slot = 0;
@@ -107,7 +109,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("merkle-update-leaf-10-level", |b| {
+    substrates.bench("merkle-update-leaf-10-level", |b| {
         let mut t = BonsaiTree::new(MerkleConfig::new(8, 8u64.pow(9)), 42);
         let mut i = 0u64;
         b.iter(|| {
@@ -116,7 +118,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("cache-lookup-insert", |b| {
+    substrates.bench("cache-lookup-insert", |b| {
         let mut cache: SetAssocCache<u64> =
             SetAssocCache::new(CacheConfig::new(64 << 10, 4, 64));
         let mut i = 0u64;
@@ -140,7 +142,7 @@ fn bench(c: &mut Criterion) {
             mac_status: false,
         })
         .collect();
-    group.bench_function("pub-codec-encode-decode-128B", |b| {
+    substrates.bench("pub-codec-encode-decode-128B", |b| {
         let mut decoded = Vec::new();
         b.iter(|| {
             let img = codec.encode(black_box(&updates));
@@ -148,8 +150,6 @@ fn bench(c: &mut Criterion) {
             black_box(&decoded);
         });
     });
-
-    group.finish();
 
     // The Figure 3 engine: the hypothetical-FIFO replay over a seeded
     // synthetic counter-update stream. Three of every four updates land
@@ -174,12 +174,14 @@ fn bench(c: &mut Criterion) {
             }
         })
         .collect();
-    let mut group = c.benchmark_group("pub-analysis");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
+    let pub_analysis = group(
+        "pub-analysis",
+        10,
+        Duration::from_millis(500),
+        Duration::from_secs(2),
+    );
     for fifo in [50usize, 2_000, 20_000] {
-        group.bench_function(format!("replay-fifo{fifo}"), |b| {
+        pub_analysis.bench(format!("replay-fifo{fifo}"), |b| {
             b.iter(|| {
                 let mut a = PubAnalysis::new(
                     CacheConfig::new(64 << 10, 4, 128),
@@ -193,8 +195,4 @@ fn bench(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

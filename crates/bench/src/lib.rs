@@ -1,16 +1,13 @@
 //! A minimal, self-contained benchmark harness.
 //!
-//! The build environment has no registry access, so `criterion` cannot be
-//! resolved; this module implements the small slice of its API that the
-//! bench targets in `benches/` use — `Criterion::benchmark_group`,
-//! per-group `sample_size`/`warm_up_time`/`measurement_time`,
-//! `bench_function`, and the `criterion_group!`/`criterion_main!` macros —
-//! so each target needs nothing but an import swap if `criterion` ever
-//! becomes available again.
+//! The workspace takes no external crates (DESIGN.md §5), so the bench
+//! targets in `benches/` time their kernels with this module: [`group`]
+//! prints a group header and fixes its sampling settings, and
+//! [`Group::bench`] times one routine.
 //!
-//! Methodology: each benchmark warms up for `warm_up_time`, then runs
-//! `sample_size` samples for a combined `measurement_time`, and reports the
-//! per-sample mean, minimum and throughput. Results go to stdout as
+//! Methodology: each benchmark warms up for the group's `warm_up`, then
+//! runs `samples` samples within a combined `measurement`, and reports
+//! the per-sample mean, minimum and throughput. Results go to stdout as
 //! aligned text; no files are written.
 
 #![allow(clippy::print_stdout, clippy::print_stderr, reason = "prints reports")]
@@ -18,57 +15,30 @@
 use std::hint::black_box as bb;
 use std::time::{Duration, Instant};
 
-/// Entry point handed to every bench function (mirror of `criterion::Criterion`).
-#[derive(Default)]
-pub struct Criterion {}
-
-impl Criterion {
-    /// Creates a harness with default settings.
-    #[must_use]
-    pub fn new() -> Self {
-        Criterion {}
-    }
-
-    /// Starts a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
-        println!("\n== {name} ==");
-        BenchmarkGroup {
-            sample_size: 20,
-            warm_up: Duration::from_millis(300),
-            measurement: Duration::from_secs(2),
-        }
+/// Starts the benchmark group `name`: prints its header and returns it
+/// with its sampling settings — `samples` timed samples (at least one)
+/// after an untimed `warm_up`, within a `measurement` budget in all.
+#[must_use]
+pub fn group(name: &str, samples: usize, warm_up: Duration, measurement: Duration) -> Group {
+    println!("\n== {name} ==");
+    Group {
+        samples: samples.max(1),
+        warm_up,
+        measurement,
     }
 }
 
 /// A group of benchmarks sharing sampling settings.
-pub struct BenchmarkGroup {
-    sample_size: usize,
+pub struct Group {
+    samples: usize,
     warm_up: Duration,
     measurement: Duration,
 }
 
-impl BenchmarkGroup {
-    /// Number of timed samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Untimed warm-up duration before sampling.
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.warm_up = d;
-        self
-    }
-
-    /// Total time budget across all samples.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement = d;
-        self
-    }
-
+impl Group {
     /// Runs one benchmark: `f` receives a [`Bencher`] and calls
     /// [`Bencher::iter`] with the code under test.
-    pub fn bench_function<S: AsRef<str>>(&mut self, id: S, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
+    pub fn bench(&self, id: impl AsRef<str>, mut f: impl FnMut(&mut Bencher)) {
         let mut b = Bencher {
             mode: Mode::Calibrate { elapsed: Duration::ZERO, iters: 0 },
         };
@@ -82,12 +52,12 @@ impl BenchmarkGroup {
             Mode::Calibrate { elapsed, iters } if iters > 0 => elapsed / iters,
             _ => Duration::from_nanos(1),
         };
-        let per_sample = self.measurement / self.sample_size as u32;
+        let per_sample = self.measurement / self.samples as u32;
         let iters_per_sample =
             (per_sample.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, u128::from(u32::MAX)) as u64;
 
-        let mut samples: Vec<Duration> = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
+        let mut samples: Vec<Duration> = Vec::with_capacity(self.samples);
+        for _ in 0..self.samples {
             let mut sb = Bencher {
                 mode: Mode::Measure { target_iters: iters_per_sample, elapsed: Duration::ZERO },
             };
@@ -107,11 +77,7 @@ impl BenchmarkGroup {
             format_ns(min),
             hz,
         );
-        self
     }
-
-    /// Ends the group (parity with criterion; nothing to flush).
-    pub fn finish(&mut self) {}
 }
 
 enum Mode {
@@ -159,41 +125,20 @@ fn format_ns(d: Duration) -> String {
     }
 }
 
-/// Mirror of `criterion_group!`: names a function that receives `&mut Criterion`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut c = $crate::Criterion::new();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Mirror of `criterion_main!`: produces `main` running the named groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:ident),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bench_function_runs_and_reports() {
-        let mut c = Criterion::new();
-        let mut g = c.benchmark_group("smoke");
-        g.sample_size(3)
-            .warm_up_time(Duration::from_millis(5))
-            .measurement_time(Duration::from_millis(15));
+        let g = group(
+            "smoke",
+            3,
+            Duration::from_millis(5),
+            Duration::from_millis(15),
+        );
         let mut runs = 0u64;
-        g.bench_function("noop", |b| b.iter(|| runs += 1));
-        g.finish();
+        g.bench("noop", |b| b.iter(|| runs += 1));
         assert!(runs > 3, "routine must run during warm-up and samples");
     }
 

@@ -14,14 +14,14 @@ use crate::runner::{run_jobs, ExpSettings, Job, TraceCache};
 use crate::tablefmt::Table;
 use crate::{amean, gmean};
 
-use thoth_sim::{Fnv1a, Mode, SimConfig, SimReport};
+use thoth_sim::{Mode, SimConfig};
 use thoth_workloads::WorkloadKind;
 
-use std::collections::BTreeMap;
+pub use thoth_sim::matrix_digest;
 
 /// All reports of the headline experiment, keyed by
 /// `(workload, block_bytes, mode label)`.
-pub type HeadlineRuns = BTreeMap<(String, usize, String), SimReport>;
+pub type HeadlineRuns = thoth_sim::MatrixRuns;
 
 /// Builds the headline job matrix: 5 workloads × {128, 256} B × 4 modes.
 /// Public so the determinism test can replay the exact same jobs through
@@ -53,22 +53,6 @@ pub fn matrix_jobs(cache: &mut TraceCache) -> Vec<Job<(String, usize, String)>> 
 #[must_use]
 pub fn run_matrix(cache: &mut TraceCache) -> HeadlineRuns {
     run_jobs(matrix_jobs(cache)).into_iter().collect()
-}
-
-/// Order-stable digest of a whole headline matrix: folds every run's
-/// [`SimReport::digest`] under its key, in `BTreeMap` order. Equal iff
-/// every report in both matrices is bit-identical — the contract the
-/// hot-path optimizations are held to (see `tests/determinism.rs`).
-#[must_use]
-pub fn matrix_digest(runs: &HeadlineRuns) -> u64 {
-    let mut h = Fnv1a::default();
-    for ((workload, block, mode), report) in runs {
-        h.bytes(workload.as_bytes());
-        h.u64(*block as u64);
-        h.bytes(mode.as_bytes());
-        h.u64(report.digest());
-    }
-    h.finish()
 }
 
 /// Figure 8: speedups over the per-block-size baseline.

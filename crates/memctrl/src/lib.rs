@@ -22,4 +22,4 @@
 
 pub mod wpq;
 
-pub use wpq::{Wpq, WpqConfig, WpqEvent, WpqStats};
+pub use wpq::{Wpq, WpqEvent, WpqStats};

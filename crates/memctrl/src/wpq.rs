@@ -7,40 +7,6 @@ use thoth_sim_engine::{Cycle, DetRng};
 
 use std::collections::VecDeque;
 
-/// WPQ configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WpqConfig {
-    /// Total entries (64 in the paper's baseline, 56 in Thoth's).
-    pub capacity: usize,
-    /// Occupancy at which the drain engine starts issuing NVM writes
-    /// (50% of capacity in the paper's baseline).
-    pub drain_threshold: usize,
-    /// The drain engine leaves this many of the newest entries pending so
-    /// they remain coalescable (hysteresis low watermark).
-    pub low_watermark: usize,
-}
-
-impl WpqConfig {
-    /// A configuration draining at 50% occupancy while keeping the newest
-    /// half coalescable, matching the paper's baseline description ("we
-    /// set the WPQ to start draining when it is 50% full so that secure
-    /// metadata from the same cache block that arrive in a short time
-    /// period can be coalesced", Section V-A).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "WPQ must have at least one entry");
-        WpqConfig {
-            capacity,
-            drain_threshold: (capacity / 2).max(1),
-            low_watermark: (capacity / 2).min(capacity - 1),
-        }
-    }
-}
-
 /// One pending block write.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -101,12 +67,12 @@ pub struct WpqStats {
 /// # Example
 ///
 /// ```
-/// use thoth_memctrl::{Wpq, WpqConfig};
+/// use thoth_memctrl::Wpq;
 /// use thoth_nvm::{NvmDevice, WriteCategory};
 /// use thoth_sim_engine::Cycle;
 ///
 /// let mut nvm = NvmDevice::new(128);
-/// let mut wpq = Wpq::new(WpqConfig::with_capacity(64));
+/// let mut wpq = Wpq::new(64);
 ///
 /// // A persist is ACKed the moment the WPQ accepts it:
 /// let t = wpq.insert(Cycle(0), 0x1000, Some(&[1; 128]), WriteCategory::Data, &mut nvm);
@@ -119,7 +85,14 @@ pub struct WpqStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Wpq {
-    config: WpqConfig,
+    /// Total entries (64 in the paper's baseline, 56 in Thoth's).
+    capacity: usize,
+    /// Occupancy at which the drain engine starts issuing NVM writes.
+    drain_threshold: usize,
+    /// The drain engine leaves this many of the newest entries pending so
+    /// they remain coalescable (hysteresis low watermark). Below
+    /// `capacity`, so a full queue always has an entry to commit.
+    low_watermark: usize,
     /// Invariant: a committed prefix (`entries[..committed]`, all with
     /// `drain_done = Some`) followed by an uncommitted suffix. Commits
     /// only ever extend the prefix, inserts push uncommitted entries to
@@ -151,20 +124,25 @@ pub struct Wpq {
 }
 
 impl Wpq {
-    /// Creates an empty WPQ.
+    /// Creates an empty WPQ of `capacity` entries that drains at 50%
+    /// occupancy while keeping the newest half coalescable, matching the
+    /// paper's baseline description ("we set the WPQ to start draining
+    /// when it is 50% full so that secure metadata from the same cache
+    /// block that arrive in a short time period can be coalesced",
+    /// Section V-A). The threshold is at least one entry and the
+    /// watermark at most `capacity - 1`.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (threshold or watermark
-    /// above capacity).
+    /// Panics if `capacity == 0`.
     #[must_use]
-    pub fn new(config: WpqConfig) -> Self {
-        assert!(config.capacity > 0);
-        assert!(config.drain_threshold <= config.capacity);
-        assert!(config.low_watermark < config.capacity);
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "WPQ must have at least one entry");
         Wpq {
-            config,
-            entries: VecDeque::with_capacity(config.capacity),
+            capacity,
+            drain_threshold: (capacity / 2).max(1),
+            low_watermark: (capacity / 2).min(capacity - 1),
+            entries: VecDeque::with_capacity(capacity),
             committed: 0,
             earliest_done: None,
             stats: WpqStats::default(),
@@ -225,10 +203,10 @@ impl Wpq {
         self.powered = true;
     }
 
-    /// The configuration.
+    /// Total entries.
     #[must_use]
-    pub fn config(&self) -> WpqConfig {
-        self.config
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Accumulated statistics.
@@ -333,10 +311,10 @@ impl Wpq {
     /// above the drain threshold, keeping the newest `low_watermark`
     /// entries coalescable.
     fn maybe_drain(&mut self, now: Cycle, nvm: &mut NvmDevice) {
-        if self.entries.len() < self.config.drain_threshold {
+        if self.entries.len() < self.drain_threshold {
             return;
         }
-        let commit_upto = self.entries.len() - self.config.low_watermark.min(self.entries.len());
+        let commit_upto = self.entries.len() - self.low_watermark.min(self.entries.len());
         self.commit_prefix(commit_upto, now, nvm);
     }
 
@@ -391,12 +369,11 @@ impl Wpq {
         }
 
         let mut accept = now;
-        if self.entries.len() >= self.config.capacity {
+        if self.entries.len() >= self.capacity {
             // Full: commit the oldest entries (keeping the newest
             // low-watermark window coalescable, even under saturation) and
             // wait for the earliest completion.
-            let keep = self.config.low_watermark.min(self.config.capacity - 1);
-            let commit_upto = self.entries.len() - keep;
+            let commit_upto = self.entries.len() - self.low_watermark;
             self.commit_prefix(commit_upto, now, nvm);
             let first_free = self
                 .earliest_done
@@ -507,7 +484,7 @@ mod tests {
     #[test]
     fn accepts_immediately_when_space() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         for i in 0..10u64 {
             let t = q.insert(Cycle(i), i * 128, block(i as u8), WriteCategory::Data, &mut m);
             assert_eq!(t, Cycle(i), "no stall while below threshold");
@@ -519,7 +496,7 @@ mod tests {
     #[test]
     fn coalesces_same_block() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.insert(Cycle(0), 0x80, block(1), WriteCategory::Data, &mut m);
         q.insert(Cycle(1), 0x80, block(2), WriteCategory::Data, &mut m);
         assert_eq!(q.occupancy(), 1);
@@ -533,39 +510,31 @@ mod tests {
     #[test]
     fn drains_at_threshold_keeping_watermark() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 8,
-            drain_threshold: 4,
-            low_watermark: 2,
-        };
-        let mut q = Wpq::new(cfg);
-        for i in 0..4u64 {
+        // Capacity 8: draining starts at 4 entries and keeps the newest 4.
+        let mut q = Wpq::new(8);
+        for i in 0..6u64 {
             q.insert(Cycle(0), i * 128, block(0), WriteCategory::Data, &mut m);
         }
-        // Threshold hit at 4 entries: commit all but the newest 2.
+        // At 6 entries: all but the newest 4 are committed.
         assert_eq!(q.stats().drained, 2);
         // The committed entries no longer coalesce.
         assert!(!q.contains_coalescable(0));
-        assert!(q.contains_coalescable(3 * 128));
+        assert!(!q.contains_coalescable(128));
+        assert!(q.contains_coalescable(2 * 128));
     }
 
     #[test]
     fn full_queue_stalls_until_drain() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 4,
-            drain_threshold: 4,
-            low_watermark: 0,
-        };
-        let mut q = Wpq::new(cfg);
+        let mut q = Wpq::new(4);
         // Fill with same-bank addresses so drains serialize: bank stride is
         // 16 banks * 128 B.
         let stride = 16 * 128;
         for i in 0..4u64 {
             q.insert(Cycle(0), i * stride, block(0), WriteCategory::Data, &mut m);
         }
-        // All four committed (threshold = capacity, watermark 0), done at
-        // 2000, 4000, 6000, 8000 on the same bank.
+        // The oldest two committed (threshold 2, watermark 2), done at
+        // 2000 and 4000 on the same bank.
         let t = q.insert(Cycle(0), 99 * stride, block(9), WriteCategory::Data, &mut m);
         assert_eq!(t, Cycle(2000), "waits for first drain completion");
         assert_eq!(q.stats().full_stalls, 1);
@@ -575,12 +544,8 @@ mod tests {
     #[test]
     fn retire_frees_slots_over_time() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 4,
-            drain_threshold: 2,
-            low_watermark: 0,
-        };
-        let mut q = Wpq::new(cfg);
+        // Capacity 1: every entry commits at once (threshold 1, watermark 0).
+        let mut q = Wpq::new(1);
         q.insert(Cycle(0), 0, block(1), WriteCategory::Data, &mut m);
         q.insert(Cycle(0), 128, block(2), WriteCategory::Data, &mut m);
         assert_eq!(q.stats().drained, 2);
@@ -592,7 +557,7 @@ mod tests {
     #[test]
     fn drain_all_persists_everything() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.insert(Cycle(0), 0, block(5), WriteCategory::Data, &mut m);
         q.insert(Cycle(0), 128, block(6), WriteCategory::MacBlock, &mut m);
         let end = q.drain_all(Cycle(0), &mut m);
@@ -606,15 +571,11 @@ mod tests {
     #[test]
     fn crash_flush_writes_uncommitted_only_once() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 8,
-            drain_threshold: 2,
-            low_watermark: 0,
-        };
-        let mut q = Wpq::new(cfg);
+        // Capacity 1: every entry commits at once (threshold 1, watermark 0).
+        let mut q = Wpq::new(1);
         q.insert(Cycle(0), 0, block(1), WriteCategory::Data, &mut m);
-        q.insert(Cycle(0), 128, block(2), WriteCategory::Data, &mut m); // both committed
-        q.insert(Cycle(0), 256, block(3), WriteCategory::Data, &mut m); // committed too (>= threshold)
+        q.insert(Cycle(0), 128, block(2), WriteCategory::Data, &mut m);
+        q.insert(Cycle(0), 256, block(3), WriteCategory::Data, &mut m);
         let committed_writes = m.writes_in(WriteCategory::Data);
         q.crash_flush(&mut m);
         assert_eq!(q.occupancy(), 0);
@@ -626,7 +587,7 @@ mod tests {
     #[test]
     fn crash_flush_persists_pending_payloads() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.insert(Cycle(0), 0x700 * 128, block(9), WriteCategory::Data, &mut m);
         assert_eq!(m.writes_in(WriteCategory::Data), 0, "nothing drained yet");
         q.crash_flush(&mut m);
@@ -637,7 +598,7 @@ mod tests {
     #[test]
     fn coalesced_payloads_forward_the_newest_image() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.insert(Cycle(0), 0x80, block(1), WriteCategory::Data, &mut m);
         assert_eq!(q.forward(0x80), block(1));
         // A payload-free write drops the pending bytes...
@@ -656,7 +617,7 @@ mod tests {
     #[test]
     fn payloadless_writes_count_without_storing() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.insert(Cycle(0), 0, None, WriteCategory::CounterBlock, &mut m);
         q.drain_all(Cycle(0), &mut m);
         assert_eq!(m.writes_in(WriteCategory::CounterBlock), 1);
@@ -666,7 +627,7 @@ mod tests {
     #[test]
     fn crash_flush_cuts_power_until_restore() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         assert!(q.is_powered());
         q.crash_flush(&mut m);
         assert!(!q.is_powered());
@@ -679,7 +640,7 @@ mod tests {
     #[should_panic(expected = "after crash")]
     fn insert_after_crash_panics() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.crash_flush(&mut m);
         q.insert(Cycle(0), 0, block(1), WriteCategory::Data, &mut m);
     }
@@ -688,8 +649,8 @@ mod tests {
     fn default_faults_match_plain_crash_flush() {
         let mut m1 = nvm();
         let mut m2 = nvm();
-        let mut q1 = Wpq::new(WpqConfig::with_capacity(64));
-        let mut q2 = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q1 = Wpq::new(64);
+        let mut q2 = Wpq::new(64);
         for i in 0..5u64 {
             q1.insert(Cycle(0), i * 128, block(i as u8), WriteCategory::Data, &mut m1);
             q2.insert(Cycle(0), i * 128, block(i as u8), WriteCategory::Data, &mut m2);
@@ -705,19 +666,13 @@ mod tests {
     #[test]
     fn dropped_wpq_fault_loses_uncommitted_entries() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 8,
-            drain_threshold: 2,
-            low_watermark: 2,
-        };
-        let mut q = Wpq::new(cfg);
+        let mut q = Wpq::new(4);
         q.insert(Cycle(0), 0, block(1), WriteCategory::Data, &mut m);
         q.insert(Cycle(0), 128, block(2), WriteCategory::Data, &mut m);
         q.insert(Cycle(0), 256, block(3), WriteCategory::Data, &mut m);
         q.insert(Cycle(0), 384, block(4), WriteCategory::Data, &mut m);
-        q.insert(Cycle(0), 512, block(5), WriteCategory::Data, &mut m);
-        // The oldest three committed at the drain threshold; the newest two
-        // sit in the low-watermark window, still uncommitted.
+        // The oldest two committed at the drain threshold (2); the newest
+        // two sit in the low-watermark window (2), still uncommitted.
         let faults = FaultConfig {
             drop_uncommitted_wpq: true,
             ..FaultConfig::default()
@@ -746,7 +701,7 @@ mod tests {
         // Enough uncommitted entries that at least one lands a non-trivial
         // tear (prefix strictly between 0 and the block size).
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         for i in 0..16u64 {
             q.insert(Cycle(0), i * 128, block(7), WriteCategory::Data, &mut m);
         }
@@ -771,7 +726,7 @@ mod tests {
     #[test]
     fn origin_masks_follow_coalesced_entries_to_the_drain() {
         let mut m = nvm();
-        let mut q = Wpq::new(WpqConfig::with_capacity(64));
+        let mut q = Wpq::new(64);
         q.record_events(true);
         q.set_origin(1 << 0);
         q.insert(Cycle(0), 0x80, block(1), WriteCategory::Data, &mut m);
@@ -796,12 +751,8 @@ mod tests {
     #[test]
     fn committed_entry_does_not_coalesce_new_write() {
         let mut m = nvm();
-        let cfg = WpqConfig {
-            capacity: 8,
-            drain_threshold: 1,
-            low_watermark: 0,
-        };
-        let mut q = Wpq::new(cfg);
+        // Capacity 1: every entry commits at once (threshold 1, watermark 0).
+        let mut q = Wpq::new(1);
         q.insert(Cycle(0), 0, block(1), WriteCategory::Data, &mut m); // committed at once
         q.insert(Cycle(0), 0, block(2), WriteCategory::Data, &mut m); // new slot
         assert_eq!(q.stats().coalesced, 0);

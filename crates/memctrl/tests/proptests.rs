@@ -4,7 +4,7 @@
 #![allow(clippy::disallowed_types, reason = "std maps are the reference models")]
 
 use std::collections::HashMap;
-use thoth_memctrl::{Wpq, WpqConfig};
+use thoth_memctrl::Wpq;
 use thoth_nvm::{NvmDevice, WriteCategory};
 use thoth_sim_engine::Cycle;
 use thoth_testkit::{check, Gen};
@@ -21,7 +21,7 @@ fn drain_all_persists_newest_values() {
         let writes = arb_writes(g);
         let cap = g.range_usize(2, 16);
         let mut nvm = NvmDevice::new(128);
-        let mut wpq = Wpq::new(WpqConfig::with_capacity(cap));
+        let mut wpq = Wpq::new(cap);
         let mut last: HashMap<u64, u8> = HashMap::new();
         let mut t = Cycle(0);
         for (slot, v) in writes {
@@ -44,7 +44,7 @@ fn crash_flush_persists_newest_values() {
     check(64, |g| {
         let writes = arb_writes(g);
         let mut nvm = NvmDevice::new(128);
-        let mut wpq = Wpq::new(WpqConfig::with_capacity(8));
+        let mut wpq = Wpq::new(8);
         let mut last: HashMap<u64, u8> = HashMap::new();
         let mut t = Cycle(0);
         for (slot, v) in writes {
@@ -66,7 +66,7 @@ fn forward_or_device_always_has_newest() {
     check(64, |g| {
         let writes = arb_writes(g);
         let mut nvm = NvmDevice::new(128);
-        let mut wpq = Wpq::new(WpqConfig::with_capacity(8));
+        let mut wpq = Wpq::new(8);
         let mut t = Cycle(0);
         for (slot, v) in writes {
             let addr = slot * 128;
@@ -87,7 +87,7 @@ fn occupancy_bounded_and_acks_monotonic() {
         let writes = arb_writes(g);
         let cap = g.range_usize(1, 12);
         let mut nvm = NvmDevice::new(128);
-        let mut wpq = Wpq::new(WpqConfig::with_capacity(cap));
+        let mut wpq = Wpq::new(cap);
         let mut t = Cycle(0);
         for (slot, v) in writes {
             let ack = wpq.insert(t, slot * 128, Some(&[v; 128]), WriteCategory::Data, &mut nvm);

@@ -154,25 +154,20 @@ pub fn seed_variant_under(
     corpus::seed_bug_with(annotated, bug, seed, BLOCK_BYTES as u64, align.as_ref())
 }
 
-/// The finding class each seeded bug primarily produces.
+/// The finding class each seeded bug primarily produces: the first of
+/// its [`acceptable_classes`].
 #[must_use]
 pub fn expected_class(bug: SeededBug) -> FindingClass {
-    match bug {
-        SeededBug::DroppedFlush => FindingClass::Durability,
-        SeededBug::SwappedLogData => FindingClass::Ordering,
-        SeededBug::DoubleFlush => FindingClass::RedundantFlush,
-        SeededBug::UnfencedCounter | SeededBug::SwappedDrainOrder => FindingClass::CrossCoreRace,
-        SeededBug::RelaxedSteal => FindingClass::FenceElision,
-        SeededBug::CoverOverlap => FindingClass::StaleCoverOverlap,
-    }
+    acceptable_classes(bug)[0]
 }
 
-/// Every finding class that proves `bug` was caught. Most bugs have
-/// exactly one; a relaxed steal is schedule-dependent — when a peer
-/// store makes contact inside the victim's pre-commit window the
-/// verdict is fence elision, and when no peer connects the same defect
-/// (a store whose durability edge was removed) surfaces as a plain
-/// durability bug at commit. Both attribute to the planted store.
+/// Every finding class that proves `bug` was caught, the primary one
+/// first. Most bugs have exactly one; a relaxed steal is
+/// schedule-dependent — when a peer store makes contact inside the
+/// victim's pre-commit window the verdict is fence elision, and when no
+/// peer connects the same defect (a store whose durability edge was
+/// removed) surfaces as a plain durability bug at commit. Both attribute
+/// to the planted store.
 #[must_use]
 pub fn acceptable_classes(bug: SeededBug) -> &'static [FindingClass] {
     match bug {

@@ -46,7 +46,7 @@ pub use diagnostics::{byte_digest, CrashDiagnostics, Fnv1a, LeafMismatch, MacMis
 pub use layout::MemoryLayout;
 pub use machine::{SecureNvm, WarmBoot};
 pub use psan_events::{MetaMech, PersistEvent, PersistEventKind, NO_CTX};
-pub use report::{RecoveryReport, SimReport};
+pub use report::{matrix_digest, MatrixRuns, RecoveryReport, SimReport};
 pub use service::ServiceReport;
 pub use thoth_telemetry::{TelemetryConfig, TelemetryReport};
 // Acceptance events embed the NVM write category; re-export it so event

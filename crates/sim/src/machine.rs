@@ -21,7 +21,7 @@ use thoth_core::policy::{BlockView, MetadataKind};
 use thoth_core::{EvictOutcome, PartialUpdate, PcbStats, PubConfig};
 use thoth_crypto::counter::IncrementOutcome;
 use thoth_crypto::{CtrMode, MacEngine, MacKey, AES_CYCLES, HASH_CYCLES};
-use thoth_memctrl::{Wpq, WpqConfig, WpqStats};
+use thoth_memctrl::{Wpq, WpqStats};
 use thoth_merkle::{BonsaiTree, MerkleConfig, ShadowTracker};
 use thoth_nvm::{FaultConfig, NvmDevice, WriteCategory};
 use thoth_sim_engine::{cycles_to_secs, Cycle, DetRng};
@@ -42,7 +42,9 @@ const PREFILL_POOL: usize = 8192;
 
 /// The full machine. See the crate docs for the overall structure.
 /// `pub(crate)` fields are the surface the mechanism seam
-/// (`crate::mechanism`) works against.
+/// (`crate::mechanism`) works against. Every field, the tap's observers
+/// included, is plain data, so a clone is a full snapshot of the machine.
+#[derive(Clone)]
 pub struct SecureNvm {
     pub(crate) config: SimConfig,
     pub(crate) layout: MemoryLayout,
@@ -165,7 +167,7 @@ impl WarmBoot {
     /// — the core cursors index into it.
     #[must_use]
     pub fn run(&self, trace: &MultiCoreTrace) -> SimReport {
-        let mut machine = self.machine.clone_warm();
+        let mut machine = self.machine.clone();
         let mut cores = self.cores.clone();
         let snap = self.snap.clone();
         machine.run_measured(trace, &mut cores, self.boundary, &snap)
@@ -207,11 +209,10 @@ impl SecureNvm {
             ))),
             _ => None,
         };
-        let wpq_cfg = WpqConfig::with_capacity(config.effective_wpq_entries());
         SecureNvm {
             layout,
             nvm: NvmDevice::new(config.block_bytes),
-            wpq: Wpq::new(wpq_cfg),
+            wpq: Wpq::new(config.effective_wpq_entries()),
             ctr_mode: CtrMode::new(&ENC_KEY),
             mac: MacEngine::new(MacKey(MAC_KEY)),
             ctr_cache: SetAssocCache::new(CacheConfig::new(
@@ -756,34 +757,6 @@ impl SecureNvm {
             cores,
             boundary,
             snap,
-        }
-    }
-
-    /// A deep copy of the boundary state for one warm-started measured
-    /// run. The tap is `None` by the [`Self::warm_boot`] precondition, so
-    /// every field clones structurally.
-    fn clone_warm(&self) -> SecureNvm {
-        SecureNvm {
-            config: self.config.clone(),
-            layout: self.layout,
-            nvm: self.nvm.clone(),
-            wpq: self.wpq.clone(),
-            ctr_mode: self.ctr_mode.clone(),
-            mac: self.mac.clone(),
-            ctr_cache: self.ctr_cache.clone(),
-            mac_cache: self.mac_cache.clone(),
-            mt_cache: self.mt_cache.clone(),
-            llc: self.llc.clone(),
-            tree: self.tree.clone(),
-            shadow: self.shadow.clone(),
-            thoth: self.thoth.clone(),
-            data_versions: self.data_versions.clone(),
-            prefill_pool: self.prefill_pool.clone(),
-            pcb_wpq_bypass: self.pcb_wpq_bypass,
-            transactions: self.transactions,
-            tap: None,
-            relaxed_pending: self.relaxed_pending.clone(),
-            scratch: self.scratch.clone(),
         }
     }
 

@@ -164,6 +164,27 @@ impl SimReport {
     }
 }
 
+/// The reports of a run matrix, keyed by `(workload, block_bytes, mode
+/// label)`.
+pub type MatrixRuns = BTreeMap<(String, usize, String), SimReport>;
+
+/// Order-stable digest of a whole run matrix: folds every run's
+/// [`SimReport::digest`] under its key, in `BTreeMap` order. Equal iff
+/// every report in both matrices is bit-identical — the contract the
+/// hot-path optimizations are held to (the quick headline matrix's
+/// digest is pinned by the `mode_parity` tests and the perf gate).
+#[must_use]
+pub fn matrix_digest(runs: &MatrixRuns) -> u64 {
+    let mut h = Fnv1a::default();
+    for ((workload, block, mode), report) in runs {
+        h.bytes(workload.as_bytes());
+        h.u64(*block as u64);
+        h.bytes(mode.as_bytes());
+        h.u64(report.digest());
+    }
+    h.finish()
+}
+
 /// Results of a crash-recovery pass.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {

@@ -64,7 +64,7 @@ pub struct ServiceReport {
 
 /// The replay-time state of one service run (installed on the machine by
 /// [`crate::SecureNvm::run_service`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ServiceSession {
     cursors: Vec<CoreCursor>,
     latency: Hist,

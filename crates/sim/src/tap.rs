@@ -75,7 +75,7 @@ pub(crate) enum Verdict {
 }
 
 /// The observers one run installed.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub(crate) struct Tap {
     /// Crash anchors seen so far, per kind; `None` when no crash
     /// observer is installed.

@@ -1,16 +1,16 @@
-//! The machine-side telemetry session: pre-registered stat handles,
-//! trace lanes, queue probes, and the epoch-sampled timeline schema.
+//! The machine-side telemetry observer: the state one instrumented run
+//! records into, and the epoch-sampled timeline schema.
 //!
-//! `MachineTelemetry` wraps a [`TelemetrySink`] with everything the
-//! replay loop needs resolved up front — counter/histogram IDs, one
-//! tracer lane per core plus the memory-controller and PUB-engine lanes,
-//! and one occupancy probe per persist-path queue — so per-op recording
-//! is array indexing, never name lookup. It is one of the observers in
-//! the machine's instrumentation tap, and the only place telemetry
-//! observes the machine: the substrates (WPQ, NVM banks, PCB/PUB) carry
-//! no probes. Plain runs carry no tap and pay one `None` check per
-//! instrumentation site (the differential test `telemetry_neutrality`
-//! pins byte-identical reports).
+//! `MachineTelemetry` holds plain values: one latency histogram per op
+//! kind (whose count is that kind's `ops_*` counter), four event
+//! counters, the timeline, the optional tracer, and one occupancy
+//! histogram per persist-path queue. Per-op recording is array indexing;
+//! the report's named rows are built once, at the end of the run. It is
+//! one of the observers in the machine's instrumentation tap, and the
+//! only place telemetry observes the machine: the substrates (WPQ, NVM
+//! banks, PCB/PUB) carry no probes. Plain runs carry no tap and pay one
+//! `None` check per instrumentation site (the differential test
+//! `telemetry_neutrality` pins byte-identical reports).
 
 use crate::machine::SecureNvm;
 
@@ -18,7 +18,8 @@ use thoth_memctrl::WpqEvent;
 use thoth_nvm::{WriteCategory, NUM_BANKS};
 use thoth_sim_engine::Cycle;
 use thoth_telemetry::{
-    CounterId, HistId, QueueProbe, TelemetryConfig, TelemetryReport, TelemetrySink,
+    Hist, ProbeSummary, Registry, SpanTracer, TelemetryConfig, TelemetryReport, Timeline,
+    EPOCH_CYCLES, TRACE_CAP,
 };
 use thoth_workloads::TraceOp;
 
@@ -37,39 +38,64 @@ pub const TIMELINE_COLUMNS: &[&str] = &[
     "bytes_shadow",
 ];
 
-/// Per-op stat handles: a counter and a latency histogram kept in
-/// lock-step through [`thoth_telemetry::Registry::event`].
-#[derive(Clone, Copy)]
-struct OpStat {
-    counter: CounterId,
-    latency: HistId,
+/// Per op kind, in the order `record_op` numbers them: its counter row,
+/// its latency histogram row and its trace span name.
+const OP_ROWS: [(&str, &str, &str); 6] = [
+    ("ops_read", "read_cycles", "read"),
+    ("ops_store", "store_cycles", "store"),
+    ("ops_store_relaxed", "store_relaxed_cycles", "store_relaxed"),
+    ("ops_flush", "flush_cycles", "flush"),
+    ("ops_fence", "fence_cycles", "fence"),
+    ("ops_commit", "commit_cycles", "commit"),
+];
+
+/// The probed queues of `m` as `(name, capacity)`: the WPQ, the NVM
+/// banks and, in Thoth modes, the PCB and the PUB — in that order, the
+/// order of the `-queues.csv` rows.
+fn queues(m: &SecureNvm) -> Vec<(&'static str, u64)> {
+    let mut queues = vec![
+        ("wpq", m.wpq.capacity() as u64),
+        ("nvm_banks", NUM_BANKS as u64),
+    ];
+    if let Some(engine) = m.thoth.as_ref() {
+        queues.extend([
+            ("pcb", engine.pcb_capacity_updates() as u64),
+            ("pub", engine.pub_buffer().capacity_blocks()),
+        ]);
+    }
+    queues
+}
+
+/// Trace lanes are created cores first, then `memctrl`, then
+/// `pub-engine`: the memory-controller lane is the second to last.
+fn mc_lane(t: &SpanTracer) -> u32 {
+    t.lanes().len() as u32 - 2
+}
+
+/// The PUB-engine lane, the last one.
+fn pub_lane(t: &SpanTracer) -> u32 {
+    t.lanes().len() as u32 - 1
 }
 
 /// One run's telemetry state, owned by the machine's tap while
 /// instrumented.
+#[derive(Clone)]
 pub(crate) struct MachineTelemetry {
-    /// The underlying sink (registry + timeline + tracer).
-    pub sink: TelemetrySink,
-    reads: OpStat,
-    stores: OpStat,
-    stores_relaxed: OpStat,
-    flushes: OpStat,
-    fences: OpStat,
-    commits: OpStat,
-    pub_appends: CounterId,
-    pub_evicts: CounterId,
-    wpq_accepts: CounterId,
-    wpq_drains: CounterId,
-    aes_hw_blocks: CounterId,
-    hash_batch_runs: CounterId,
-    sip_simd_rows: CounterId,
-    core_lanes: Vec<u32>,
-    mc_lane: u32,
-    pub_lane: u32,
-    /// Occupancy probes over the WPQ, the NVM banks and, in Thoth modes,
-    /// the PCB and the PUB — in that order, the order of the
-    /// `-queues.csv` rows.
-    queues: Vec<QueueProbe>,
+    /// Latency of each op kind, in [`OP_ROWS`] order; a histogram's
+    /// count is its kind's `ops_*` counter.
+    op_cycles: [Hist; 6],
+    pub_appends: u64,
+    pub_evicts: u64,
+    wpq_accepts: u64,
+    wpq_drains: u64,
+    timeline: Timeline,
+    /// The cycle from which the next timeline row is due.
+    next_sample: u64,
+    /// Present only when [`TelemetryConfig::trace`] is set; lane `i` is
+    /// core `i`.
+    tracer: Option<SpanTracer>,
+    /// Occupancy of each queue [`queues`] lists, in its order.
+    occupancy: Vec<Hist>,
     /// End cycle of the most recently recorded op — the timestamp WPQ
     /// events (which carry none of their own) are stamped with.
     last_now: u64,
@@ -77,85 +103,48 @@ pub(crate) struct MachineTelemetry {
 
 impl MachineTelemetry {
     /// Builds the session for `cores` replay lanes over machine `m`,
-    /// whose queue capacities bound the probes.
+    /// whose queues it samples.
     #[must_use]
     pub fn new(config: TelemetryConfig, cores: usize, m: &SecureNvm) -> Self {
-        let mut sink = TelemetrySink::new(config, TIMELINE_COLUMNS);
-        let op = |sink: &mut TelemetrySink, name: &'static str, lat: &'static str| OpStat {
-            counter: sink.registry.counter(name),
-            latency: sink.registry.hist(lat),
-        };
-        let reads = op(&mut sink, "ops_read", "read_cycles");
-        let stores = op(&mut sink, "ops_store", "store_cycles");
-        let stores_relaxed = op(&mut sink, "ops_store_relaxed", "store_relaxed_cycles");
-        let flushes = op(&mut sink, "ops_flush", "flush_cycles");
-        let fences = op(&mut sink, "ops_fence", "fence_cycles");
-        let commits = op(&mut sink, "ops_commit", "commit_cycles");
-        let pub_appends = sink.registry.counter("pub_appends");
-        let pub_evicts = sink.registry.counter("pub_evicts");
-        let wpq_accepts = sink.registry.counter("wpq_accepts");
-        let wpq_drains = sink.registry.counter("wpq_drains");
-        let aes_hw_blocks = sink.registry.counter("aes_hw_blocks");
-        let hash_batch_runs = sink.registry.counter("hash_batch_runs");
-        let sip_simd_rows = sink.registry.counter("sip_simd_rows");
-        let (core_lanes, mc_lane, pub_lane) = match sink.tracer.as_mut() {
-            Some(t) => {
-                let lanes: Vec<u32> = (0..cores)
-                    .map(|i| t.lane(&format!("core{i}")))
-                    .collect();
-                (lanes, t.lane("memctrl"), t.lane("pub-engine"))
+        let tracer = config.trace.then(|| {
+            let mut t = SpanTracer::new(TRACE_CAP);
+            for i in 0..cores {
+                t.lane(&format!("core{i}"));
             }
-            None => (vec![0; cores], 0, 0),
-        };
-        let mut queues = vec![
-            QueueProbe::new("wpq", m.wpq.config().capacity as u64),
-            QueueProbe::new("nvm_banks", NUM_BANKS as u64),
-        ];
-        if let Some(engine) = m.thoth.as_ref() {
-            queues.extend([
-                QueueProbe::new("pcb", engine.pcb_capacity_updates() as u64),
-                QueueProbe::new("pub", engine.pub_buffer().capacity_blocks()),
-            ]);
-        }
+            t.lane("memctrl");
+            t.lane("pub-engine");
+            t
+        });
         MachineTelemetry {
-            sink,
-            reads,
-            stores,
-            stores_relaxed,
-            flushes,
-            fences,
-            commits,
-            pub_appends,
-            pub_evicts,
-            wpq_accepts,
-            wpq_drains,
-            aes_hw_blocks,
-            hash_batch_runs,
-            sip_simd_rows,
-            core_lanes,
-            mc_lane,
-            pub_lane,
-            queues,
+            op_cycles: std::array::from_fn(|_| Hist::new()),
+            pub_appends: 0,
+            pub_evicts: 0,
+            wpq_accepts: 0,
+            wpq_drains: 0,
+            timeline: Timeline::new(TIMELINE_COLUMNS),
+            next_sample: 0,
+            tracer,
+            occupancy: vec![Hist::new(); queues(m).len()],
             last_now: 0,
         }
     }
 
-    /// Records one replayed op: its counter/latency pair plus (when
-    /// tracing) a complete span on the issuing core's lane.
+    /// Records one replayed op: its latency (which also counts it) plus
+    /// (when tracing) a complete span on the issuing core's lane.
     pub fn record_op(&mut self, core: usize, op: TraceOp, start: u64, end: u64) {
-        let (stat, name) = match op {
-            TraceOp::Read { .. } => (self.reads, "read"),
-            TraceOp::Store { .. } => (self.stores, "store"),
-            TraceOp::StoreRelaxed { .. } => (self.stores_relaxed, "store_relaxed"),
-            TraceOp::Flush { .. } => (self.flushes, "flush"),
-            TraceOp::Fence => (self.fences, "fence"),
-            TraceOp::Commit => (self.commits, "commit"),
+        let kind = match op {
+            TraceOp::Read { .. } => 0,
+            TraceOp::Store { .. } => 1,
+            TraceOp::StoreRelaxed { .. } => 2,
+            TraceOp::Flush { .. } => 3,
+            TraceOp::Fence => 4,
+            TraceOp::Commit => 5,
         };
         let latency = end.saturating_sub(start);
         self.last_now = self.last_now.max(end);
-        self.sink.registry.event(stat.counter, stat.latency, latency);
-        if let Some(t) = self.sink.tracer.as_mut() {
-            t.complete(self.core_lanes[core], name, start, latency);
+        self.op_cycles[kind].observe(latency);
+        if let Some(t) = self.tracer.as_mut() {
+            t.complete(core as u32, OP_ROWS[kind].2, start, latency);
         }
     }
 
@@ -168,14 +157,14 @@ impl MachineTelemetry {
             occupancy[2] = engine.pcb_buffered_updates() as u64;
             occupancy[3] = engine.pub_buffer().len_blocks();
         }
-        for (probe, occ) in self.queues.iter_mut().zip(occupancy) {
-            probe.record(occ);
+        for (hist, occ) in self.occupancy.iter_mut().zip(occupancy) {
+            hist.observe(occ);
         }
     }
 
     /// Pushes one timeline row if the sampling epoch elapsed at `now`.
     pub fn sample(&mut self, now: Cycle, m: &SecureNvm) {
-        if !self.sink.sample_due(now.0) {
+        if now.0 < self.next_sample {
             return;
         }
         let (wpq, nvm) = (&m.wpq, &m.nvm);
@@ -210,23 +199,25 @@ impl MachineTelemetry {
             bytes(WriteCategory::TreeNode),
             bytes(WriteCategory::Shadow),
         ];
-        self.sink.timeline.push(now.0, &row);
-        self.sink.advance_epoch(now.0);
+        self.timeline.push(now.0, &row);
+        while self.next_sample <= now.0 {
+            self.next_sample += EPOCH_CYCLES;
+        }
     }
 
     /// Records a PUB append (packed block entering the circular buffer).
     pub fn record_pub_append(&mut self, now: u64) {
-        self.sink.registry.add(self.pub_appends, 1);
-        if let Some(t) = self.sink.tracer.as_mut() {
-            t.instant(self.pub_lane, "pub_append", now);
+        self.pub_appends += 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t.instant(pub_lane(t), "pub_append", now);
         }
     }
 
     /// Records a PUB eviction read (oldest block leaving the buffer).
     pub fn record_pub_evict(&mut self, now: u64) {
-        self.sink.registry.add(self.pub_evicts, 1);
-        if let Some(t) = self.sink.tracer.as_mut() {
-            t.instant(self.pub_lane, "pub_evict", now);
+        self.pub_evicts += 1;
+        if let Some(t) = self.tracer.as_mut() {
+            t.instant(pub_lane(t), "pub_evict", now);
         }
     }
 
@@ -237,37 +228,66 @@ impl MachineTelemetry {
         let now = self.last_now;
         match e {
             WpqEvent::Accepted { addr, coalesced, .. } => {
-                self.sink.registry.add(self.wpq_accepts, 1);
+                self.wpq_accepts += 1;
                 if !coalesced {
-                    if let Some(t) = self.sink.tracer.as_mut() {
-                        t.async_begin(self.mc_lane, "wpq", addr, now);
+                    if let Some(t) = self.tracer.as_mut() {
+                        t.async_begin(mc_lane(t), "wpq", addr, now);
                     }
                 }
             }
             WpqEvent::Drained { addr, .. } => {
-                self.sink.registry.add(self.wpq_drains, 1);
-                if let Some(t) = self.sink.tracer.as_mut() {
-                    t.async_end(self.mc_lane, "wpq", addr, now);
+                self.wpq_drains += 1;
+                if let Some(t) = self.tracer.as_mut() {
+                    t.async_end(mc_lane(t), "wpq", addr, now);
                 }
             }
         }
     }
 
-    /// Ends the session: absorbs the queue probes and harvests the
-    /// substrate throughput counters — AES blocks encrypted by the
-    /// hardware backend, batched hash-kernel invocations (merkle + MAC),
-    /// and SipHash rows that went through the multi-lane SIMD kernel.
-    /// These are read once from the engines rather than recorded per
-    /// event — the hot paths stay telemetry-free.
-    pub fn harvest(mut self, m: &SecureNvm) -> TelemetryReport {
-        for probe in &self.queues {
-            self.sink.absorb_probe(probe);
+    /// Ends the session and builds the report's named rows: the counters
+    /// in `counters.csv` order, the latency histograms, and one queue
+    /// summary per probed queue. The substrate throughput counters — AES
+    /// blocks encrypted by the hardware backend, batched hash-kernel
+    /// invocations (merkle + MAC), and SipHash rows that went through the
+    /// multi-lane SIMD kernel — are read once from the engines rather
+    /// than recorded per event, so the hot paths stay telemetry-free.
+    pub fn harvest(self, m: &SecureNvm) -> TelemetryReport {
+        let mut counters: Vec<(&'static str, u64)> = OP_ROWS
+            .iter()
+            .zip(&self.op_cycles)
+            .map(|(&(name, ..), h)| (name, h.count()))
+            .collect();
+        counters.extend([
+            ("pub_appends", self.pub_appends),
+            ("pub_evicts", self.pub_evicts),
+            ("wpq_accepts", self.wpq_accepts),
+            ("wpq_drains", self.wpq_drains),
+            ("aes_hw_blocks", m.ctr_mode.hw_blocks()),
+            ("hash_batch_runs", m.tree.batch_runs() + m.mac.batch_runs()),
+            ("sip_simd_rows", m.tree.simd_rows() + m.mac.simd_rows()),
+        ]);
+        let hists = OP_ROWS
+            .iter()
+            .zip(self.op_cycles)
+            .map(|(&(_, name, _), h)| (name, h))
+            .collect();
+        let probes = queues(m)
+            .into_iter()
+            .zip(&self.occupancy)
+            .map(|((name, capacity), h)| ProbeSummary::of(name, capacity, h))
+            .collect();
+        let (trace_json, trace_dropped, trace_well_nested) = match &self.tracer {
+            Some(t) => (Some(t.to_trace_json()), t.dropped(), t.well_nested()),
+            None => (None, 0, true),
+        };
+        TelemetryReport {
+            registry: Registry::new(counters, hists),
+            timeline: self.timeline,
+            probes,
+            trace_json,
+            trace_dropped,
+            trace_well_nested,
         }
-        let registry = &mut self.sink.registry;
-        registry.add(self.aes_hw_blocks, m.ctr_mode.hw_blocks());
-        registry.add(self.hash_batch_runs, m.tree.batch_runs() + m.mac.batch_runs());
-        registry.add(self.sip_simd_rows, m.tree.simd_rows() + m.mac.simd_rows());
-        self.sink.finish()
     }
 }
 
@@ -287,14 +307,14 @@ mod tests {
         tm.record_op(0, TraceOp::Read { addr: 0, len: 64 }, 100, 160);
         tm.record_op(1, TraceOp::Commit, 200, 200);
         tm.record_op(0, TraceOp::Read { addr: 64, len: 64 }, 160, 400);
-        let r = &tm.sink.registry;
+        let tracer = tm.tracer.as_ref().expect("full config traces");
+        assert_eq!(tracer.lanes(), ["core0", "core1", "memctrl", "pub-engine"]);
+        assert!(tracer.well_nested());
+        let r = tm.harvest(&m).registry;
         assert_eq!(r.counter_value("ops_read"), Some(2));
         assert_eq!(r.hist_named("read_cycles").expect("registered").count(), 2);
         assert_eq!(r.hist_named("read_cycles").expect("registered").sum(), 300);
         assert_eq!(r.counter_value("ops_commit"), Some(1));
-        let tracer = tm.sink.tracer.as_ref().expect("full config traces");
-        assert_eq!(tracer.lanes().len(), 4, "2 cores + memctrl + pub-engine");
-        assert!(tracer.well_nested());
     }
 
     #[test]
@@ -306,11 +326,26 @@ mod tests {
         let category = thoth_nvm::WriteCategory::Data;
         tm.record_wpq(WpqEvent::Accepted { addr: 0x80, category, coalesced: false });
         tm.record_wpq(WpqEvent::Drained { addr: 0x80, origins: 0 });
-        assert!(tm.sink.tracer.is_none());
-        let r = &tm.sink.registry;
+        assert!(tm.tracer.is_none());
+        let report = tm.harvest(&m);
+        assert!(report.trace_json.is_none());
+        let r = &report.registry;
         assert_eq!(r.counter_value("pub_appends"), Some(1));
         assert_eq!(r.counter_value("wpq_accepts"), Some(1));
         assert_eq!(r.counter_value("wpq_drains"), Some(1));
     }
 
+    #[test]
+    fn epoch_advancing() {
+        // A row is due at the first op, then at the first op at or past
+        // each later multiple of the epoch.
+        let m = machine(Mode::baseline());
+        let mut tm = MachineTelemetry::new(TelemetryConfig::counters_only(), 1, &m);
+        let e = EPOCH_CYCLES;
+        for now in [0, e - 1, e, 3 * e + 57, 4 * e - 1, 4 * e] {
+            tm.sample(Cycle(now), &m);
+        }
+        let cycles: Vec<u64> = tm.timeline.rows().iter().map(|(c, _)| *c).collect();
+        assert_eq!(cycles, [0, e, 3 * e + 57, 4 * e]);
+    }
 }

@@ -1,8 +1,8 @@
 //! Mode-parity regression: a change meant only for speed or structure
 //! must leave every mode's simulated behaviour bit-identical. These
 //! tests replay the quick headline matrix (5 workloads × {128, 256} B at
-//! scale 0.02, seed 0xC0FFEE) and fold the per-run digests the same way
-//! `thoth-experiments` does.
+//! scale 0.02, seed 0xC0FFEE) and fold the per-run digests with
+//! `matrix_digest`, as `thoth-experiments` does.
 //!
 //! All eight modes are pinned: the four paper modes to the digest the
 //! perf gate in `ci.sh` checks, the four extension mechanisms (eADR,
@@ -10,9 +10,7 @@
 //! is *meant* to alter a schedule re-pins the affected digest here and
 //! says so, with the reason, in CHANGES.md.
 
-use std::collections::BTreeMap;
-
-use thoth_sim::{run_trace, Fnv1a, Mode, SimConfig, SimReport};
+use thoth_sim::{matrix_digest, run_trace, MatrixRuns, Mode, SimConfig};
 use thoth_workloads::{spec, MultiCoreTrace, WorkloadConfig, WorkloadKind};
 
 /// The pinned digest of the quick headline matrix (see `ci.sh`'s perf
@@ -31,21 +29,8 @@ fn quick_trace(kind: WorkloadKind) -> MultiCoreTrace {
     spec::generate(WorkloadConfig::at_scale(kind, 0.02))
 }
 
-/// Mirrors `headline::matrix_digest`: FNV-fold every run's digest under
-/// its key, in `BTreeMap` order.
-fn fold_digest(runs: &BTreeMap<(String, usize, String), SimReport>) -> u64 {
-    let mut h = Fnv1a::default();
-    for ((workload, block, mode), report) in runs {
-        h.bytes(workload.as_bytes());
-        h.u64(*block as u64);
-        h.bytes(mode.as_bytes());
-        h.u64(report.digest());
-    }
-    h.finish()
-}
-
-fn run_matrix(modes: &[Mode]) -> BTreeMap<(String, usize, String), SimReport> {
-    let mut runs = BTreeMap::new();
+fn run_matrix(modes: &[Mode]) -> MatrixRuns {
+    let mut runs = MatrixRuns::new();
     for kind in WorkloadKind::ALL {
         let trace = quick_trace(kind);
         for block in [128usize, 256] {
@@ -71,7 +56,7 @@ fn existing_modes_reproduce_the_golden_quick_matrix_digest() {
     ]);
     assert_eq!(runs.len(), WorkloadKind::ALL.len() * 2 * 4);
     assert_eq!(
-        fold_digest(&runs),
+        matrix_digest(&runs),
         GOLDEN_QUICK_DIGEST,
         "the mechanism seam changed an existing mode's observable behavior"
     );
@@ -86,7 +71,7 @@ fn extension_modes_reproduce_their_pinned_quick_matrix_digest() {
         Mode::freij_lazy(),
     ]);
     assert_eq!(runs.len(), WorkloadKind::ALL.len() * 2 * 4);
-    let digest = fold_digest(&runs);
+    let digest = matrix_digest(&runs);
     assert_eq!(
         digest, EXTENSION_QUICK_DIGEST,
         "an extension mode's observable behavior changed (got {digest:#018x})"

@@ -7,11 +7,50 @@
 //!   different population),
 //! * the timeline's cycle column is strictly monotone and every sampled
 //!   occupancy respects the same capacity bounds the probes enforce,
-//! * the exported trace is well-nested with per-lane monotone timestamps.
+//! * the exported trace is well-nested with per-lane monotone timestamps,
+//! * the counter and histogram CSVs hold exactly their rows, in order,
+//!   and the timeline header is `cycle` plus the timeline columns.
 
 use thoth_sim::telemetry::TIMELINE_COLUMNS;
 use thoth_sim::{Mode, SecureNvm, SimConfig, TelemetryConfig, TelemetryReport};
 use thoth_workloads::{spec, WorkloadConfig, WorkloadKind};
+
+/// The `-counters.csv` rows, in order: one per op kind, then the event
+/// and substrate counters.
+const COUNTER_ROWS: [&str; 13] = [
+    "ops_read",
+    "ops_store",
+    "ops_store_relaxed",
+    "ops_flush",
+    "ops_fence",
+    "ops_commit",
+    "pub_appends",
+    "pub_evicts",
+    "wpq_accepts",
+    "wpq_drains",
+    "aes_hw_blocks",
+    "hash_batch_runs",
+    "sip_simd_rows",
+];
+
+/// The `-hists.csv` rows, in order: the latency of each op kind of
+/// `COUNTER_ROWS`.
+const HIST_ROWS: [&str; 6] = [
+    "read_cycles",
+    "store_cycles",
+    "store_relaxed_cycles",
+    "flush_cycles",
+    "fence_cycles",
+    "commit_cycles",
+];
+
+/// The first field of every row of `csv` below its header.
+fn row_names(csv: &str) -> Vec<&str> {
+    csv.lines()
+        .skip(1)
+        .map(|line| line.split(',').next().expect("split yields a field"))
+        .collect()
+}
 
 /// Column index in the timeline schema.
 fn col(name: &str) -> usize {
@@ -46,17 +85,10 @@ fn instrumented_run_invariants_hold() {
         };
         assert_eq!(names, queues, "{label}: probed queues");
         let counter = |name| telem.registry.counter_value(name).expect("registered");
-        let retired: u64 = [
-            "ops_read",
-            "ops_store",
-            "ops_store_relaxed",
-            "ops_flush",
-            "ops_fence",
-            "ops_commit",
-        ]
-        .into_iter()
-        .map(counter)
-        .sum();
+        let retired: u64 = COUNTER_ROWS[..HIST_ROWS.len()]
+            .iter()
+            .map(|&c| counter(c))
+            .sum();
         for p in &telem.probes {
             assert_eq!(
                 p.samples, retired,
@@ -75,14 +107,7 @@ fn instrumented_run_invariants_hold() {
         }
 
         // Counter/histogram lock-step for every op class.
-        for (counter, hist) in [
-            ("ops_read", "read_cycles"),
-            ("ops_store", "store_cycles"),
-            ("ops_store_relaxed", "store_relaxed_cycles"),
-            ("ops_flush", "flush_cycles"),
-            ("ops_fence", "fence_cycles"),
-            ("ops_commit", "commit_cycles"),
-        ] {
+        for (counter, hist) in COUNTER_ROWS.into_iter().zip(HIST_ROWS) {
             let c = telem.registry.counter_value(counter).expect("registered");
             let h = telem.registry.hist_named(hist).expect("registered");
             assert_eq!(c, h.count(), "{label}: {counter} != {hist} count");
@@ -109,6 +134,23 @@ fn instrumented_run_invariants_hold() {
             assert!((0.0..=1.0).contains(&skip), "{label}: skip rate out of range");
         }
         assert!(!telem.timeline.is_empty(), "{label}: timeline never sampled");
+
+        // CSV row order: a reordered row rewrites `results/telemetry/`.
+        let counters_csv = telem.registry.counters_csv();
+        assert_eq!(
+            row_names(&counters_csv),
+            COUNTER_ROWS,
+            "{label}: counter rows"
+        );
+        let hists_csv = telem.registry.hists_csv();
+        assert_eq!(row_names(&hists_csv), HIST_ROWS, "{label}: histogram rows");
+        let header = format!("cycle,{}", TIMELINE_COLUMNS.join(","));
+        let timeline_csv = telem.timeline.to_csv();
+        assert_eq!(
+            timeline_csv.lines().next(),
+            Some(header.as_str()),
+            "{label}: timeline header"
+        );
 
         // Trace: structurally valid and well-nested.
         assert!(telem.trace_well_nested, "{label}: trace not well-nested");

@@ -7,38 +7,37 @@
 //! configuration wins; this crate makes visible *why*, in the style of
 //! gem5's stats framework:
 //!
-//! * [`Registry`] — typed counters and log2-bucketed histograms with a
-//!   dense, `&'static str`-keyed registry (no std hashing — this crate is
-//!   on the hot path of an instrumented run),
+//! * [`Hist`] — a log2-bucketed histogram (latencies, queue occupancy),
 //! * [`Timeline`] — epoch-sampled series (occupancies, fill fractions,
 //!   per-mechanism persist bytes) emitted as CSV,
 //! * [`SpanTracer`] — a span/instant/async event tracer exporting Chrome
 //!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto,
-//! * [`QueueProbe`] — an occupancy recorder for one bounded queue
-//!   (summarised as a [`ProbeSummary`]).
+//! * [`TelemetryReport`] — what one run recorded: a [`Registry`] of named
+//!   counters and histograms, the timeline, one [`ProbeSummary`] per
+//!   queue and the trace, with the CSV/JSON renderers.
 //!
-//! The machine records into this crate from one place, the telemetry
-//! observer on its instrumentation tap (`thoth-sim`), which samples the
-//! WPQ, the NVM banks, the PCB and the PUB after every retired op; no
-//! substrate crate depends on it. Plain runs install no sink at all, and
-//! the simulator's differential test (`telemetry_neutrality`) proves that
-//! instrumented and plain runs produce bit-identical reports. The crate
-//! records the simulated machine only: the experiment harness's progress
-//! lines and job scheduling stay in the harness, so a run's artifacts
-//! depend on its trace and configuration alone.
+//! The machine records with these types from one place, the telemetry
+//! observer on its instrumentation tap (`thoth-sim`), which holds them as
+//! plain values, samples the WPQ, the NVM banks, the PCB and the PUB
+//! after every retired op, and builds the report's named rows once at the
+//! end; no substrate crate depends on this crate. Plain runs install no
+//! observer at all, and the simulator's differential test
+//! (`telemetry_neutrality`) proves that instrumented and plain runs
+//! produce bit-identical reports. The crate records the simulated machine
+//! only: the experiment harness's progress lines and job scheduling stay
+//! in the harness, so a run's artifacts depend on its trace and
+//! configuration alone.
 
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod probe;
 pub mod registry;
 pub mod report;
 pub mod timeline;
 pub mod tracer;
 
-pub use probe::QueueProbe;
-pub use registry::{CounterId, Hist, HistId, Registry};
-pub use report::{ProbeSummary, TelemetryReport, TelemetrySink};
+pub use registry::{Hist, Registry};
+pub use report::{ProbeSummary, TelemetryReport};
 pub use timeline::Timeline;
 pub use tracer::{Span, SpanKind, SpanTracer};
 
@@ -50,7 +49,7 @@ pub const EPOCH_CYCLES: u64 = 10_000;
 pub const TRACE_CAP: usize = 200_000;
 
 /// What an instrumented run records beyond its counters, histograms,
-/// timeline and queue probes, which it always records. The default is
+/// timeline and queue occupancy, which it always records. The default is
 /// [`TelemetryConfig::counters_only`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
@@ -66,7 +65,7 @@ impl TelemetryConfig {
         TelemetryConfig { trace: true }
     }
 
-    /// Counters, timelines and queue probes on, tracer off (cheapest
+    /// Counters, timelines and queue occupancy on, tracer off (cheapest
     /// useful setting).
     #[must_use]
     pub fn counters_only() -> Self {

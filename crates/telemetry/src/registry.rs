@@ -1,19 +1,10 @@
-//! Typed counters and log2-bucketed histograms behind a dense registry.
+//! Log2-bucketed histograms and the report's table of named counters
+//! and histograms.
 //!
-//! Names are `&'static str`; lookup is a linear scan over a small `Vec`,
-//! which is both allocation-free after warm-up and faster than hashing
-//! for the dozen-odd stats a run registers (and it keeps std `HashMap`,
-//! a clippy `disallowed_types` entry, out of the crate). IDs are dense
-//! indices; the hot path is `add`/`observe` by ID — one bounds-checked
-//! array access.
-
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
+//! Names are `&'static str` and rows keep the order they were built in
+//! (the order of the CSV rows); lookup is a linear scan over a small
+//! `Vec`, which keeps std `HashMap`, a clippy `disallowed_types` entry,
+//! out of the crate.
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -151,78 +142,30 @@ impl Hist {
     }
 }
 
-/// The dense stat registry: counters and histograms, registered by name.
-#[derive(Debug, Default)]
+/// The named counters and histograms of one report, in row order.
+#[derive(Debug)]
 pub struct Registry {
     counters: Vec<(&'static str, u64)>,
     hists: Vec<(&'static str, Hist)>,
 }
 
 impl Registry {
-    /// An empty registry.
+    /// A table of `counters` and `hists`, each kept in the given order.
     #[must_use]
-    pub fn new() -> Self {
-        Registry::default()
+    pub fn new(counters: Vec<(&'static str, u64)>, hists: Vec<(&'static str, Hist)>) -> Self {
+        Registry { counters, hists }
     }
 
-    /// Finds or registers the counter `name`.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name, 0));
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Finds or registers the histogram `name`.
-    pub fn hist(&mut self, name: &'static str) -> HistId {
-        if let Some(i) = self.hists.iter().position(|(n, _)| *n == name) {
-            return HistId(i);
-        }
-        self.hists.push((name, Hist::new()));
-        HistId(self.hists.len() - 1)
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].1 += n;
-    }
-
-    /// Records one histogram sample.
-    pub fn observe(&mut self, id: HistId, value: u64) {
-        self.hists[id.0].1.observe(value);
-    }
-
-    /// Records a sample in the histogram AND bumps its paired counter by
-    /// one — the invariant the property tests pin down: for every stat
-    /// recorded this way, `hist.count() == counter value`.
-    pub fn event(&mut self, counter: CounterId, hist: HistId, value: u64) {
-        self.add(counter, 1);
-        self.observe(hist, value);
-    }
-
-    /// Current value of a counter by name (`None` if never registered).
+    /// Current value of a counter by name (`None` if the table has none).
     #[must_use]
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
-    /// A histogram by name (`None` if never registered).
+    /// A histogram by name (`None` if the table has none).
     #[must_use]
     pub fn hist_named(&self, name: &str) -> Option<&Hist> {
         self.hists.iter().find(|(n, _)| *n == name).map(|(_, h)| h)
-    }
-
-    /// Every counter as `(name, value)`, in registration order.
-    #[must_use]
-    pub fn counters(&self) -> &[(&'static str, u64)] {
-        &self.counters
-    }
-
-    /// Every histogram as `(name, hist)`, in registration order.
-    #[must_use]
-    pub fn hists(&self) -> &[(&'static str, Hist)] {
-        &self.hists
     }
 
     /// Counters as CSV (`counter,value` header).
@@ -264,17 +207,13 @@ mod tests {
 
     #[test]
     fn counter_find_or_create() {
-        let mut r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("y");
-        let a2 = r.counter("x");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        r.add(a, 3);
-        r.add(a2, 4);
+        // A built table finds each counter it was created with and no
+        // other.
+        let r = Registry::new(vec![("x", 7), ("y", 0)], Vec::new());
         assert_eq!(r.counter_value("x"), Some(7));
         assert_eq!(r.counter_value("y"), Some(0));
         assert_eq!(r.counter_value("z"), None);
+        assert!(r.hist_named("x").is_none());
     }
 
     #[test]
@@ -329,37 +268,15 @@ mod tests {
     }
 
     #[test]
-    fn event_keeps_hist_and_counter_in_lock_step() {
-        // The headline telemetry invariant: stats recorded via `event`
-        // always satisfy hist.count == counter.
-        check(100, |g| {
-            let mut r = Registry::new();
-            let c = r.counter("persists");
-            let h = r.hist("persist_latency");
-            let n = g.range_usize(0, 200);
-            for _ in 0..n {
-                r.event(c, h, g.below(10_000));
-            }
-            assert_eq!(
-                r.counter_value("persists").expect("registered"),
-                r.hist_named("persist_latency").expect("registered").count()
-            );
-        });
-    }
-
-    #[test]
     fn csv_shapes() {
-        let mut r = Registry::new();
-        let c = r.counter("stores");
-        r.add(c, 2);
-        let h = r.hist("lat");
-        r.observe(h, 5);
-        let cc = r.counters_csv();
-        assert!(cc.starts_with("counter,value\n"));
-        assert!(cc.contains("stores,2\n"));
-        let hc = r.hists_csv();
-        assert!(hc.starts_with("hist,count,sum,min,max,mean\n"));
-        assert!(hc.contains("lat,1,5,5,5,5.000\n"));
+        let mut lat = Hist::new();
+        lat.observe(5);
+        let r = Registry::new(vec![("stores", 2), ("loads", 0)], vec![("lat", lat)]);
+        assert_eq!(r.counters_csv(), "counter,value\nstores,2\nloads,0\n");
+        assert_eq!(
+            r.hists_csv(),
+            "hist,count,sum,min,max,mean\nlat,1,5,5,5,5.000\n"
+        );
     }
 
     #[test]
@@ -463,8 +380,7 @@ mod tests {
 
     #[test]
     fn empty_hist_csv_min_is_zero() {
-        let mut r = Registry::new();
-        r.hist("empty");
+        let r = Registry::new(Vec::new(), vec![("empty", Hist::new())]);
         assert!(r.hists_csv().contains("empty,0,0,0,0,0.000\n"));
     }
 }
