@@ -404,25 +404,11 @@ impl<V> SetAssocCache<V> {
         })
     }
 
-    /// Drains every line (a crash dropping volatile state, or a flush),
-    /// set by set in way order.
-    pub fn drain(&mut self) -> Vec<Evicted<V>> {
-        let mut lines: Vec<Option<Line<V>>> = self.lines.drain(..).map(Some).collect();
-        let mut out = Vec::with_capacity(lines.len());
-        for set in 0..self.config.num_sets() {
-            let base = set * self.config.ways;
-            for &i in &self.slots[base..base + self.fill[set] as usize] {
-                let l = lines[i as usize].take().expect("every line has one slot");
-                out.push(Evicted {
-                    addr: l.addr,
-                    value: l.value,
-                    dirty: l.dirty,
-                    dirty_mask: l.dirty_mask,
-                });
-            }
-        }
+    /// Drops every line (a crash losing the volatile hierarchy), building
+    /// no list of them; statistics and the LRU clock are kept.
+    pub fn clear(&mut self) {
+        self.lines.clear();
         self.fill.fill(0);
-        out
     }
 
     /// Iterates over `(addr, &value, dirty, dirty_mask)` of all lines,
@@ -568,10 +554,11 @@ mod tests {
         assert!(r.dirty);
         assert_eq!(r.value, 2);
         assert_eq!(c.len(), 1);
-        let drained = c.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].addr, 0x000);
+        let left: Vec<u64> = c.iter().map(|(addr, ..)| addr).collect();
+        assert_eq!(left, [0x000]);
+        c.clear();
         assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
     }
 
     #[test]
@@ -616,8 +603,8 @@ mod tests {
     }
 
     /// The flat layout against a per-set `Vec` model: the same victims,
-    /// payloads and set-by-set way order (`iter`, `drain`) under a random
-    /// mix of inserts, lookups, dirtying, removals and clones.
+    /// payloads and set-by-set way order (`iter`) under a random mix of
+    /// inserts, lookups, dirtying, removals and clones, then `clear`.
     #[test]
     fn matches_the_per_set_vector_model() {
         let mut c = small();
@@ -677,10 +664,12 @@ mod tests {
             assert_eq!(order, expect, "step {step}");
         }
         let copy = c.clone();
-        let drained: Vec<u64> = c.drain().iter().map(|e| e.addr).collect();
+        let order: Vec<u64> = c.iter().map(|(addr, ..)| addr).collect();
         let expect: Vec<u64> = model.iter().flatten().map(|l| l.0).collect();
-        assert_eq!(drained, expect);
+        assert_eq!(order, expect);
+        c.clear();
         assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
         assert_eq!(copy.iter().count(), expect.len());
     }
 

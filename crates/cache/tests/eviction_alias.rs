@@ -65,7 +65,7 @@ fn misses_on_absent_blocks_do_not_disturb_state() {
     let mut c = small();
     assert!(c.remove(0x000).is_none());
     assert!(!c.clean(0x000));
-    assert!(c.drain().is_empty());
+    assert_eq!(c.iter().count(), 0);
     assert_eq!(c.stats().hit_rate(), None, "no lookups yet");
     assert!(c.lookup(0x200).is_none());
     assert_eq!(c.stats().hit_rate(), Some(0.0));

@@ -224,7 +224,7 @@ mod tests {
     fn interleave_preserves_op_counts() {
         let cfg = ExpSettings::quick().workload(WorkloadKind::Ctree, 128);
         let trace = spec::generate(cfg);
-        let total: usize = trace.cores.iter().map(Vec::len).sum();
+        let total: usize = trace.cores.iter().map(|ops| ops.len()).sum();
         assert_eq!(interleave_by_tx(&trace).len(), total);
     }
 

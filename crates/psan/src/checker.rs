@@ -22,6 +22,8 @@
 //! everything it knows arrives through [`PersistEvent`]s, so it can also
 //! be driven by synthetic streams in tests.
 
+use std::sync::Arc;
+
 use crate::finding::{Finding, FindingClass};
 use crate::hb::HbEngine;
 use thoth_core::PubBlockCodec;
@@ -121,14 +123,14 @@ type PubKey = (u32, u8, u64);
 #[must_use]
 pub fn check_events(
     events: &[PersistEvent],
-    classes: &[Vec<OpClass>],
+    classes: &[Arc<[OpClass]>],
     block_bytes: u64,
 ) -> PsanReport {
     Checker::new(classes, block_bytes).run(events)
 }
 
 struct Checker<'a> {
-    classes: &'a [Vec<OpClass>],
+    classes: &'a [Arc<[OpClass]>],
     block_bytes: u64,
     codec: PubBlockCodec,
     report: PsanReport,
@@ -151,7 +153,7 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn new(classes: &'a [Vec<OpClass>], block_bytes: u64) -> Self {
+    fn new(classes: &'a [Arc<[OpClass]>], block_bytes: u64) -> Self {
         Checker {
             classes,
             block_bytes,

@@ -1,6 +1,8 @@
 //! Workload driver: generates (or takes) traces, runs them through the
 //! instrumented simulator, and feeds the event stream to the checker.
 
+use std::sync::Arc;
+
 use crate::checker::{check_events, PsanReport};
 use crate::finding::{Finding, FindingClass};
 use thoth_sim::{
@@ -61,7 +63,7 @@ pub fn workload_config(kind: WorkloadKind, scale: f64) -> WorkloadConfig {
 #[must_use]
 pub fn analyze(
     trace: &MultiCoreTrace,
-    classes: &[Vec<OpClass>],
+    classes: &[Arc<[OpClass]>],
     mode: Mode,
 ) -> (PsanRun, Vec<PersistEvent>) {
     let (sim, events) = SecureNvm::new(sim_config_for(mode)).run_psan(trace);

@@ -56,6 +56,7 @@ pub use hb::{ClockOrd, HbEngine, VClock};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use thoth_nvm::WriteCategory;
     use thoth_sim::psan_events::{MetaMech, PersistEvent, PersistEventKind};
     use thoth_workloads::OpClass;
@@ -116,6 +117,11 @@ mod tests {
         PersistEventKind::Drained { block, origins }
     }
 
+    /// Per-core class streams in the shared form the checker takes.
+    fn shared(classes: &[Vec<OpClass>]) -> Vec<Arc<[OpClass]>> {
+        classes.iter().map(|c| c.as_slice().into()).collect()
+    }
+
     /// A persisted store of `classes[op]` at `addr`: store, meta cover,
     /// acceptance — the shape one replayed `TraceOp::Store` produces.
     fn persisted(core: u32, op: u32, addr: u64) -> Vec<(u32, u32, PersistEventKind)> {
@@ -141,7 +147,7 @@ mod tests {
         evs.extend(persisted(0, 1, 0x1000)); // the guarded update
         evs.extend(persisted(0, 2, 0xf000)); // the commit record
         evs.push((0, 3, PersistEventKind::Commit));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.stats.commits, 1);
         assert_eq!(r.stats.stores, 3);
@@ -154,7 +160,7 @@ mod tests {
             (0, 0, relaxed(0x2008, 8)),
             (0, 1, PersistEventKind::Commit),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1);
         let f = &r.findings[0];
         assert_eq!(f.class, FindingClass::Durability);
@@ -167,7 +173,7 @@ mod tests {
         // commit, so an open transaction is not a violation.
         let classes = vec![vec![OpClass::DataInPlace]];
         let evs = vec![(0, 0, relaxed(0x2008, 8))];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert!(r.findings.is_empty());
     }
 
@@ -175,7 +181,7 @@ mod tests {
     fn flush_before_any_store_is_a_redundant_flush() {
         let classes = vec![vec![OpClass::Flush]];
         let evs = vec![(0, 0, flush(0x3000, false))];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].class, FindingClass::RedundantFlush);
         assert_eq!(r.findings[0].addr, 0x3000);
@@ -201,7 +207,7 @@ mod tests {
             (0, 3, relaxed(0x4000, 8)), // re-store of the flushed block
             (0, 4, PersistEventKind::Commit),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         let f = &r.findings[0];
         assert_eq!(f.class, FindingClass::Durability);
@@ -222,7 +228,7 @@ mod tests {
         let mut evs = persisted(0, 0, 0x1000);
         evs.extend(persisted(0, 1, 0x9000));
         evs.push((0, 2, PersistEventKind::Commit));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         let f = &r.findings[0];
         assert_eq!(f.class, FindingClass::Ordering);
@@ -237,7 +243,7 @@ mod tests {
             (0, 0, accepted(0x5000)), // no MetaCover in this op
             (0, 1, PersistEventKind::Commit),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].class, FindingClass::Ordering);
         assert!(r.findings[0].detail.contains("metadata"));
@@ -257,7 +263,7 @@ mod tests {
         let mut evs = persisted(0, 0, 0x9000);
         evs.extend(persisted(0, 1, 0x9040));
         evs.push((0, 2, PersistEventKind::Commit));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         let f = &r.findings[0];
         assert_eq!(f.class, FindingClass::CoveredLogAppend);
@@ -291,7 +297,7 @@ mod tests {
             (0, 2, PersistEventKind::PubEvict { addr: 0x10_0080 }),
             (0, 3, append(0x10_0100)), // after eviction: live again, clean
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         let f = &r.findings[0];
         assert_eq!(f.class, FindingClass::CoveredPubAppend);
@@ -311,7 +317,7 @@ mod tests {
             (0, 0, accepted(0x6000)), // second block 0x6080 never ACKed
             (0, 1, PersistEventKind::Commit),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].class, FindingClass::Durability);
         assert!(r.findings[0].detail.contains("1 of 2"));
@@ -326,7 +332,7 @@ mod tests {
             (0, 0, accepted(0x7000)),
             (0, 0, PersistEventKind::Commit),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert!(r.findings.is_empty());
     }
 
@@ -337,7 +343,7 @@ mod tests {
         let classes = vec![vec![OpClass::DataFresh], vec![OpClass::DataFresh]];
         let mut evs = persisted(0, 0, 0x8000);
         evs.extend(persisted(1, 0, 0x8008));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.count(FindingClass::CrossCoreRace), 2, "{:?}", r.findings);
         let races: Vec<_> = r
             .findings
@@ -357,7 +363,7 @@ mod tests {
         let mut evs = persisted(0, 0, 0x8000);
         evs.push((0, 0, drained(0x8000, 0b01)));
         evs.extend(persisted(1, 0, 0x8008));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.stats.drains, 1);
     }
@@ -379,7 +385,7 @@ mod tests {
             (1, 0, store(cb + 8, 8)),
             (1, 0, meta_accept(cb)),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.count(FindingClass::CrossCoreRace), 2, "{:?}", r.findings);
         assert_eq!(
             r.count(FindingClass::Ordering),
@@ -395,7 +401,7 @@ mod tests {
         let classes = vec![vec![OpClass::DataFresh], vec![OpClass::DataFresh]];
         let mut evs = vec![(0, 0, relaxed(0xa008, 8))];
         evs.extend(persisted(1, 0, 0xa000));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.count(FindingClass::FenceElision), 1, "{:?}", r.findings);
         let f = r
             .findings
@@ -416,7 +422,7 @@ mod tests {
         let classes = vec![vec![OpClass::DataFresh], vec![OpClass::DataFresh]];
         let mut evs = persisted(0, 0, 0xb000);
         evs.extend(persisted(1, 0, 0xb008));
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(
             r.count(FindingClass::StaleCoverOverlap),
             2,
@@ -428,7 +434,7 @@ mod tests {
         let mut evs2 = persisted(0, 0, 0xb000);
         evs2.push((0, 0, drained(0xb000, 0b01)));
         evs2.extend(persisted(1, 0, 0xb008));
-        let r2 = check_events(&stream(evs2), &classes, BB);
+        let r2 = check_events(&stream(evs2), &shared(&classes), BB);
         assert_eq!(r2.count(FindingClass::StaleCoverOverlap), 0);
     }
 
@@ -439,7 +445,7 @@ mod tests {
             (0, 0, drained(0x8000, 0b11)),
             (0, 0, drained(0x8080, 0b01)),
         ];
-        let r = check_events(&stream(evs), &classes, BB);
+        let r = check_events(&stream(evs), &shared(&classes), BB);
         assert_eq!(r.stats.drains, 2);
         assert_eq!(r.stats.cross_core_drains, 1);
     }

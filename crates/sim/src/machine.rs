@@ -1291,10 +1291,10 @@ impl SecureNvm {
         // Volatile state is gone. Note: the logical tree stays as the
         // holder of the persistent *root register* only; recovery rebuilds
         // a fresh tree from NVM and compares roots.
-        self.ctr_cache.drain();
-        self.mac_cache.drain();
-        self.mt_cache.drain();
-        self.llc.drain();
+        self.ctr_cache.clear();
+        self.mac_cache.clear();
+        self.mt_cache.clear();
+        self.llc.clear();
         // Relaxed-store data that never got a write-back is simply lost.
         self.relaxed_pending = FastSet::default();
     }

@@ -184,7 +184,7 @@ mod tests {
         ];
         let st = ServiceTrace {
             trace: MultiCoreTrace {
-                cores: vec![ops],
+                cores: vec![ops.into()],
                 warmup_txs_per_core: 0,
             },
             requests: vec![nops
@@ -238,7 +238,7 @@ mod tests {
     fn malformed_extents_panic() {
         let total_mismatch = ServiceTrace {
             trace: MultiCoreTrace {
-                cores: vec![vec![thoth_workloads::TraceOp::Read { addr: 0, len: 8 }]],
+                cores: vec![[thoth_workloads::TraceOp::Read { addr: 0, len: 8 }].into()],
                 warmup_txs_per_core: 0,
             },
             requests: vec![vec![RequestMeta {

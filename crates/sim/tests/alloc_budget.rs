@@ -90,7 +90,7 @@ fn measured_stores(trace: &MultiCoreTrace) -> u64 {
     let mut stores = 0;
     for ops in &trace.cores {
         let mut commits = 0;
-        for op in ops {
+        for op in ops.iter() {
             match op {
                 TraceOp::Commit => commits += 1,
                 TraceOp::Store { .. } if commits >= trace.warmup_txs_per_core => stores += 1,

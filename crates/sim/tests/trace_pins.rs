@@ -76,10 +76,10 @@ fn row(kind: WorkloadKind) -> Row {
         );
         ops.u64(core_ops.len() as u64);
         classes.u64(core_classes.len() as u64);
-        for op in core_ops {
+        for op in core_ops.iter() {
             fold_op(&mut ops, op);
         }
-        for class in core_classes {
+        for class in core_classes.iter() {
             fold_class(&mut classes, class);
         }
         total += core_ops.len();
@@ -122,7 +122,7 @@ fn service_row(mix: MixKind) -> ServiceRow {
     for (core_ops, metas) in st.trace.cores.iter().zip(&st.requests) {
         ops.u64(core_ops.len() as u64);
         requests.u64(metas.len() as u64);
-        for op in core_ops {
+        for op in core_ops.iter() {
             fold_op(&mut ops, op);
         }
         for m in metas {

@@ -37,6 +37,8 @@
 //! The mutation site is recorded as a [`BugSite`] so the sanitizer's
 //! attribution (core, op index, address) can be checked exactly.
 
+use std::sync::Arc;
+
 use crate::runtime::{AnnotatedTrace, MultiCoreTrace, OpClass, TraceOp};
 use thoth_sim_engine::DetRng;
 
@@ -224,12 +226,14 @@ pub struct SeededVariant {
     pub bug: SeededBug,
     /// Ground-truth site of the expected finding.
     pub site: BugSite,
-    /// The mutated trace.
+    /// The mutated trace. It shares every core stream the bug leaves
+    /// alone with the clean trace it was planted into.
     pub trace: MultiCoreTrace,
     /// Per-core, per-op semantic classes, mutated in lock-step with the
-    /// trace (the dropped-flush victim keeps its `DataInPlace` class —
-    /// the *intent* of the op is unchanged, only its durability is).
-    pub classes: Vec<Vec<OpClass>>,
+    /// trace and shared the same way (the dropped-flush victim keeps its
+    /// `DataInPlace` class — the *intent* of the op is unchanged, only
+    /// its durability is — so that bug shares every class stream).
+    pub classes: Vec<Arc<[OpClass]>>,
 }
 
 /// Block-aligned indices spanned by `[addr, addr+len)`.
@@ -290,8 +294,12 @@ pub fn seed_bug_with(
     }
     let mut rng = DetRng::seed_from(seed ^ bug.salt());
     let (core, op) = sites[rng.gen_index(sites.len())];
+    // The clone shares every stream. Each arm below replaces only the
+    // streams its bug changes, each built once at its exact length
+    // (`Arc::make_mut` copies a shared stream before changing it).
     let mut trace = annotated.trace.clone();
     let mut classes = annotated.classes.clone();
+    let (ops, cls) = (&annotated.trace.cores[core], &annotated.classes[core]);
     // Cross-core bugs plant a small cluster of racing ops on the next
     // core, at slots bracketing the victim op's position in global
     // execution order (see [`thief_slots`]): at least one of them makes
@@ -300,96 +308,85 @@ pub fn seed_bug_with(
     // *victim* endpoint — the checker reports races at both endpoints,
     // and the victim one is stable no matter which racing op connects.
     let peer = (core + 1) % trace.cores.len();
+    let peer_len = trace.cores[peer].len();
+    let victim_store = || match ops[op] {
+        TraceOp::Store { addr, len } => (addr, len),
+        _ => unreachable!("eligible site is a store"),
+    };
     let site = match bug {
         SeededBug::DroppedFlush => {
-            let ops = &mut trace.cores[core];
-            let TraceOp::Store { addr, len } = ops[op] else {
-                unreachable!("eligible site is a store");
-            };
-            ops[op] = TraceOp::StoreRelaxed { addr, len };
+            let (addr, len) = victim_store();
+            Arc::make_mut(&mut trace.cores[core])[op] = TraceOp::StoreRelaxed { addr, len };
             BugSite { core, op, addr }
         }
         SeededBug::SwappedLogData => {
-            trace.cores[core].swap(op, op + 1);
-            classes[core].swap(op, op + 1);
-            let TraceOp::Store { addr, .. } = trace.cores[core][op] else {
+            Arc::make_mut(&mut trace.cores[core]).swap(op, op + 1);
+            Arc::make_mut(&mut classes[core]).swap(op, op + 1);
+            let TraceOp::Store { addr, .. } = ops[op + 1] else {
                 unreachable!("swapped-in data op is a store");
             };
             BugSite { core, op, addr }
         }
         SeededBug::DoubleFlush => {
-            let ops = &mut trace.cores[core];
-            let TraceOp::Store { addr, len } = ops[op] else {
-                unreachable!("eligible site is a store");
-            };
-            ops.insert(op + 1, TraceOp::Flush { addr, len });
-            classes[core].insert(op + 1, OpClass::Flush);
+            let (addr, len) = victim_store();
+            trace.cores[core] = spliced(ops, &[(op + 1, TraceOp::Flush { addr, len })]);
+            classes[core] = spliced(cls, &[(op + 1, OpClass::Flush)]);
             BugSite { core, op: op + 1, addr }
         }
         SeededBug::UnfencedCounter => {
-            let TraceOp::Store { addr, len } = trace.cores[core][op] else {
-                unreachable!("eligible site is a store");
-            };
-            for at in thief_slots(align, peer, trace.cores[peer].len(), core, op, false) {
-                trace.cores[peer].insert(at, TraceOp::Store { addr, len });
-                classes[peer].insert(at, OpClass::DataFresh);
-            }
+            let (addr, len) = victim_store();
+            let slots = thief_slots(align, peer, peer_len, core, op, false);
+            plant_racing(&mut trace, &mut classes, peer, &slots, &[TraceOp::Store { addr, len }]);
             BugSite { core, op, addr }
         }
         SeededBug::SwappedDrainOrder => {
-            let TraceOp::Store { addr: a0, len: l0 } = trace.cores[core][op] else {
-                unreachable!("eligible site is a store");
-            };
-            let (_, a1, l1) =
-                drain_pair_partner(&trace.cores[core], &classes[core], op, block_bytes)
-                    .expect("eligible site has a partner store");
+            let (addr, len) = victim_store();
+            let (_, a1, l1) = drain_pair_partner(ops, cls, op, block_bytes)
+                .expect("eligible site has a partner store");
             // The peer persists the victim's *later* block first: the
             // two cores now disagree on the drain order of the pair.
-            for at in thief_slots(align, peer, trace.cores[peer].len(), core, op, false) {
-                trace.cores[peer].insert(at, TraceOp::Store { addr: a0, len: l0 });
-                classes[peer].insert(at, OpClass::DataFresh);
-                trace.cores[peer].insert(at, TraceOp::Store { addr: a1, len: l1 });
-                classes[peer].insert(at, OpClass::DataFresh);
-            }
-            BugSite { core, op, addr: a0 }
+            let slots = thief_slots(align, peer, peer_len, core, op, false);
+            let pair = [TraceOp::Store { addr: a1, len: l1 }, TraceOp::Store { addr, len }];
+            plant_racing(&mut trace, &mut classes, peer, &slots, &pair);
+            BugSite { core, op, addr }
         }
         SeededBug::RelaxedSteal => {
-            let TraceOp::Store { addr, len } = trace.cores[core][op] else {
-                unreachable!("eligible site is a store");
-            };
-            trace.cores[core][op] = TraceOp::StoreRelaxed { addr, len };
+            let (addr, len) = victim_store();
             // Stealing only works inside the (relaxed store, commit)
             // window — at commit the owner's durability verdict is
             // sealed — so the thieves go after peer ops observed to
             // execute strictly inside that window.
-            let commit = tx_ranges(&trace.cores[core])
+            let commit = tx_ranges(ops)
                 .into_iter()
                 .find(|&(s, e)| (s..e).contains(&op))
                 .map(|(_, e)| e);
-            for at in steal_slots(align, peer, trace.cores[peer].len(), core, op, commit) {
-                trace.cores[peer].insert(at, TraceOp::Store { addr, len });
-                classes[peer].insert(at, OpClass::DataFresh);
-            }
+            let slots = steal_slots(align, peer, peer_len, core, op, commit);
+            plant_racing(&mut trace, &mut classes, peer, &slots, &[TraceOp::Store { addr, len }]);
             // Stretch the window: cold reads (long-retired undo-log
             // blocks, certain cache misses) right after the relaxed
             // store hold the owner's transaction open for several miss
-            // latencies so a thief can land inside it.
-            for pad in steal_padding(&trace.cores[core], &classes[core], op, block_bytes) {
-                trace.cores[core].insert(op + 1, TraceOp::Read { addr: pad, len: 8 });
-                classes[core].insert(op + 1, OpClass::Read);
+            // latencies so a thief can land inside it. The last pad
+            // picked executes first.
+            let pads = steal_padding(ops, cls, op, block_bytes);
+            if !pads.is_empty() {
+                let reads: Vec<_> = pads
+                    .iter()
+                    .rev()
+                    .map(|&pad| (op + 1, TraceOp::Read { addr: pad, len: 8 }))
+                    .collect();
+                trace.cores[core] = spliced(ops, &reads);
+                classes[core] = spliced(cls, &vec![(op + 1, OpClass::Read); pads.len()]);
             }
+            Arc::make_mut(&mut trace.cores[core])[op] = TraceOp::StoreRelaxed { addr, len };
             BugSite { core, op, addr }
         }
         SeededBug::CoverOverlap => {
-            let TraceOp::Store { addr, len } = trace.cores[core][op] else {
-                unreachable!("eligible site is a store");
-            };
+            let (addr, len) = victim_store();
             let (_, last) = blocks_spanned(addr, len, block_bytes);
             let target = last * block_bytes;
-            for at in thief_slots(align, peer, trace.cores[peer].len(), core, op, false) {
-                trace.cores[peer].insert(at, TraceOp::Store { addr: target, len: 8 });
-                classes[peer].insert(at, OpClass::DataFresh);
-            }
+            let slots = thief_slots(align, peer, peer_len, core, op, false);
+            let poke = [TraceOp::Store { addr: target, len: 8 }];
+            plant_racing(&mut trace, &mut classes, peer, &slots, &poke);
             BugSite { core, op, addr: target }
         }
     };
@@ -399,6 +396,43 @@ pub fn seed_bug_with(
         trace,
         classes,
     })
+}
+
+/// `base` with each `(at, item)` of `inserts` placed before `base[at]`
+/// (`at == base.len()` appends). `inserts` is sorted by `at`; items
+/// sharing a slot keep their order. The stream is allocated once, at its
+/// exact length.
+fn spliced<T: Copy>(base: &[T], inserts: &[(usize, T)]) -> Arc<[T]> {
+    let (mut next, mut pending) = (0, inserts.iter().peekable());
+    (0..base.len() + inserts.len())
+        .map(|_| match pending.next_if(|&&(at, _)| at == next) {
+            Some(&(_, item)) => item,
+            None => {
+                next += 1;
+                base[next - 1]
+            }
+        })
+        .collect()
+}
+
+/// Replaces core `peer`'s streams with copies that carry `racing`, in
+/// order, at each of `slots` (ascending), every planted op classed
+/// [`OpClass::DataFresh`].
+fn plant_racing(
+    trace: &mut MultiCoreTrace,
+    classes: &mut [Arc<[OpClass]>],
+    peer: usize,
+    slots: &[usize],
+    racing: &[TraceOp],
+) {
+    let at: Vec<(usize, TraceOp)> = slots
+        .iter()
+        .flat_map(|&slot| racing.iter().map(move |&op| (slot, op)))
+        .collect();
+    let fresh: Vec<(usize, OpClass)> =
+        at.iter().map(|&(slot, _)| (slot, OpClass::DataFresh)).collect();
+    trace.cores[peer] = spliced(&trace.cores[peer], &at);
+    classes[peer] = spliced(&classes[peer], &fresh);
 }
 
 /// Peer-stream slots for a cluster of racing ops bracketing the victim
@@ -411,9 +445,7 @@ pub fn seed_bug_with(
 /// in-gap slot for bugs whose racing op must execute strictly after
 /// the victim op (it trades the slot for one further out instead).
 ///
-/// Slots are clamped to `peer_len`, deduplicated, and returned in
-/// *descending* order so that inserting at each in turn leaves the
-/// later (already-used) indices unshifted.
+/// Slots are clamped to `peer_len`, deduplicated and ascending.
 fn thief_slots(
     align: Option<&RaceAlignment>,
     peer: usize,
@@ -533,13 +565,12 @@ fn steal_padding(
     picked
 }
 
-/// Clamps, orders (descending), and deduplicates insertion slots so
-/// that inserting at each in turn leaves the others unshifted.
+/// Clamps insertion slots to `peer_len`, sorts and deduplicates them.
 fn finish_slots(mut slots: Vec<usize>, peer_len: usize) -> Vec<usize> {
     for s in &mut slots {
         *s = (*s).min(peer_len);
     }
-    slots.sort_unstable_by(|a, b| b.cmp(a));
+    slots.sort_unstable();
     slots.dedup();
     slots
 }
@@ -687,6 +718,40 @@ mod tests {
         spec::generate_annotated(cfg)
     }
 
+    /// Checks that planting `v` into `a` copied only the cores in
+    /// `touched`: every other core shares both its op and its class
+    /// stream with the base (the same allocation), and each touched
+    /// `(core, planted)` holds its own op stream of the base's length
+    /// plus `planted`, with a class stream of the same length.
+    fn assert_touches_only(a: &AnnotatedTrace, v: &SeededVariant, touched: &[(usize, usize)]) {
+        for core in 0..a.trace.cores.len() {
+            let (ops, classes) = (&v.trace.cores[core], &v.classes[core]);
+            let (base_ops, base_classes) = (&a.trace.cores[core], &a.classes[core]);
+            if let Some(&(_, planted)) = touched.iter().find(|t| t.0 == core) {
+                assert!(!Arc::ptr_eq(ops, base_ops), "core {core}: ops not rebuilt");
+                assert_eq!(ops.len(), base_ops.len() + planted, "core {core}");
+                assert_eq!(classes.len(), base_classes.len() + planted, "core {core}");
+            } else {
+                assert!(Arc::ptr_eq(ops, base_ops), "core {core}: untouched ops copied");
+                assert!(
+                    Arc::ptr_eq(classes, base_classes),
+                    "core {core}: untouched classes copied"
+                );
+            }
+        }
+    }
+
+    /// Planted ops `v` added to `core` that match `pred`.
+    fn planted_matching(
+        a: &AnnotatedTrace,
+        v: &SeededVariant,
+        core: usize,
+        pred: impl Fn(&TraceOp) -> bool,
+    ) -> usize {
+        let count = |ops: &[TraceOp]| ops.iter().filter(|op| pred(op)).count();
+        count(&v.trace.cores[core]) - count(&a.trace.cores[core])
+    }
+
     #[test]
     fn classes_align_with_ops() {
         for kind in WorkloadKind::ALL {
@@ -715,6 +780,18 @@ mod tests {
                 assert!(v.site.op < v.trace.cores[v.site.core].len());
                 for (ops, classes) in v.trace.cores.iter().zip(&v.classes) {
                     assert_eq!(ops.len(), classes.len(), "{kind} {bug}: classes drifted");
+                }
+                // A stream is shared with the clean trace exactly when
+                // the bug left it unchanged.
+                for core in 0..a.trace.cores.len() {
+                    let (ops, base) = (&v.trace.cores[core], &a.trace.cores[core]);
+                    assert_eq!(Arc::ptr_eq(ops, base), ops == base, "{kind} {bug} core {core}");
+                    let (classes, base) = (&v.classes[core], &a.classes[core]);
+                    assert_eq!(
+                        Arc::ptr_eq(classes, base),
+                        classes == base,
+                        "{kind} {bug} core {core} classes"
+                    );
                 }
             }
         }
@@ -752,6 +829,11 @@ mod tests {
             a.trace.total_stores(),
             "relaxed store still counts as a store"
         );
+        assert_touches_only(&a, &v, &[(v.site.core, 0)]);
+        assert!(
+            Arc::ptr_eq(&v.classes[v.site.core], &a.classes[v.site.core]),
+            "the victim keeps its class, so its class stream is shared"
+        );
     }
 
     #[test]
@@ -761,11 +843,12 @@ mod tests {
         let ops = &v.trace.cores[v.site.core];
         // The data op now precedes its own log append.
         assert!(matches!(ops[v.site.op], TraceOp::Store { addr, .. } if addr == v.site.addr));
-        let mut orig = a.trace.cores[v.site.core].clone();
-        let mut mutated = ops.clone();
+        let mut orig = a.trace.cores[v.site.core].to_vec();
+        let mut mutated = ops.to_vec();
         orig.sort_by_key(|op| format!("{op:?}"));
         mutated.sort_by_key(|op| format!("{op:?}"));
         assert_eq!(orig, mutated, "swap must not add or drop ops");
+        assert_touches_only(&a, &v, &[(v.site.core, 0)]);
     }
 
     #[test]
@@ -775,7 +858,8 @@ mod tests {
         let ops = &v.trace.cores[v.site.core];
         assert!(matches!(ops[v.site.op], TraceOp::Flush { addr, .. } if addr == v.site.addr));
         assert!(matches!(ops[v.site.op - 1], TraceOp::Store { addr, .. } if addr == v.site.addr));
-        assert_eq!(ops.len(), a.trace.cores[v.site.core].len() + 1);
+        assert_eq!(v.classes[v.site.core][v.site.op], OpClass::Flush);
+        assert_touches_only(&a, &v, &[(v.site.core, 1)]);
     }
 
     /// The peer core a race bug plants its thief cluster on.
@@ -793,15 +877,11 @@ mod tests {
         assert_eq!(ops.len(), a.trace.cores[v.site.core].len());
         // The thief cluster lives on the next core.
         let peer = peer_of(&v);
-        let thieves = v.trace.cores[peer]
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Store { addr, .. } if *addr == v.site.addr))
-            .count();
+        let thieves = planted_matching(&a, &v, peer, |op| {
+            matches!(op, TraceOp::Store { addr, .. } if *addr == v.site.addr)
+        });
         assert!((1..=3).contains(&thieves), "{thieves} thieves");
-        assert_eq!(
-            v.trace.cores[peer].len(),
-            a.trace.cores[peer].len() + thieves
-        );
+        assert_touches_only(&a, &v, &[(peer, thieves)]);
     }
 
     #[test]
@@ -813,8 +893,11 @@ mod tests {
         assert!(matches!(victim[v.site.op], TraceOp::Store { addr, .. } if addr == v.site.addr));
         // The peer got adjacent [later-block, earlier-block] pairs.
         let peer_ops = &v.trace.cores[peer_of(&v)];
-        let grown = peer_ops.len() - a.trace.cores[peer_of(&v)].len();
-        assert!(grown >= 2 && grown.is_multiple_of(2), "grew by {grown}");
+        let grown = planted_matching(&a, &v, peer_of(&v), |op| {
+            matches!(op, TraceOp::Store { addr, .. } if *addr == v.site.addr)
+        }) * 2;
+        assert!((2..=6).contains(&grown), "grew by {grown}");
+        assert_touches_only(&a, &v, &[(peer_of(&v), grown)]);
         let has_reversed_pair = peer_ops.windows(2).any(|w| {
             matches!(
                 (&w[0], &w[1]),
@@ -829,15 +912,26 @@ mod tests {
     fn relaxed_steal_demotes_owner_and_plants_thieves() {
         let a = tiny_annotated(WorkloadKind::Hashmap);
         let v = seed_bug(&a, SeededBug::RelaxedSteal, 3, 128).expect("site");
-        let owner = &v.trace.cores[v.site.core];
+        let (owner, base) = (&v.trace.cores[v.site.core], &a.trace.cores[v.site.core]);
         assert!(
             matches!(owner[v.site.op], TraceOp::StoreRelaxed { addr, .. } if addr == v.site.addr)
         );
-        let peer = peer_of(&v);
-        assert!(v.trace.cores[peer]
+        // The window-stretching reads follow the relaxed store; the rest
+        // of the owner's stream is the base's.
+        let pads = owner.len() - base.len();
+        assert!(pads <= 24, "{pads} pads");
+        let after = v.site.op + 1;
+        assert!(owner[after..after + pads]
             .iter()
-            .any(|op| matches!(op, TraceOp::Store { addr, .. } if *addr == v.site.addr)));
-        assert!(v.trace.cores[peer].len() > a.trace.cores[peer].len());
+            .all(|op| matches!(op, TraceOp::Read { len: 8, .. })));
+        assert_eq!(owner[..v.site.op], base[..v.site.op]);
+        assert_eq!(owner[after + pads..], base[after..]);
+        let peer = peer_of(&v);
+        let thieves = planted_matching(&a, &v, peer, |op| {
+            matches!(op, TraceOp::Store { addr, .. } if *addr == v.site.addr)
+        });
+        assert!((1..=3).contains(&thieves), "{thieves} thieves");
+        assert_touches_only(&a, &v, &[(v.site.core, pads), (peer, thieves)]);
     }
 
     #[test]
@@ -850,9 +944,19 @@ mod tests {
             panic!("victim site is a store");
         };
         assert_eq!((addr + u64::from(len) - 1) / 128, v.site.addr / 128);
-        assert!(v.trace.cores[peer_of(&v)]
-            .iter()
-            .any(|op| matches!(op, TraceOp::Store { addr, len: 8 } if *addr == v.site.addr)));
+        let pokes = planted_matching(&a, &v, peer_of(&v), |op| {
+            matches!(op, TraceOp::Store { addr, len: 8 } if *addr == v.site.addr)
+        });
+        assert!((1..=3).contains(&pokes), "{pokes} pokes");
+        assert_touches_only(&a, &v, &[(peer_of(&v), pokes)]);
+    }
+
+    #[test]
+    fn spliced_inserts_before_each_slot_in_order() {
+        let s = spliced(&[1, 2, 3], &[(0, 10), (1, 7), (1, 8), (3, 9)]);
+        assert_eq!(*s, [10, 1, 7, 8, 2, 3, 9]);
+        assert_eq!(*spliced::<u8>(&[], &[(0, 5)]), [5]);
+        assert_eq!(*spliced(&[4, 5], &[]), [4, 5]);
     }
 
     #[test]
@@ -869,11 +973,11 @@ mod tests {
         assert_eq!(al.gap(1, 9), (1, 3));
         assert_eq!(al.seq(1, 2), u64::MAX);
         assert_eq!(al.seq(9, 0), u64::MAX, "missing core");
-        // Slots bracket the gap, descending, deduped, clamped.
-        assert_eq!(thief_slots(Some(&al), 1, 5, 0, 2, false), vec![4, 3, 1]);
-        assert_eq!(thief_slots(Some(&al), 1, 5, 0, 2, true), vec![5, 4, 3]);
-        assert_eq!(thief_slots(Some(&al), 1, 4, 0, 2, true), vec![4, 3]);
-        assert_eq!(thief_slots(None, 1, 100, 0, 7, false), vec![10, 9, 8]);
+        // Slots bracket the gap, ascending, deduped, clamped.
+        assert_eq!(thief_slots(Some(&al), 1, 5, 0, 2, false), vec![1, 3, 4]);
+        assert_eq!(thief_slots(Some(&al), 1, 5, 0, 2, true), vec![3, 4, 5]);
+        assert_eq!(thief_slots(Some(&al), 1, 4, 0, 2, true), vec![3, 4]);
+        assert_eq!(thief_slots(None, 1, 100, 0, 7, false), vec![8, 9, 10]);
     }
 
     #[test]

@@ -174,7 +174,7 @@ mod tests {
             // the same open transaction (write-ahead logging); fresh
             // writes need none.
             let mut guarded: Vec<(u64, u64)> = Vec::new();
-            for (op, class) in ops.iter().zip(cls) {
+            for (op, class) in ops.iter().zip(cls.iter()) {
                 match *class {
                     OpClass::LogAppend {
                         guard_addr,

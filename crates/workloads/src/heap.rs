@@ -93,9 +93,27 @@ impl PersistentHeap {
         usize::try_from(page).ok()
     }
 
+    /// The materialized page behind page table index `i`, if any.
+    fn page(&self, i: usize) -> Option<&[u8]> {
+        self.pages.get(i)?.as_deref()
+    }
+
+    /// The page holding `addr`, materialized (zeroed) if it was not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies below the heap's base page.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8] {
+        let i = self.slot(addr).expect("write below the heap's base page");
+        if i >= self.pages.len() {
+            self.pages.resize_with(i + 1, || None);
+        }
+        self.pages[i].get_or_insert_with(|| vec![0u8; PAGE].into_boxed_slice())
+    }
+
     /// Fills `out` with the bytes at `addr` (untouched bytes read as
-    /// zero). The one read path: [`Self::read`] and [`Self::read_u64`]
-    /// wrap it.
+    /// zero). [`Self::read`] wraps it; [`Self::read_u64`] falls back to
+    /// it for a word that straddles two pages.
     pub fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut done = 0;
         while done < out.len() {
@@ -103,7 +121,7 @@ impl PersistentHeap {
             let off = (a % PAGE as u64) as usize;
             let take = (out.len() - done).min(PAGE - off);
             let dst = &mut out[done..done + take];
-            match self.slot(a).and_then(|i| self.pages.get(i)?.as_deref()) {
+            match self.slot(a).and_then(|i| self.page(i)) {
                 Some(page) => dst.copy_from_slice(&page[off..off + take]),
                 None => dst.fill(0),
             }
@@ -131,27 +149,41 @@ impl PersistentHeap {
             let a = addr + done as u64;
             let off = (a % PAGE as u64) as usize;
             let take = (bytes.len() - done).min(PAGE - off);
-            let i = self.slot(a).expect("write below the heap's base page");
-            if i >= self.pages.len() {
-                self.pages.resize_with(i + 1, || None);
-            }
-            let page = self.pages[i].get_or_insert_with(|| vec![0u8; PAGE].into_boxed_slice());
-            page[off..off + take].copy_from_slice(&bytes[done..done + take]);
+            self.page_mut(a)[off..off + take].copy_from_slice(&bytes[done..done + take]);
             done += take;
         }
     }
 
-    /// Reads a little-endian `u64` at `addr`.
+    /// Reads a little-endian `u64` at `addr`: an inline 8-byte load when
+    /// the word lies inside one page.
     #[must_use]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut word = [0u8; 8];
-        self.read_into(addr, &mut word);
-        u64::from_le_bytes(word)
+        let off = (addr % PAGE as u64) as usize;
+        if off > PAGE - 8 {
+            let mut word = [0u8; 8];
+            self.read_into(addr, &mut word);
+            return u64::from_le_bytes(word);
+        }
+        self.slot(addr)
+            .and_then(|i| self.page(i))
+            .map_or(0, |page| {
+                u64::from_le_bytes(page[off..off + 8].try_into().expect("8 bytes"))
+            })
     }
 
-    /// Writes a little-endian `u64` at `addr`.
+    /// Writes a little-endian `u64` at `addr`: an inline 8-byte store
+    /// when the word lies inside one page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies below the heap's base page.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
+        let off = (addr % PAGE as u64) as usize;
+        if off > PAGE - 8 {
+            self.write(addr, &v.to_le_bytes());
+        } else {
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Number of materialized backing pages (memory footprint check).
@@ -229,6 +261,13 @@ mod tests {
         h.write_u64(16, 0x0102_0304_0506_0708);
         assert_eq!(h.read_u64(8), u64::MAX);
         assert_eq!(h.read_u64(16), 0x0102_0304_0506_0708);
+        // A word straddling a page boundary takes the byte path both ways.
+        let edge = PAGE as u64 - 3;
+        h.write_u64(edge, 0x1122_3344_5566_7788);
+        assert_eq!(h.read_u64(edge), 0x1122_3344_5566_7788);
+        assert_eq!(h.read(edge, 8), 0x1122_3344_5566_7788u64.to_le_bytes());
+        assert_eq!(h.read_u64(PAGE as u64 - 8), 0x6677_8800_0000_0000);
+        assert_eq!(h.resident_pages(), 2);
     }
 
     #[test]

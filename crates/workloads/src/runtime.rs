@@ -7,6 +7,8 @@
 //! that discipline to the workload data structures and records every
 //! persistent store and read as a [`TraceOp`] for the simulator to replay.
 
+use std::sync::Arc;
+
 use crate::heap::PersistentHeap;
 
 /// One operation in a core's trace.
@@ -92,7 +94,11 @@ pub enum OpClass {
 pub const DATA_REGION_BYTES: u64 = 16 << 30;
 
 /// The trace of one core: the ops of all its transactions, in order.
-pub type CoreTrace = Vec<TraceOp>;
+///
+/// A shared, immutable stream: cloning a trace shares it, and a planted
+/// corpus variant ([`crate::corpus`]) rebuilds only the cores its bug
+/// changes. Builders record into a `Vec` and convert once per core.
+pub type CoreTrace = Arc<[TraceOp]>;
 
 /// Traces for all simulated cores plus the warmup boundary.
 #[derive(Debug, Clone, Default)]
@@ -138,8 +144,9 @@ impl MultiCoreTrace {
 pub struct AnnotatedTrace {
     /// The op streams.
     pub trace: MultiCoreTrace,
-    /// Index-aligned class streams, one per core.
-    pub classes: Vec<Vec<OpClass>>,
+    /// Index-aligned class streams, one per core, shared like the op
+    /// streams.
+    pub classes: Vec<Arc<[OpClass]>>,
 }
 
 /// Per-runtime statistics.
@@ -178,7 +185,7 @@ pub struct RuntimeStats {
 #[derive(Debug)]
 pub struct TxRuntime {
     heap: PersistentHeap,
-    trace: CoreTrace,
+    trace: Vec<TraceOp>,
     /// Index-aligned with `trace`.
     classes: Vec<OpClass>,
     log_base: u64,
@@ -285,8 +292,7 @@ impl TxRuntime {
     }
 
     /// Fills `out` with the bytes at `addr`, recording one access of
-    /// `out.len()` bytes. The one read path: [`Self::read`] and
-    /// [`Self::read_u64`] wrap it.
+    /// `out.len()` bytes. [`Self::read`] wraps it.
     pub fn read_into(&mut self, addr: u64, out: &mut [u8]) {
         if self.tracing {
             self.push_op(
@@ -309,26 +315,28 @@ impl TxRuntime {
         out
     }
 
-    /// Reads a `u64`, recording the access.
+    /// Reads a `u64`, recording the same 8-byte access as
+    /// [`Self::read_into`] (through the heap's word path).
     pub fn read_u64(&mut self, addr: u64) -> u64 {
-        let mut word = [0u8; 8];
-        self.read_into(addr, &mut word);
-        u64::from_le_bytes(word)
+        if self.tracing {
+            self.push_op(TraceOp::Read { addr, len: 8 }, OpClass::Read);
+        }
+        self.heap.read_u64(addr)
     }
 
     fn raw_store(&mut self, addr: u64, bytes: &[u8], class: OpClass) {
         self.heap.write(addr, bytes);
+        self.record_store(addr, bytes.len() as u32, class);
+    }
+
+    /// Counts a store of `len` bytes at `addr` that the caller has made
+    /// to the heap, and records it (only while tracing).
+    fn record_store(&mut self, addr: u64, len: u32, class: OpClass) {
         self.stores_in_tx += 1;
         if self.tracing {
-            self.push_op(
-                TraceOp::Store {
-                    addr,
-                    len: bytes.len() as u32,
-                },
-                class,
-            );
+            self.push_op(TraceOp::Store { addr, len }, class);
             self.stats.stores += 1;
-            self.stats.bytes_stored += bytes.len() as u64;
+            self.stats.bytes_stored += u64::from(len);
         }
     }
 
@@ -380,22 +388,35 @@ impl TxRuntime {
     ///
     /// Panics outside a transaction.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
-        assert!(self.in_tx, "transactional write outside a transaction");
-        let len = bytes.len() as u64;
-        let covered = self
-            .logged_ranges
-            .iter()
-            .any(|&(a, l)| a <= addr && addr + len <= a + l);
-        if !covered {
-            self.log_append(addr, bytes.len());
-            self.logged_ranges.push((addr, len));
-        }
+        self.log_once(addr, bytes.len());
         self.raw_store(addr, bytes, OpClass::DataInPlace);
     }
 
-    /// Transactionally writes a `u64`.
+    /// Undo-logs `[addr, addr+len)` ahead of an in-place update, unless
+    /// the open transaction has logged a range covering it.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a transaction.
+    fn log_once(&mut self, addr: u64, len: usize) {
+        assert!(self.in_tx, "transactional write outside a transaction");
+        let end = addr + len as u64;
+        let covered = self
+            .logged_ranges
+            .iter()
+            .any(|&(a, l)| a <= addr && end <= a + l);
+        if !covered {
+            self.log_append(addr, len);
+            self.logged_ranges.push((addr, len as u64));
+        }
+    }
+
+    /// Transactionally writes a `u64`: the same ops as [`Self::write`] of
+    /// its 8 bytes, through the heap's word path.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
+        self.log_once(addr, 8);
+        self.heap.write_u64(addr, v);
+        self.record_store(addr, 8, OpClass::DataInPlace);
     }
 
     /// Writes to freshly allocated, never-exposed memory: persistent but
@@ -405,9 +426,11 @@ impl TxRuntime {
         self.raw_store(addr, bytes, OpClass::DataFresh);
     }
 
-    /// Writes a `u64` to fresh memory.
+    /// Writes a `u64` to fresh memory (the heap's word path).
     pub fn write_new_u64(&mut self, addr: u64, v: u64) {
-        self.write_new(addr, &v.to_le_bytes());
+        assert!(self.in_tx, "transactional write outside a transaction");
+        self.heap.write_u64(addr, v);
+        self.record_store(addr, 8, OpClass::DataFresh);
     }
 
     /// Allocates a `len`-byte value blob, fills it with the bytes `fill`,
@@ -458,7 +481,7 @@ impl TxRuntime {
     #[must_use]
     pub fn into_trace(self) -> CoreTrace {
         assert!(!self.in_tx, "open transaction at end of trace");
-        self.trace
+        self.trace.into()
     }
 
     /// Finishes tracing and returns the trace together with its
@@ -468,10 +491,15 @@ impl TxRuntime {
     ///
     /// Panics if a transaction is still open.
     #[must_use]
-    pub fn into_annotated(self) -> (CoreTrace, Vec<OpClass>) {
+    pub fn into_annotated(self) -> (CoreTrace, Arc<[OpClass]>) {
         assert!(!self.in_tx, "open transaction at end of trace");
         debug_assert_eq!(self.trace.len(), self.classes.len());
-        (self.trace, self.classes)
+        // Free the heap's pages before the streams are copied into their
+        // shared form, so the copies can reuse them: generation's peak
+        // memory then never holds a heap and both forms at once.
+        let TxRuntime { heap, trace, classes, .. } = self;
+        drop(heap);
+        (trace.into(), classes.into())
     }
 }
 

@@ -448,7 +448,7 @@ mod tests {
         let bytes = |t: &MultiCoreTrace| -> u64 {
             t.cores
                 .iter()
-                .flatten()
+                .flat_map(|ops| ops.iter())
                 .filter_map(|op| match op {
                     TraceOp::Store { len, .. } => Some(u64::from(*len)),
                     _ => None,

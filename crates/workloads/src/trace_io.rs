@@ -52,7 +52,7 @@ pub fn to_text(trace: &MultiCoreTrace) -> String {
     let _ = writeln!(out, "warmup {}", trace.warmup_txs_per_core);
     for (i, core) in trace.cores.iter().enumerate() {
         let _ = writeln!(out, "core {i}");
-        for op in core {
+        for op in core.iter() {
             match op {
                 TraceOp::Read { addr, len } => {
                     let _ = writeln!(out, "R {addr:#x} {len}");
@@ -101,8 +101,9 @@ fn parse_u64(tok: &str, line: usize) -> Result<u64, ParseError> {
 /// `core` directive, out-of-order core numbering, or a nonzero `warmup`
 /// that leaves no core a measured transaction.
 pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
-    let mut trace = MultiCoreTrace::default();
-    let mut current: Option<usize> = None;
+    // Each core records into a `Vec`, converted once at the end.
+    let mut cores: Vec<Vec<TraceOp>> = Vec::new();
+    let mut warmup = 0;
     let mut warmup_line = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
@@ -131,7 +132,7 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                     line,
                 )?;
                 expect_end(toks)?;
-                trace.warmup_txs_per_core = n as usize;
+                warmup = n as usize;
                 warmup_line = line;
             }
             "core" => {
@@ -143,17 +144,13 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                     line,
                 )? as usize;
                 expect_end(toks)?;
-                if n != trace.cores.len() {
+                if n != cores.len() {
                     return Err(ParseError {
                         line,
-                        message: format!(
-                            "core {n} out of order (expected {})",
-                            trace.cores.len()
-                        ),
+                        message: format!("core {n} out of order (expected {})", cores.len()),
                     });
                 }
-                trace.cores.push(Vec::new());
-                current = Some(n);
+                cores.push(Vec::new());
             }
             "R" | "W" | "V" | "F" => {
                 let addr = parse_u64(
@@ -193,11 +190,11 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
                     });
                 }
                 expect_end(toks)?;
-                let core = current.ok_or(ParseError {
+                let core = cores.last_mut().ok_or(ParseError {
                     line,
                     message: "op before any `core` directive".into(),
                 })?;
-                trace.cores[core].push(match op {
+                core.push(match op {
                     "R" => TraceOp::Read { addr, len },
                     "W" => TraceOp::Store { addr, len },
                     "V" => TraceOp::StoreRelaxed { addr, len },
@@ -206,11 +203,11 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
             }
             "C" | "B" => {
                 expect_end(toks)?;
-                let core = current.ok_or(ParseError {
+                let core = cores.last_mut().ok_or(ParseError {
                     line,
                     message: "op before any `core` directive".into(),
                 })?;
-                trace.cores[core].push(if op == "C" {
+                core.push(if op == "C" {
                     TraceOp::Commit
                 } else {
                     TraceOp::Fence
@@ -225,15 +222,17 @@ pub fn from_text(text: &str) -> Result<MultiCoreTrace, ParseError> {
         }
     }
     // A warm-up that spans every core's whole trace leaves nothing to measure.
-    let warmup = trace.warmup_txs_per_core;
-    let commits = |ops: &CoreTrace| ops.iter().filter(|op| matches!(op, TraceOp::Commit)).count();
-    if warmup > 0 && trace.cores.iter().all(|ops| commits(ops) <= warmup) {
+    let commits = |ops: &[TraceOp]| ops.iter().filter(|op| matches!(op, TraceOp::Commit)).count();
+    if warmup > 0 && cores.iter().all(|ops| commits(ops) <= warmup) {
         return Err(ParseError {
             line: warmup_line,
             message: format!("warmup {warmup} leaves no core a measured transaction"),
         });
     }
-    Ok(trace)
+    Ok(MultiCoreTrace {
+        cores: cores.into_iter().map(CoreTrace::from).collect(),
+        warmup_txs_per_core: warmup,
+    })
 }
 
 #[cfg(test)]
@@ -297,8 +296,8 @@ C
 ";
         let t = from_text(text).expect("parse");
         assert_eq!(
-            t.cores[0],
-            vec![
+            *t.cores[0],
+            [
                 TraceOp::StoreRelaxed { addr: 0x1000, len: 64 },
                 TraceOp::Flush { addr: 0x1000, len: 64 },
                 TraceOp::Fence,

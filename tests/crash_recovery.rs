@@ -33,7 +33,7 @@ fn truncate(trace: &MultiCoreTrace, fraction: f64) -> MultiCoreTrace {
                 .iter()
                 .rposition(|op| matches!(op, TraceOp::Commit))
                 .map_or(0, |p| p + 1);
-            ops[..upto].to_vec()
+            ops[..upto].into()
         })
         .collect();
     MultiCoreTrace {
